@@ -5,8 +5,8 @@ characteristic polynomial (x^q + 1)(x - 1): eigenvalue 1 plus the
 odd-indexed 2q-th roots of unity, all on the unit circle with Vandermonde
 eigenvectors. In eigencoordinates one step multiplies coordinate j by its
 eigenvalue, so e steps leave a per-eigenvalue angular fingerprint e * angle.
-Matching each observed rotation against the eigenvalue's finitely many
-powers and intersecting the residue constraints pins e modulo p-1.
+Rounding each observed rotation to the nearest of the eigenvalue's finitely
+many powers and merging the residue constraints pins e modulo p-1.
 
 Run: python demos/03_spectral_exponent_recovery.py
 """

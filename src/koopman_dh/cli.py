@@ -34,14 +34,17 @@ from .dynamics import (
     simulate,
 )
 from .edmd import (
+    RankLawViolation,
     build_dataset,
     check_assumption,
+    compare_on_values,
     compare_operators,
     dataset_from_values,
     edmd_fit,
     edmd_underparameterized,
     operator_to_json,
     read_trajectory_csv,
+    underparameterized_from_values,
 )
 from .lifting import (
     CompanionSystem,
@@ -216,13 +219,18 @@ def cmd_edmd(args) -> int:
     if args.data:
         values = read_trajectory_csv(args.data)
         n = args.n if args.n is not None else len(values) - args.q - 1
-        dataset = dataset_from_values(values, args.q, n)
+        # predictions run as far as the data reaches
+        under_horizon, compare_horizon = len(values) - 1, len(values) - args.q - 1
         source = {"data_file": args.data}
     else:
         if args.n is None:
             raise ValueError("provide --n (snapshot pairs) or --data (trajectory CSV)")
-        dataset = build_dataset(full_period_trajectory(params), args.q, args.n)
+        n = args.n
+        under_horizon, compare_horizon = params.period, 2 * params.period
+        traj = full_period_trajectory(params)
+        values = [traj.value_at(i) for i in range(max(n, compare_horizon) + args.q + 1)]
         source = {"simulated_pairs": args.n}
+    dataset = dataset_from_values(values, args.q, n)
     report = _report_envelope("edmd")
     report.update(
         {
@@ -231,13 +239,19 @@ def cmd_edmd(args) -> int:
             "q": args.q,
             "n": dataset.n,
             "rank_z": dataset.rank_z,
-            "assumption_holds": check_assumption(dataset, params.p),
             "source": source,
         }
     )
-    traj = full_period_trajectory(params)
+    try:
+        report["assumption_holds"] = check_assumption(dataset, params.p)
+    except RankLawViolation as exc:
+        # an orbit cannot break the rank law, but external data can
+        if not args.data:
+            raise
+        report["assumption_holds"] = False
+        report["note"] = f"{exc}; the data is not an orbit of x -> {params.m}x mod {params.p}"
     if args.q < q_tilde:
-        under = edmd_underparameterized(traj, args.q, dataset.n)
+        under = underparameterized_from_values(values, args.q, dataset.n, under_horizon)
         report.update(
             {
                 "under_parameterized": True,
@@ -249,7 +263,7 @@ def cmd_edmd(args) -> int:
     else:
         fitted = edmd_fit(dataset)
         analytic = CompanionSystem(q=args.q, alpha=canonical_alpha(params.p, args.q))
-        comparison = compare_operators(fitted, analytic, traj, horizon=2 * params.period)
+        comparison = compare_on_values(fitted, analytic, values, compare_horizon)
         report.update(
             {
                 "under_parameterized": False,

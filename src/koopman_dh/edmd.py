@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import ModTrajectory
-from .lifting import CompanionSystem, lift_shift
+from .lifting import CompanionSystem
 from .linalg_exact import (
     frobenius_sq,
     inverse,
@@ -67,16 +67,20 @@ def build_dataset(traj: ModTrajectory, q: int, n: int) -> EdmdDataset:
     return dataset_from_values(values, q, n)
 
 
+class RankLawViolation(RuntimeError):
+    """Data meets the data-richness condition but not the rank it forces on an orbit."""
+
+
 def check_assumption(dataset: EdmdDataset, p: int) -> bool:
     """Data-richness condition: n >= (p-1)/2 + 1 snapshots at order q >= (p-1)/2.
 
-    When it holds, the snapshot rank is pinned to (p-1)/2 + 1; a violation
-    of that consequence would mean corrupted data and raises.
+    When it holds for an orbit, the snapshot rank is pinned to (p-1)/2 + 1;
+    a violation of that consequence raises RankLawViolation.
     """
     q_tilde = (p - 1) // 2
     ok = dataset.n >= q_tilde + 1 and dataset.q >= q_tilde
     if ok and dataset.rank_z != q_tilde + 1:
-        raise RuntimeError(
+        raise RankLawViolation(
             f"rank(Z) = {dataset.rank_z} but the data-richness condition forces {q_tilde + 1}"
         )
     return ok
@@ -145,17 +149,32 @@ def compare_operators(
     horizon: int,
 ) -> OperatorComparison:
     """Entrywise equality plus exact predictions A^k z_0 = z_k up to the horizon."""
+    values = [traj.value_at(i) for i in range(horizon + analytic.q + 1)]
+    return compare_on_values(fitted, analytic, values, horizon)
+
+
+def compare_on_values(
+    fitted: FittedOperator,
+    analytic: CompanionSystem,
+    values,
+    horizon: int,
+) -> OperatorComparison:
+    """compare_operators on a raw integer sequence, z_k = (values[k], ..., values[k+q])."""
     if fitted.dimension != analytic.dimension:
         raise ValueError(
             f"dimension mismatch: fitted {fitted.dimension}, analytic {analytic.dimension}"
         )
-    entrywise = [list(map(Fraction, row)) for row in fitted.a_hat] == analytic.matrix
     q = analytic.q
-    z = [Fraction(v) for v in lift_shift(traj, q, 0)]
+    if len(values) < horizon + q + 1:
+        raise ValueError(
+            f"insufficient data: {len(values)} values cannot reach step {horizon} at order {q}"
+        )
+    entrywise = [list(map(Fraction, row)) for row in fitted.a_hat] == analytic.matrix
+    z = [Fraction(v) for v in values[: q + 1]]
     prediction = True
     for k in range(1, horizon + 1):
         z = [sum(a * v for a, v in zip(row, z)) for row in fitted.a_hat]
-        if z != [Fraction(v) for v in lift_shift(traj, q, k)]:
+        if z != [Fraction(v) for v in values[k : k + q + 1]]:
             prediction = False
             break
     return OperatorComparison(
@@ -181,14 +200,26 @@ def edmd_underparameterized(traj: ModTrajectory, q: int, n: int) -> Underparamet
     q_tilde = traj.params.q_tilde
     if q >= q_tilde:
         raise ValueError(f"q={q} is not under-parameterized; closing order is {q_tilde}")
-    fitted = edmd_fit(build_dataset(traj, q, n))
     period = traj.params.period
-    z = [Fraction(v) for v in lift_shift(traj, q, 0)]
+    values = [traj.value_at(i) for i in range(max(n + q, period) + 1)]
+    return underparameterized_from_values(values, q, n, horizon=period)
+
+
+def underparameterized_from_values(values, q: int, n: int, horizon: int) -> UnderparameterizedFit:
+    """Fit n pairs of a raw integer sequence at order q, with its prediction error.
+
+    The error is the largest absolute deviation of the predicted first
+    component from values[k] over steps k = 1..horizon.
+    """
+    if len(values) <= horizon:
+        raise ValueError(f"insufficient data: {len(values)} values cannot reach step {horizon}")
+    fitted = edmd_fit(dataset_from_values(values, q, n))
+    z = [Fraction(v) for v in values[: q + 1]]
     worst = Fraction(0)
-    for k in range(1, period + 1):
+    for k in range(1, horizon + 1):
         z = [sum(a * v for a, v in zip(row, z)) for row in fitted.a_hat]
-        worst = max(worst, abs(z[0] - traj.value_at(k)))
-    return UnderparameterizedFit(operator=fitted, max_state_error=worst, horizon=period)
+        worst = max(worst, abs(z[0] - values[k]))
+    return UnderparameterizedFit(operator=fitted, max_state_error=worst, horizon=horizon)
 
 
 def read_trajectory_csv(path: str) -> list[int]:

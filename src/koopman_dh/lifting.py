@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import turn_to_complex
 from .dynamics import DhParams, ModTrajectory, full_period_trajectory
 from .linalg_exact import solve_int_with_ranks
 
@@ -94,11 +93,6 @@ def lift_complex(x: int, params: DhParams, q: int) -> tuple[Fraction, ...]:
         turns.append(Fraction(acc, p))
         acc = (m * acc) % p
     return tuple(turns)
-
-
-def lift_complex_values(x: int, params: DhParams, q: int) -> tuple[complex, ...]:
-    """Floating mirror of lift_complex."""
-    return tuple(turn_to_complex(t) for t in lift_complex(x, params, q))
 
 
 @dataclass(frozen=True)

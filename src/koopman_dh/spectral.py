@@ -8,14 +8,22 @@ Eigenvalue angles are exact rational turns; the eigenvector matrix inverse is
 available both as an exact closed form (Lagrange interpolation rows, computed
 in RootSum arithmetic) and as a floating mirror used for recovery, where
 matching is separation-based and therefore tolerance-free.
+
+Set-up is O(q^3): every entry of V is one of the 2q roots of turn n/(2q),
+picked by the integer index r*(2k+1) mod 2q, and V is inverted once. A
+recovery query is then two O(q^2) products with Vinv (in numpy) plus O(q)
+scalar work: each eigencoordinate ratio is rounded to the nearest power of
+its eigenvalue by angle, and the per-eigenvalue residues are merged by the
+Chinese remainder theorem.
 """
 
 from __future__ import annotations
 
+from cmath import isfinite, phase
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import pi, sin
+from math import gcd, pi, sin
 
 import numpy as np
 
@@ -73,10 +81,12 @@ def eigen_canonical(p: int, q: int, alpha=None) -> SpectralDecomposition:
     if alpha is not None and tuple(Fraction(a) for a in alpha) != char_alpha(q):
         raise ValueError("only the canonical sparse closing coefficients are supported")
     turns = (Fraction(0),) + tuple(Fraction(2 * k + 1, 2 * q) for k in range(q))
-    eigenvalues = np.array([turn_to_complex(t) for t in turns])
-    v = np.array(
-        [[turn_to_complex((r * t) % 1) for t in turns] for r in range(q + 1)]
-    )
+    # eigenvalue j has turn index[j] / 2q, so entry (r, j) of V has turn
+    # (r * index[j] mod 2q) / 2q: one of 2q roots, each converted once
+    roots = np.array([turn_to_complex(Fraction(n, 2 * q)) for n in range(2 * q)])
+    index = np.array([0] + [2 * k + 1 for k in range(q)])
+    eigenvalues = roots[index]
+    v = roots[np.outer(np.arange(q + 1), index) % (2 * q)]
     vinv = np.linalg.inv(v)
     return SpectralDecomposition(q=q, turns=turns, eigenvalues=eigenvalues, V=v, Vinv=vinv)
 
@@ -179,47 +189,62 @@ def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEs
 
     For each eigenvalue except l = 1 (zero angle, no information) and except
     coordinates where the initial eigencoordinate vanishes, the ratio
-    z~_e,j / z~_0,j must equal l_j^e. Each ratio is matched to the nearest
-    precomputed power of l_j, accepted only within half the minimum
-    separation of distinct powers, and the matches are intersected as
+    z~_e,j / z~_0,j must equal l_j^e. Each ratio is matched to the power of
+    l_j nearest in angle (on a circle of any radius, the nearest root in
+    angle is also the nearest in distance), accepted only within half the
+    minimum separation of distinct powers, and the matches are merged as
     residue constraints on e. All usable eigenvalues must agree on a single
     exponent; anything less raises RecoveryError.
     """
     zt0 = transform(z_0, dec).entries
     zte = transform(z_e, dec).entries
     tol = _usable_tolerance(zt0)
-    constraints: list[tuple[int, int]] = []
     residues: list[tuple[int, int, float]] = []
     for j, turn in enumerate(dec.turns):
         if turn == 0 or abs(zt0[j]) < tol:
             continue
         order = turn.denominator
         ratio = zte[j] / zt0[j]
-        best_t, best_dist = 0, abs(ratio - 1.0)
-        for t in range(1, order):
-            dist = abs(ratio - turn_to_complex((turn * t) % 1))
-            if dist < best_dist:
-                best_t, best_dist = t, dist
-        if best_dist >= sin(pi / order):
+        t = 0
+        if isfinite(ratio):
+            # l_j^t has turn numerator * t / order; invert that at the rounded angle
+            steps = round(order * phase(ratio) / (2 * pi)) % order
+            t = steps * pow(turn.numerator, -1, order) % order
+        dist = abs(ratio - 1.0) if t == 0 else abs(ratio - turn_to_complex((turn * t) % 1))
+        if not dist < sin(pi / order):
             raise RecoveryError(
                 f"eigenvalue {j}: ratio {ratio:.6g} matches no power within separation"
             )
-        constraints.append((best_t, order))
-        residues.append((j, best_t, best_dist))
-    if not constraints:
+        residues.append((j, t, dist))
+    if not residues:
         raise RecoveryError("no usable eigenvalues: initial eigencoordinates all vanish")
-    candidates = [
-        e for e in range(1, p) if all((e - t) % order == 0 for t, order in constraints)
-    ]
-    if not candidates:
+    residue, modulus = 0, 1
+    for j, t, _ in residues:
+        merged = _crt(residue, modulus, t, dec.turns[j].denominator)
+        if merged is None:
+            raise RecoveryError("eigenvalue constraints are mutually inconsistent")
+        residue, modulus = merged
+    admissible = range(residue or modulus, p, modulus)
+    if not admissible:
         raise RecoveryError("eigenvalue constraints are mutually inconsistent")
-    if len(candidates) > 1:
-        raise RecoveryError(f"constraints leave {len(candidates)} admissible exponents")
+    if len(admissible) > 1:
+        raise RecoveryError(f"constraints leave {len(admissible)} admissible exponents")
     return ExponentEstimate(
-        e=candidates[0],
+        e=admissible[0],
         per_eigenvalue_residues=tuple(residues),
-        parity=parity(z_e, z_0, dec),
+        parity=_parity_of(zte, zt0, dec),
     )
+
+
+def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
+    """(r, L) with L = lcm(m1, m2) such that x = r1 mod m1 and x = r2 mod m2
+    exactly when x = r mod L; None when no x satisfies both."""
+    g = gcd(m1, m2)
+    if (r2 - r1) % g:
+        return None
+    step = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
+    lcm = m1 // g * m2
+    return (r1 + m1 * step) % lcm, lcm
 
 
 def parity(z_e, z_0, dec: SpectralDecomposition) -> str:
@@ -228,12 +253,14 @@ def parity(z_e, z_0, dec: SpectralDecomposition) -> str:
     -1 is an eigenvalue exactly when q is odd; its eigencoordinate flips
     sign once per step, so the ratio is +1 for even e and -1 for odd e.
     """
+    return _parity_of(transform(z_e, dec).entries, transform(z_0, dec).entries, dec)
+
+
+def _parity_of(zte: np.ndarray, zt0: np.ndarray, dec: SpectralDecomposition) -> str:
     try:
         j = dec.turns.index(HALF)
     except ValueError:
         return "unavailable"
-    zt0 = transform(z_0, dec).entries
-    zte = transform(z_e, dec).entries
     if abs(zt0[j]) < _usable_tolerance(zt0):
         raise RecoveryError("initial eigencoordinate at -1 vanishes; parity unreadable")
     ratio = zte[j] / zt0[j]

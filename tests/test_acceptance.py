@@ -76,9 +76,9 @@ def test_criterion_2_closing_condition_two_periods():
 
 def test_criterion_3_exponent_recovery_totality():
     """Spectral recovery returns every e in [1, p-1] for p in {5, 7, 11, 23,
-    101}, matching the brute-force oracle exactly."""
+    101, 199, 401}, matching the brute-force oracle exactly."""
     total = 0
-    for p in (5, 7, 11, 23, 101):
+    for p in (5, 7, 11, 23, 101, 199, 401):
         params = DhParams.with_smallest_root(p)
         q = params.q_tilde
         dec = eigen_canonical(p, q)
@@ -88,7 +88,7 @@ def test_criterion_3_exponent_recovery_totality():
             estimate = recover_exponent(lift_ciphertext(c, params, q), z0, dec, p)
             assert estimate.e == e == discrete_log_bruteforce(c, params), (p, e)
             total += 1
-    print(f"PASS criterion 3: exact recovery of all {total} exponents across p in {{5,7,11,23,101}}")
+    print(f"PASS criterion 3: exact recovery of all {total} exponents across p in {{5,7,11,23,101,199,401}}")
 
 
 def test_criterion_4_parity():

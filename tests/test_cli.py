@@ -139,6 +139,56 @@ class TestEdmd:
         )
         assert report["residual_is_zero"] is True
 
+    def test_data_below_threshold_fits_the_file(self, capsys, tmp_path):
+        # 1..10 obeys x_{k+2} = 2 x_{k+1} - x_k; no orbit of 3 mod 7 does
+        path = tmp_path / "ramp.csv"
+        path.write_text("".join(f"{v}\n" for v in range(1, 11)))
+        report = run_json(
+            capsys, "edmd", "--p", "7", "--m", "3", "--q", "1", "--data", str(path)
+        )
+        assert report["under_parameterized"] is True
+        assert report["residual_is_zero"] is True
+        assert report["max_state_error"] == {"num": "0", "den": "1"}
+        assert report["operator"]["matrix"] == [
+            [{"num": "0", "den": "1"}, {"num": "1", "den": "1"}],
+            [{"num": "-1", "den": "1"}, {"num": "2", "den": "1"}],
+        ]
+
+    def test_data_prediction_check_uses_the_file(self, capsys, tmp_path):
+        # cubes obey the order-4 recurrence of (x - 1)^4: the fit predicts
+        # the file exactly but is not the canonical companion of p = 7
+        path = tmp_path / "cubes.csv"
+        path.write_text("".join(f"{k**3}\n" for k in range(1, 13)))
+        report = run_json(
+            capsys, "edmd", "--p", "7", "--m", "3", "--q", "3", "--data", str(path)
+        )
+        assert report["assumption_holds"] is True
+        assert report["residual_is_zero"] is True
+        assert report["entrywise_equal"] is False
+        assert report["prediction_equivalent"] is True
+
+    def test_data_breaking_rank_law_is_reported(self, capsys, tmp_path):
+        path = tmp_path / "ramp.csv"
+        path.write_text("".join(f"{v}\n" for v in range(1, 11)))
+        report = run_json(
+            capsys, "edmd", "--p", "7", "--m", "3", "--q", "3", "--data", str(path)
+        )
+        assert report["assumption_holds"] is False
+        assert report["rank_z"] == 2
+        assert "rank(Z) = 2" in report["note"]
+
+    def test_simulated_rank_law_violation_exit_4(self, capsys, monkeypatch):
+        from koopman_dh import cli
+        from koopman_dh.edmd import RankLawViolation
+
+        def broken(dataset, p):
+            raise RankLawViolation("rank(Z) = 3 but the data-richness condition forces 4")
+
+        monkeypatch.setattr(cli, "check_assumption", broken)
+        code, _, err = run(capsys, "edmd", "--p", "7", "--m", "3", "--q", "3", "--n", "7")
+        assert code == 4
+        assert "rank(Z) = 3" in err
+
     def test_malformed_data_exit_3(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1\nnot-an-int\n")

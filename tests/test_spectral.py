@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
+from math import pi, sin
 
 import numpy as np
 import pytest
 
-from koopman_dh.cyclotomic import RootSum
+from koopman_dh.cyclotomic import RootSum, turn_to_complex
 from koopman_dh.dynamics import (
     DhParams,
     discrete_log_bruteforce,
@@ -12,6 +14,7 @@ from koopman_dh.dynamics import (
 )
 from koopman_dh.lifting import canonical_alpha, lift_ciphertext, lift_shift
 from koopman_dh.spectral import (
+    ExponentEstimate,
     RecoveryError,
     char_alpha,
     eigen_canonical,
@@ -66,6 +69,20 @@ class TestEigenCanonical:
             eigen_canonical(9, 4)
         with pytest.raises(ValueError):
             eigen_canonical(7, 0)
+
+
+class TestEigenSetupReference:
+    """V, Vinv and the eigenvalues against a build from Fraction turns."""
+
+    @pytest.mark.parametrize("p,q", [(5, 1), (5, 2), (7, 3), (11, 4), (11, 5), (23, 11), (29, 14)])
+    def test_bit_equal_to_fraction_build(self, p, q):
+        dec = eigen_canonical(p, q)
+        turns = (F(0),) + tuple(F(2 * k + 1, 2 * q) for k in range(q))
+        v = np.array([[turn_to_complex((r * t) % 1) for t in turns] for r in range(q + 1)])
+        assert dec.turns == turns
+        assert np.array_equal(dec.eigenvalues, np.array([turn_to_complex(t) for t in turns]))
+        assert np.array_equal(dec.V, v)
+        assert np.array_equal(dec.Vinv, np.linalg.inv(v))
 
 
 class TestEigenpairs:
@@ -220,3 +237,111 @@ class TestParity:
         for e in range(1, p):
             ze = lift_shift(traj, q, e)
             assert parity(ze, z0, dec) == ("even" if e % 2 == 0 else "odd")
+
+
+def recover_by_scan(z_e, z_0, dec, p):
+    """Reference matcher: scan every power of each eigenvalue, then every e.
+
+    O(q * order) per query; recover_exponent must agree with it exactly,
+    float match errors included.
+    """
+    zt0 = transform(z_0, dec).entries
+    zte = transform(z_e, dec).entries
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(zt0))))
+    constraints = []
+    residues = []
+    for j, turn in enumerate(dec.turns):
+        if turn == 0 or abs(zt0[j]) < tol:
+            continue
+        order = turn.denominator
+        ratio = zte[j] / zt0[j]
+        best_t, best_dist = 0, abs(ratio - 1.0)
+        for t in range(1, order):
+            dist = abs(ratio - turn_to_complex((turn * t) % 1))
+            if dist < best_dist:
+                best_t, best_dist = t, dist
+        if best_dist >= sin(pi / order):
+            raise RecoveryError(
+                f"eigenvalue {j}: ratio {ratio:.6g} matches no power within separation"
+            )
+        constraints.append((best_t, order))
+        residues.append((j, best_t, best_dist))
+    if not constraints:
+        raise RecoveryError("no usable eigenvalues: initial eigencoordinates all vanish")
+    candidates = [
+        e for e in range(1, p) if all((e - t) % order == 0 for t, order in constraints)
+    ]
+    if not candidates:
+        raise RecoveryError("eigenvalue constraints are mutually inconsistent")
+    if len(candidates) > 1:
+        raise RecoveryError(f"constraints leave {len(candidates)} admissible exponents")
+    return ExponentEstimate(
+        e=candidates[0],
+        per_eigenvalue_residues=tuple(residues),
+        parity=parity(z_e, z_0, dec),
+    )
+
+
+def outcome(recover, z_e, z_0, dec, p):
+    try:
+        return recover(z_e, z_0, dec, p)
+    except RecoveryError as exc:
+        return str(exc)
+
+
+def eigen_state(dec, coeffs, e=0):
+    """State V diag(l^e) c: eigencoordinates c rotated by e steps."""
+    return dec.V @ (dec.eigenvalues**e * np.asarray(coeffs, dtype=complex))
+
+
+class TestRecoverAgainstScan:
+    @pytest.mark.parametrize(
+        "p,count", [(5, 4), (7, 6), (11, 10), (23, 22), (61, 12), (101, 8), (199, 4), (401, 2)]
+    )
+    def test_sampled_exponents_and_perturbed_states(self, p, count):
+        params, q, dec, traj, z0 = setup_case(p)
+        rng = random.Random(p)
+        for e in rng.sample(range(1, p), count):
+            ze = lift_ciphertext(mod_pow(params.m, e, p), params, q)
+            states = [ze] + [
+                [v + rng.gauss(0.0, scale * p) for v in ze] for scale in (1e-6, 1e-3, 0.02, 0.3)
+            ]
+            for z in states:
+                assert outcome(recover_exponent, z, z0, dec, p) == outcome(
+                    recover_by_scan, z, z0, dec, p
+                ), (p, e)
+
+    def test_one_eigenpair_leaves_several_exponents(self):
+        # p = 13, q = 6: turns 1/4 and 3/4 are a conjugate pair of order 4,
+        # so their coordinates fix e only mod 4: three exponents in [1, 12]
+        dec = eigen_canonical(13, 6)
+        pair = [j for j, t in enumerate(dec.turns) if t.denominator == 4]
+        coeffs = np.zeros(dec.dimension)
+        coeffs[pair] = 1.0
+        z0 = eigen_state(dec, coeffs)
+        for e in range(1, 13):
+            ze = eigen_state(dec, coeffs, e)
+            got = outcome(recover_exponent, ze, z0, dec, 13)
+            assert got == "constraints leave 3 admissible exponents"
+            assert got == outcome(recover_by_scan, ze, z0, dec, 13)
+
+    def test_order_not_matching_p(self):
+        # 2q = 8 does not divide p - 1 = 10: e and e + 8 both lie in [1, 10]
+        # for e = 1, 2, and the count must come out exact
+        dec = eigen_canonical(11, 4)
+        coeffs = [0.5, 1.0, 2.0 - 1.0j, 0.75j, 1.5]
+        z0 = eigen_state(dec, coeffs)
+        for e in range(1, 11):
+            ze = eigen_state(dec, coeffs, e)
+            got = outcome(recover_exponent, ze, z0, dec, 11)
+            assert got == outcome(recover_by_scan, ze, z0, dec, 11)
+            if e % 8 in (1, 2):
+                assert got == "constraints leave 2 admissible exponents"
+            else:
+                assert got.e == e
+
+    def test_non_finite_state_raises(self):
+        params, q, dec, traj, z0 = setup_case(7)
+        for bad in (float("nan"), float("inf")):
+            with np.errstate(invalid="ignore"), pytest.raises(RecoveryError, match="matches no power"):
+                recover_exponent([bad, 1.0, 2.0, 3.0], z0, dec, 7)
