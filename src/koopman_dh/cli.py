@@ -43,7 +43,6 @@ from .edmd import (
     edmd_fit,
     edmd_underparameterized,
     operator_to_json,
-    read_trajectory_csv,
     underparameterized_from_values,
 )
 from .lifting import (
@@ -59,6 +58,7 @@ from .serialize import (
     dumps_report,
     float15,
     frac_json,
+    read_integer_csv,
     read_integer_series,
 )
 from .spectral import RecoveryError, eigen_canonical, parity, recover_exponent
@@ -217,7 +217,12 @@ def cmd_edmd(args) -> int:
     params = DhParams(args.p, args.m)
     q_tilde = params.q_tilde
     if args.data:
-        values = read_trajectory_csv(args.data)
+        values = read_integer_csv(args.data)
+        if len(values) < args.q + 2:
+            raise MalformedDataError(
+                f"{args.data}: {len(values)} values cannot form one snapshot pair at "
+                f"order {args.q}; need at least {args.q + 2}"
+            )
         n = args.n if args.n is not None else len(values) - args.q - 1
         # predictions run as far as the data reaches
         under_horizon, compare_horizon = len(values) - 1, len(values) - args.q - 1
@@ -373,12 +378,28 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(primes, list) or not primes:
         raise MalformedDataError("config needs a nonempty 'primes' list or range string")
     output = raw.get("output", {})
+    if not isinstance(output, dict):
+        raise MalformedDataError(f"config {path}: 'output' must be an object")
+    generators = raw.get("generators", "smallest")
+    if generators not in ("smallest", "all") and not isinstance(generators, list):
+        raise MalformedDataError(
+            f"config {path}: 'generators' must be \"smallest\", \"all\" or a list"
+        )
+    exponent_sweep = raw.get("exponent_sweep", "all")
+    if not (
+        exponent_sweep == "all"
+        or isinstance(exponent_sweep, list)
+        or (isinstance(exponent_sweep, dict) and "sample" in exponent_sweep)
+    ):
+        raise MalformedDataError(
+            f"config {path}: 'exponent_sweep' must be \"all\", {{\"sample\": k}} or a list"
+        )
     try:
         return ExperimentConfig(
             primes=tuple(int(p) for p in primes),
-            generators=raw.get("generators", "smallest"),
+            generators=generators,
             q_policy=raw.get("q_policy", "q_tilde"),
-            exponent_sweep=raw.get("exponent_sweep", "all"),
+            exponent_sweep=exponent_sweep,
             output_path=output.get("path", "report.json"),
             output_format=output.get("format", "json"),
             seed=int(raw.get("seed", 0)),

@@ -14,76 +14,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .dynamics import DhParams, is_prime, simulate
 from .lifting import minimal_lifting_dimension
-from .linalg_exact import solve_field_with_ranks
+from .linalg_exact import solve_int_with_ranks
 
 RATIONAL = "rational"
 
 
-@dataclass(frozen=True)
-class ModInt:
-    """Single prime-field value with operator arithmetic."""
-
-    value: int
-    p: int
-
-    def _coerce(self, other) -> "ModInt":
-        if isinstance(other, ModInt):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        return ModInt(int(other) % self.p, self.p)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return ModInt((self.value + other.value) % self.p, self.p)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return ModInt((self.value - other.value) % self.p, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return ModInt((self.value * other.value) % self.p, self.p)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return self * ModInt(pow(other.value, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return ModInt(-self.value % self.p, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        if isinstance(other, ModInt):
-            return self.p == other.p and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-
-def _field_tools(field):
-    """(converter, zero, one, exporter) for a field tag."""
+def _modulus(field) -> int | None:
+    """None for the rationals, else the checked prime p of GF(p)."""
     if field == RATIONAL:
-        return Fraction, Fraction(0), Fraction(1), lambda x: x
+        return None
     p = int(field)
     if not is_prime(p):
         raise ValueError(f"prime-field modulus must be prime, got {p}")
-    return (
-        lambda x: ModInt(int(x) % p, p),
-        ModInt(0, p),
-        ModInt(1, p),
-        lambda x: x.value,
-    )
+    return p
+
+
+def _elements(values, p: int | None) -> list:
+    """Field elements: Fractions over the rationals, residues in [0, p) over GF(p)."""
+    if p is None:
+        return [Fraction(v) for v in values]
+    return [int(v) % p for v in values]
 
 
 @dataclass(frozen=True)
@@ -96,9 +50,7 @@ class SequenceSample:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("sequence must be nonempty")
-        conv = _field_tools(self.field)[0]
-        export = _field_tools(self.field)[3]
-        object.__setattr__(self, "terms", tuple(export(conv(t)) for t in self.terms))
+        object.__setattr__(self, "terms", tuple(_elements(self.terms, _modulus(self.field))))
 
 
 @dataclass(frozen=True)
@@ -121,8 +73,9 @@ def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
     Runs over the sample's exact field; the returned register is verified to
     regenerate the input from its first L terms before being returned.
     """
-    conv, zero, one, export = _field_tools(sample.field)
-    s = [conv(t) for t in sample.terms]
+    p = _modulus(sample.field)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
+    s = sample.terms
     n_terms = len(s)
     c = [one]
     b = [one]
@@ -134,31 +87,31 @@ def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
         for i in range(1, length + 1):
             if i < len(c):
                 d = d + c[i] * s[n - i]
+        if p is not None:
+            d %= p
         if d == zero:
             m += 1
             continue
-        coef = d / last_d
+        coef = d / last_d if p is None else d * pow(last_d, -1, p) % p
+        prev_c = c[:]
+        if len(c) < len(b) + m:
+            c = c + [zero] * (len(b) + m - len(c))
+        for i, bv in enumerate(b):
+            c[i + m] = c[i + m] - coef * bv
+        if p is not None:
+            c = [v % p for v in c]
         if 2 * length <= n:
-            prev_c = c[:]
-            if len(c) < len(b) + m:
-                c = c + [zero] * (len(b) + m - len(c))
-            for i, bv in enumerate(b):
-                c[i + m] = c[i + m] - coef * bv
             length = n + 1 - length
             b = prev_c
             last_d = d
             m = 1
         else:
-            if len(c) < len(b) + m:
-                c = c + [zero] * (len(b) + m - len(c))
-            for i, bv in enumerate(b):
-                c[i + m] = c[i + m] - coef * bv
             m += 1
     connection = tuple(
-        export(-c[i]) if i < len(c) else export(zero) for i in range(1, length + 1)
+        _elements((-c[i] if i < len(c) else zero for i in range(1, length + 1)), p)
     )
-    regenerated = lfsr_generate(connection, sample.terms[:length], n_terms, sample.field)
-    if tuple(regenerated) != sample.terms:
+    regenerated = lfsr_generate(connection, s[:length], n_terms, sample.field)
+    if tuple(regenerated) != s:
         raise RuntimeError("internal error: synthesized register fails to regenerate input")
     return LinearComplexityResult(length=length, connection=connection, field=sample.field)
 
@@ -169,16 +122,22 @@ def lfsr_generate(connection, seed, n: int, field=RATIONAL) -> list:
         raise ValueError(
             f"seed length {len(seed)} must equal connection length {len(connection)}"
         )
-    conv, zero, _, export = _field_tools(field)
-    state = [conv(t) for t in seed]
-    coeffs = [conv(t) for t in connection]
-    out = list(state[:n])
+    p = _modulus(field)
+    zero = Fraction(0) if p is None else 0
+    coeffs = _elements(connection, p)
+    out = _elements(seed, p)[:n]
     while len(out) < n:
         nxt = zero
         for i, ci in enumerate(coeffs):
             nxt = nxt + ci * out[-1 - i]
-        out.append(nxt)
-    return [export(v) for v in out]
+        out.append(nxt if p is None else nxt % p)
+    return out
+
+
+def _integer_row(row) -> list[int]:
+    """A rational row scaled by the lcm of its denominators: same solution set."""
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
 
 
 def bruteforce_min_lfsr(sample: SequenceSample, max_order: int) -> LinearComplexityResult | None:
@@ -190,26 +149,28 @@ def bruteforce_min_lfsr(sample: SequenceSample, max_order: int) -> LinearComplex
     """
     if max_order > 12:
         raise ValueError(f"exhaustive oracle capped at order 12, got {max_order}")
-    conv, zero, _, export = _field_tools(sample.field)
-    s = [conv(t) for t in sample.terms]
+    p = _modulus(sample.field)
+    s = sample.terms
     n_terms = len(s)
     for order in range(0, max_order + 1):
         if order == 0:
-            if all(v == zero for v in s):
+            if all(v == 0 for v in s):
                 return LinearComplexityResult(length=0, connection=(), field=sample.field)
             continue
-        rows = [[s[k - i] for i in range(1, order + 1)] for k in range(order, n_terms)]
-        rhs = [s[k] for k in range(order, n_terms)]
+        rows = [[s[k - i] for i in range(1, order + 1)] + [s[k]] for k in range(order, n_terms)]
         if not rows:
-            connection = tuple(export(zero) for _ in range(order))
+            connection = tuple(_elements([0] * order, p))
             return LinearComplexityResult(
                 length=order, connection=connection, field=sample.field
             )
-        solution, _, _ = solve_field_with_ranks(rows, rhs)
+        if p is None:
+            rows = [_integer_row(row) for row in rows]
+        solution, _, _ = solve_int_with_ranks(
+            [row[:-1] for row in rows], [row[-1] for row in rows], modulus=p
+        )
         if solution is not None:
-            connection = tuple(export(v) for v in solution)
             return LinearComplexityResult(
-                length=order, connection=connection, field=sample.field
+                length=order, connection=tuple(solution), field=sample.field
             )
     return None
 

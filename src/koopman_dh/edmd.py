@@ -2,10 +2,11 @@
 
 Snapshot matrices hold lifted states as columns with exact integer entries,
 so the Frobenius objective is a rational number and every claim (rank
-identities, operator equality, zero residual) is decided exactly. When the
-snapshot matrix has full row rank the least-squares solution is unique;
-otherwise the minimum-Frobenius-norm solution is taken via the exact
-pseudo-inverse, matching the pseudo-inverse form of the estimator.
+identities, operator equality, zero residual) is decided exactly. The fit
+is one integer solve on the package's elimination engine: with C a column
+basis of Z, A = Y C^T where (C^T Z)(C^T Z)^T Y^T = (C^T Z) Z_plus^T. That is
+the unique least-squares solution when Z has full row rank and the
+minimum-Frobenius-norm one, Z_plus Z^+, otherwise.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from fractions import Fraction
 from .dynamics import ModTrajectory
 from .lifting import CompanionSystem
 from .linalg_exact import (
+    IntegerEchelon,
     frobenius_sq,
-    inverse,
     matmul,
-    pinv,
     rank_int,
     transpose,
 )
-from .serialize import frac_json, frac_matrix_json, read_integer_csv
+from .serialize import frac_json, frac_matrix_json
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def dataset_from_values(values, q: int, n: int) -> EdmdDataset:
         raise ValueError(
             f"insufficient data: {len(values)} values cannot form {n} pairs at order {q}"
         )
-    cols = [tuple(values[k + j] for j in range(q + 1)) for k in range(n + 1)]
+    cols = [tuple(values[k : k + q + 1]) for k in range(n + 1)]
     z = tuple(zip(*cols[:n]))
     z_plus = tuple(zip(*cols[1 : n + 1]))
     return EdmdDataset(q=q, n=n, z=z, z_plus=z_plus, rank_z=rank_int(z))
@@ -105,30 +105,50 @@ class FittedOperator:
 
 
 def edmd_fit(dataset: EdmdDataset) -> FittedOperator:
-    """Exact rational least squares for Z_plus ~ A Z.
+    """Exact rational least squares for Z_plus ~ A Z, of minimum Frobenius norm.
 
-    Full row rank gives the unique solution Z_plus Z^T (Z Z^T)^-1; a
-    row-rank-deficient Z gets the minimum-Frobenius-norm solution
-    Z_plus pinv(Z).
+    C is a column basis of Z: the identity under full row rank, otherwise
+    the columns of Z that an echelon of Z's columns takes as pivots. Y
+    solves the r x r integer system (C^T Z)(C^T Z)^T Y^T = (C^T Z) Z_plus^T
+    for all right-hand sides in one elimination, and A = Y C^T. The rows of
+    A lie in the column space of Z and, C^T C being invertible, A satisfies
+    the normal equations, so A is Z_plus Z^+; under full row rank that is
+    the unique solution Z_plus Z^T (Z Z^T)^-1.
     """
     if dataset.n < 1:
         raise ValueError("empty dataset")
+    dim = dataset.q + 1
     z = [list(r) for r in dataset.z]
     z_plus = [list(r) for r in dataset.z_plus]
-    if dataset.rank_z == dataset.q + 1:
-        gram_inv = inverse(matmul(z, transpose(z)))
-        a_hat = matmul(matmul(z_plus, transpose(z)), gram_inv)
+    if dataset.rank_z == dim:
+        basis, cz = None, z
         fit_kind = "unique"
     else:
-        a_hat = matmul(z_plus, pinv(z))
+        pivots = IntegerEchelon(dim)
+        basis = [col for col in transpose(z) if pivots.add_row(col) is not None]
+        cz = matmul(basis, z)
         fit_kind = "minimum-norm"
+    r = len(cz)
+    solver = IntegerEchelon(r + dim)
+    for gram_row, rhs_row in zip(matmul(cz, transpose(cz)), matmul(cz, transpose(z_plus))):
+        solver.add_row(gram_row + rhs_row)
+    # Y^T = y_t / scale: A and its residual are built in integers
+    scale, y_t = solver.back_substitute(r)
+    if basis is None:
+        a_num = transpose(y_t)
+    else:
+        a_num = [
+            [sum(y[i] * c[j] for y, c in zip(y_t, basis)) for j in range(dim)]
+            for i in range(dim)
+        ]
     diff = [
-        [Fraction(zp) - acc for zp, acc in zip(zp_row, az_row)]
-        for zp_row, az_row in zip(z_plus, matmul(a_hat, z))
+        [scale * zp - az for zp, az in zip(zp_row, az_row)]
+        for zp_row, az_row in zip(z_plus, matmul(a_num, z))
     ]
+    # rows from lists, not generators: see the free-list note in lifting.hankel_system
     return FittedOperator(
-        a_hat=tuple(tuple(row) for row in a_hat),
-        residual_sq=frobenius_sq(diff),
+        a_hat=tuple(tuple([Fraction(v, scale) for v in row]) for row in a_num),
+        residual_sq=frobenius_sq(diff) / (scale * scale),
         fit_kind=fit_kind,
     )
 
@@ -220,11 +240,6 @@ def underparameterized_from_values(values, q: int, n: int, horizon: int) -> Unde
         z = [sum(a * v for a, v in zip(row, z)) for row in fitted.a_hat]
         worst = max(worst, abs(z[0] - values[k]))
     return UnderparameterizedFit(operator=fitted, max_state_error=worst, horizon=horizon)
-
-
-def read_trajectory_csv(path: str) -> list[int]:
-    """Ingest external trajectory data: one integer state per line."""
-    return read_integer_csv(path)
 
 
 def operator_to_json(fitted: FittedOperator) -> dict:

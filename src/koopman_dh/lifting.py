@@ -17,9 +17,6 @@ from fractions import Fraction
 from .dynamics import DhParams, ModTrajectory, full_period_trajectory
 from .linalg_exact import solve_int_with_ranks
 
-DICTIONARY_KINDS = ("shift", "complex_exp", "affine_augment", "additive_complex")
-
-
 def companion_matrix(alpha) -> list[list[Fraction]]:
     """Companion matrix with sub-diagonal shift and alpha as the last row."""
     dim = len(alpha)
@@ -95,49 +92,6 @@ def lift_complex(x: int, params: DhParams, q: int) -> tuple[Fraction, ...]:
     return tuple(turns)
 
 
-@dataclass(frozen=True)
-class ObservableDictionary:
-    """Descriptor for one of the supported dictionaries.
-
-    shift / complex_exp need DhParams and an order q (dimension q+1);
-    affine_augment needs (m, a) and has dimension 2; additive_complex needs
-    the additive modulus and is scalar.
-    """
-
-    kind: str
-    q: int = 0
-    params: DhParams | None = None
-    affine: tuple[int, int] | None = None
-    modulus: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in DICTIONARY_KINDS:
-            raise ValueError(f"unknown dictionary kind {self.kind!r}")
-        if self.kind in ("shift", "complex_exp") and self.params is None:
-            raise ValueError(f"{self.kind} dictionary requires params")
-        if self.kind == "affine_augment" and self.affine is None:
-            raise ValueError("affine_augment dictionary requires (m, a)")
-        if self.kind == "additive_complex" and self.modulus is None:
-            raise ValueError("additive_complex dictionary requires a modulus")
-
-    @property
-    def dimension(self) -> int:
-        if self.kind in ("shift", "complex_exp"):
-            return self.q + 1
-        return 2 if self.kind == "affine_augment" else 1
-
-    def lift(self, state, traj: ModTrajectory | None = None):
-        if self.kind == "shift":
-            if traj is None:
-                raise ValueError("shift dictionary lifts a trajectory step; pass traj")
-            return lift_shift(traj, self.q, state)
-        if self.kind == "complex_exp":
-            return lift_complex(state, self.params, self.q)
-        if self.kind == "affine_augment":
-            return (state, self.affine[1])
-        return (Fraction(state % self.modulus, self.modulus),)
-
-
 def canonical_alpha(p: int, q: int) -> tuple[Fraction, ...]:
     """The sparse closing coefficients at order q >= (p-1)/2.
 
@@ -185,9 +139,12 @@ def hankel_system(traj: ModTrajectory, q: int) -> HankelSystem:
     period = traj.params.period
     if len(traj.values) < period:
         raise ValueError(f"need a full period of {period} states, got {len(traj.values)}")
-    vals = traj.values[:period]
-    a_rows = tuple(tuple(vals[(r + c) % period] for c in range(q + 1)) for r in range(period))
-    b = tuple(vals[(r + q + 1) % period] for r in range(period))
+    # repeat the period so every wrapped window is a plain slice: slices are
+    # built at their final size, where tuple(<generator>) is resized and its
+    # leftovers pile up in CPython's tuple free lists
+    ext = tuple(traj.values[:period]) * (q // period + 2)
+    a_rows = tuple(ext[r : r + q + 1] for r in range(period))
+    b = ext[q + 1 : q + 1 + period]
     return HankelSystem(q=q, period=period, a_rows=a_rows, b=b)
 
 

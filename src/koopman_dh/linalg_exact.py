@@ -1,53 +1,95 @@
-"""Exact linear algebra over the rationals (and other exact fields).
+"""Exact linear algebra on one elimination engine.
 
-Rank decisions, solvability tests, inverses and pseudo-inverses here are all
-division-free or Fraction-based: no floating point, so rank(...) == k is a
-theorem about the input, not a tolerance call. Integer matrices get a
-fraction-free echelon fast path (cross-multiplication with gcd-normalized
-rows); everything else runs through a generic RREF that works for any exact
-field element supporting +, -, *, / and == 0 (Fraction, prime-field values).
+`IntegerEchelon` is an incremental fraction-free row echelon of integer rows
+(cross-multiplication with gcd-normalized pivot rows), or of rows over GF(p)
+when it is given a prime modulus. Every rank decision, solvability test and
+solve in the package runs through it: no floating point, so rank(...) == k
+is a theorem about the input, not a tolerance call. Back-substitution gives
+exact Fractions over the rationals and residues over GF(p); rational systems
+enter the engine after each row is scaled to integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class IntegerEchelon:
-    """Incremental fraction-free row echelon of an integer matrix."""
+    """Incremental fraction-free row echelon of an integer matrix.
 
-    def __init__(self, ncols: int):
+    With a prime modulus the rows live in GF(p): entries are reduced mod p
+    and pivot rows are kept as they are, without gcd or sign normalization.
+    """
+
+    def __init__(self, ncols: int, modulus: int | None = None):
         self.ncols = ncols
+        self.modulus = modulus
         self.pivot_rows: dict[int, list[int]] = {}
 
     def add_row(self, row) -> int | None:
         """Reduce a row against current pivots; returns its pivot column or None."""
-        row = list(row)
+        p = self.modulus
+        row = list(row) if p is None else [a % p for a in row]
         for col in range(self.ncols):
             v = row[col]
             if v == 0:
                 continue
             piv = self.pivot_rows.get(col)
             if piv is None:
-                g = 0
-                for a in row:
-                    g = gcd(g, a)
-                if g > 1:
-                    row = [a // g for a in row]
-                if row[col] < 0:
-                    row = [-a for a in row]
+                if p is None:
+                    g = 0
+                    for a in row:
+                        g = gcd(g, a)
+                    if g > 1:
+                        row = [a // g for a in row]
+                    if row[col] < 0:
+                        row = [-a for a in row]
                 self.pivot_rows[col] = row
                 return col
             pv = piv[col]
             g = gcd(v, pv)
             f_row, f_piv = pv // g, v // g
-            row = [f_row * a - f_piv * b for a, b in zip(row, piv)]
+            # the modulus test stays outside the per-entry loops: this is the
+            # hot path of every Hankel solve
+            if p is None:
+                row = [f_row * a - f_piv * b for a, b in zip(row, piv)]
+            else:
+                row = [(f_row * a - f_piv * b) % p for a, b in zip(row, piv)]
         return None
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
+
+    def back_substitute(self, nvars: int) -> tuple[int, list[list[int]]]:
+        """Solve for the first nvars columns, the rest being right-hand sides.
+
+        Returns (d, x) with x integer: row j of x / d holds variable j's value
+        in each right-hand side, free variables pinned to zero. Over GF(p), d
+        is 1 and x holds residues. The systems must be consistent: no pivot
+        may sit in a right-hand-side column.
+        """
+        p = self.modulus
+        dens = [1] * nvars  # variable j is nums[j] / dens[j]
+        nums = [[0] * (self.ncols - nvars) for _ in range(nvars)]
+        for col in sorted(self.pivot_rows, reverse=True):
+            prow = self.pivot_rows[col]
+            known = [c2 for c2 in range(col + 1, nvars) if prow[c2]]
+            scale = lcm(*(dens[c2] for c2 in known))
+            acc = [a * scale for a in prow[nvars:]]
+            for c2 in known:
+                f = prow[c2] * (scale // dens[c2])
+                acc = [a - f * v for a, v in zip(acc, nums[c2])]
+            den = prow[col] * scale  # positive: pivots are normalized positive
+            if p is None:
+                g = gcd(den, *acc)
+                dens[col], nums[col] = den // g, [a // g for a in acc]
+            else:
+                inv = pow(den, -1, p)
+                nums[col] = [a * inv % p for a in acc]
+        d = lcm(*dens)
+        return d, [[a * (d // dj) for a in row] for row, dj in zip(nums, dens)]
 
 
 def rank_int(rows) -> int:
@@ -61,20 +103,20 @@ def rank_int(rows) -> int:
     return ech.rank
 
 
-def solve_int_with_ranks(a_rows, b, early_abort: bool = False):
-    """Solve the integer system A x = b exactly over the rationals.
+def solve_int_with_ranks(a_rows, b, early_abort: bool = False, modulus: int | None = None):
+    """Solve the integer system A x = b exactly, over the rationals or GF(modulus).
 
     Returns (solution | None, rank(A), rank(A|b)). The solution is a
-    particular one with free variables pinned to zero. With early_abort the
+    particular one with free variables pinned to zero: Fractions over the
+    rationals, residues in [0, modulus) over GF(modulus). With early_abort the
     elimination stops at the first inconsistency certificate, in which case
     the reported ranks are lower bounds (rank(A) < rank(A|b) still certified).
     """
     a_rows = [list(r) for r in a_rows]
     if not a_rows:
         return [], 0, 0
-    naug = len(a_rows[0]) + 1
-    b_col = naug - 1
-    ech = IntegerEchelon(naug)
+    b_col = len(a_rows[0])
+    ech = IntegerEchelon(b_col + 1, modulus)
     inconsistent = False
     for row, rhs in zip(a_rows, b):
         if ech.add_row(row + [rhs]) == b_col:
@@ -85,85 +127,8 @@ def solve_int_with_ranks(a_rows, b, early_abort: bool = False):
     rank_a = rank_aug - (1 if b_col in ech.pivot_rows else 0)
     if inconsistent:
         return None, rank_a, rank_aug
-    solution = [Fraction(0)] * (naug - 1)
-    for col in sorted(ech.pivot_rows, reverse=True):
-        prow = ech.pivot_rows[col]
-        s = Fraction(prow[b_col])
-        for c2 in range(col + 1, b_col):
-            if prow[c2]:
-                s -= prow[c2] * solution[c2]
-        solution[col] = s / prow[col]
-    return solution, rank_a, rank_aug
-
-
-def _pivot_weight(v) -> int:
-    # Partial pivoting by numerator magnitude keeps intermediate fractions
-    # small; any nonzero pivot is exact, so this only affects speed.
-    return abs(getattr(v, "numerator", 1))
-
-
-def rref(mat):
-    """Reduced row echelon form over an exact field; returns (rows, pivot_cols)."""
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        best = None
-        best_w = -1
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v != 0:
-                w = _pivot_weight(v)
-                if w > best_w:
-                    best, best_w = i, w
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        pv = rows[r][c]
-        rows[r] = [a / pv for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def rank(mat) -> int:
-    rows = list(mat)
-    if rows and all(isinstance(v, int) for row in rows for v in row):
-        return rank_int(rows)
-    return len(rref(rows)[1])
-
-
-def solve_field_with_ranks(a_rows, b):
-    """Solve A x = b over an exact field via RREF of the augmented matrix.
-
-    Returns (solution | None, rank(A), rank(A|b)); free variables are zero.
-    """
-    a_rows = [list(r) for r in a_rows]
-    if not a_rows:
-        return [], 0, 0
-    b_col = len(a_rows[0])
-    aug = [row + [rhs] for row, rhs in zip(a_rows, b)]
-    rows, pivots = rref(aug)
-    rank_aug = len(pivots)
-    if b_col in pivots:
-        return None, rank_aug - 1, rank_aug
-    zero = a_rows[0][0] * 0
-    solution = [zero] * b_col
-    for i, col in enumerate(pivots):
-        solution[col] = rows[i][b_col]
-    return solution, rank_aug, rank_aug
-
-
-def as_fractions(mat):
-    return [[Fraction(v) for v in row] for row in mat]
+    d, x = ech.back_substitute(b_col)
+    return [v if modulus else Fraction(v, d) for (v,) in x], rank_a, rank_aug
 
 
 def transpose(mat):
@@ -173,43 +138,6 @@ def transpose(mat):
 def matmul(a, b):
     bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def matvec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def inverse(mat):
-    """Exact inverse of a square nonsingular rational matrix."""
-    n = len(mat)
-    aug = [row + ident for row, ident in zip(as_fractions(mat), identity(n))]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows[:n]]
-
-
-def pinv(mat):
-    """Exact Moore-Penrose pseudo-inverse via full-rank factorization.
-
-    Writing A = C F with C the pivot columns of A and F the nonzero rows of
-    rref(A), the pseudo-inverse is F^T (F F^T)^-1 (C^T C)^-1 C^T.
-    """
-    mat = as_fractions(mat)
-    nrows = len(mat)
-    ncols = len(mat[0])
-    rows, pivots = rref(mat)
-    r = len(pivots)
-    if r == 0:
-        return [[Fraction(0)] * nrows for _ in range(ncols)]
-    f = [row[:] for row in rows[:r]]
-    c = [[mat[i][j] for j in pivots] for i in range(nrows)]
-    middle = matmul(inverse(matmul(f, transpose(f))), inverse(matmul(transpose(c), c)))
-    return matmul(matmul(transpose(f), middle), transpose(c))
 
 
 def frobenius_sq(mat) -> Fraction:

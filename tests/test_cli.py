@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from koopman_dh.cli import main
 
 
@@ -198,6 +200,16 @@ class TestEdmd:
         assert code == 3
         assert "integer" in err
 
+    def test_data_too_short_exit_3(self, capsys, tmp_path):
+        # q + 1 = 4 values fill one window but leave no successor for it
+        path = tmp_path / "short.csv"
+        path.write_text("1\n3\n2\n6\n")
+        code, _, err = run(
+            capsys, "edmd", "--p", "7", "--m", "3", "--q", "3", "--data", str(path)
+        )
+        assert code == 3
+        assert str(path) in err
+
 
 class TestComplexity:
     def test_dh_comparison(self, capsys):
@@ -308,6 +320,21 @@ class TestSweep:
         path.write_text("{not json")
         code, _, _ = run(capsys, "sweep", "--config", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"primes": [5], "output": "x.json"},
+            {"primes": [5], "generators": 3},
+            {"primes": [5], "exponent_sweep": {"every": 2}},
+        ],
+    )
+    def test_malformed_config_shape_exit_3(self, capsys, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 3
+        assert str(path) in err
 
     def test_invalid_prime_exit_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

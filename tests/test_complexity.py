@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_61
 from koopman_dh.complexity import (
-    ModInt,
     SequenceSample,
     berlekamp_massey,
     bruteforce_min_lfsr,
@@ -45,12 +44,22 @@ class TestBerlekampMassey:
         with pytest.raises(ValueError):
             SequenceSample(terms=())
 
+    def test_nonprime_field_rejected(self):
+        with pytest.raises(ValueError):
+            SequenceSample(terms=(1, 2), field=6)
+
     def test_field_sensitivity_example1(self):
         # complexity 3 over the rationals but 2 over GF(3)
         assert berlekamp_massey(SequenceSample(terms=EX1)).length == 3
         mod3 = berlekamp_massey(SequenceSample(terms=EX1, field=3))
         assert mod3.length == 2
         assert lfsr_generate(mod3.connection, EX1[:2], len(EX1), field=3) == list(EX1)
+
+    def test_prime_field_recovers_register(self):
+        # over GF(7) the update divides by discrepancies with inverses != themselves
+        terms = lfsr_generate((2, 3), (1, 4), 12, field=7)
+        result = berlekamp_massey(SequenceSample(terms=tuple(terms), field=7))
+        assert (result.length, result.connection) == (2, (2, 3))
 
     def test_affine_example_sequence(self):
         # 1,4,10,22,46,... satisfies s_k = 3 s_{k-1} - 2 s_{k-2}
@@ -162,25 +171,3 @@ class TestComparison:
         report = compare_koopman_vs_lfsr(DhParams.with_smallest_root(p))
         assert report.equal
         assert report.lfsr_length == (p - 1) // 2 + 1
-
-
-class TestModInt:
-    def test_arithmetic(self):
-        a, b = ModInt(3, 7), ModInt(5, 7)
-        assert a + b == 1
-        assert a - b == 5
-        assert a * b == 1
-        assert (a / b).value == (3 * pow(5, 5, 7)) % 7
-        assert -a == 4
-
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(ValueError):
-            ModInt(1, 5) + ModInt(1, 7)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            ModInt(1, 5) / ModInt(0, 5)
-
-    def test_nonprime_field_rejected(self):
-        with pytest.raises(ValueError):
-            SequenceSample(terms=(1, 2), field=6)

@@ -56,7 +56,7 @@ turns = st.fractions(min_value=0, max_value=1, max_denominator=12).map(lambda f:
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(turns, coeffs), max_size=5))
 def test_zero_test_matches_float_evaluation(pairs):
     s = RootSum.zero()
@@ -71,7 +71,7 @@ def test_zero_test_matches_float_evaluation(pairs):
         assert abs(value) > 1e-6
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(st.tuples(turns, coeffs), st.tuples(turns, coeffs))
 def test_product_matches_complex_multiplication(a, b):
     sa = RootSum.root(a[0]).scaled(a[1])

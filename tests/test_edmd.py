@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from field_oracle import pinv
 from koopman_dh.dynamics import DhParams, full_period_trajectory
 from koopman_dh.edmd import (
+    EdmdDataset,
     build_dataset,
     check_assumption,
     compare_operators,
@@ -11,7 +15,6 @@ from koopman_dh.edmd import (
     edmd_fit,
     edmd_underparameterized,
     operator_to_json,
-    read_trajectory_csv,
 )
 from koopman_dh.lifting import (
     CompanionSystem,
@@ -19,8 +22,8 @@ from koopman_dh.lifting import (
     full_period_system,
     lift_shift,
 )
-from koopman_dh.linalg_exact import frobenius_sq, matmul
-from koopman_dh.serialize import MalformedDataError
+from koopman_dh.linalg_exact import frobenius_sq, matmul, rank_int
+from koopman_dh.serialize import MalformedDataError, read_integer_csv
 
 F = Fraction
 P5 = DhParams(5, 2)
@@ -101,16 +104,34 @@ class TestFit:
         cyclic = full_period_system(P7).matrix
         assert frobenius_sq([list(r) for r in fit.a_hat]) <= frobenius_sq(cyclic)
 
-    def test_unique_branch_matches_pinv_route(self):
-        # dual route: normal equations vs pseudo-inverse give the same
-        # operator when Z has full row rank
-        from koopman_dh.linalg_exact import pinv
-
-        traj = full_period_trajectory(P7)
-        ds = build_dataset(traj, 3, 7)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.integers(1, 5).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                    min_size=2 * dim,
+                    max_size=2 * dim,
+                )
+            )
+        )
+    )
+    def test_matches_pseudo_inverse_oracle(self, rows):
+        # dual route: one integer solve vs Z_plus pinv(Z) by Gauss-Jordan, on
+        # any data: full rank or not, consistent or not
+        dim = len(rows) // 2
+        z, z_plus = rows[:dim], rows[dim:]
+        ds = EdmdDataset(
+            q=dim - 1, n=len(z[0]), z=z, z_plus=z_plus, rank_z=rank_int(z)
+        )
         fit = edmd_fit(ds)
-        alt = matmul([list(r) for r in ds.z_plus], pinv([list(r) for r in ds.z]))
-        assert [list(r) for r in fit.a_hat] == alt
+        want = matmul(z_plus, pinv(z))
+        assert [list(r) for r in fit.a_hat] == want
+        assert fit.fit_kind == ("unique" if ds.rank_z == dim else "minimum-norm")
+        residual = [
+            [zp - v for zp, v in zip(zr, ar)] for zr, ar in zip(z_plus, matmul(want, z))
+        ]
+        assert fit.residual_sq == frobenius_sq(residual)
 
 
 class TestCompare:
@@ -198,7 +219,7 @@ class TestExternalInterfaces:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("1\n3\n2\n6\n4\n5\n1\n3\n2\n6\n4\n")
-        values = read_trajectory_csv(str(path))
+        values = read_integer_csv(str(path))
         assert values[:7] == [1, 3, 2, 6, 4, 5, 1]
         ds = dataset_from_values(values, 3, 7)
         assert edmd_fit(ds).residual_sq == 0
@@ -207,7 +228,7 @@ class TestExternalInterfaces:
         path = tmp_path / "bad.csv"
         path.write_text("1\ntwo\n3\n")
         with pytest.raises(MalformedDataError):
-            read_trajectory_csv(str(path))
+            read_integer_csv(str(path))
 
     def test_operator_json_rationals(self):
         fit = edmd_fit(dataset_from_values([1, 2, 4, 8, 16], 0, 3))

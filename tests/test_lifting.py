@@ -12,7 +12,6 @@ from koopman_dh.dynamics import (
 )
 from koopman_dh.lifting import (
     CompanionSystem,
-    ObservableDictionary,
     additive_complex_lift,
     affine_augment_system,
     canonical_alpha,
@@ -151,6 +150,11 @@ class TestHankelSystem:
         sys = hankel_system(full_period_trajectory(P5), 0)
         assert sys.a_rows == ((1,), (2,), (4,), (3,))
         assert sys.b == (2, 4, 3, 1)
+
+    def test_window_longer_than_period_wraps(self):
+        sys = hankel_system(full_period_trajectory(P5), 5)
+        assert sys.a_rows[:2] == ((1, 2, 4, 3, 1, 2), (2, 4, 3, 1, 2, 4))
+        assert sys.b == (4, 3, 1, 2)
 
 
 class TestSolveAlpha:
@@ -293,30 +297,3 @@ class TestAdditiveComplex:
         for expected in system.generate(7):
             assert system.recover(turn) == expected
             turn = system.step_turn(turn)
-
-
-class TestObservableDictionary:
-    def test_shift_kind(self):
-        d = ObservableDictionary(kind="shift", q=2, params=P5)
-        assert d.dimension == 3
-        assert d.lift(0, traj=full_period_trajectory(P5)) == (1, 2, 4)
-
-    def test_complex_kind(self):
-        d = ObservableDictionary(kind="complex_exp", q=1, params=P5)
-        assert d.lift(1) == (F(2, 5), F(4, 5))
-
-    def test_affine_kind(self):
-        d = ObservableDictionary(kind="affine_augment", affine=(2, 2))
-        assert d.dimension == 2
-        assert d.lift(1) == (1, 2)
-
-    def test_additive_kind(self):
-        d = ObservableDictionary(kind="additive_complex", modulus=3)
-        assert d.dimension == 1
-        assert d.lift(2) == (F(2, 3),)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ObservableDictionary(kind="fourier", q=1)
-        with pytest.raises(ValueError):
-            ObservableDictionary(kind="shift", q=1)
