@@ -3,8 +3,10 @@
 The shift dictionary lifts x_k to z_k = (x_k, ..., x_{k+q}). The lift closes
 into a linear system z_{k+1} = A z_k precisely when one coefficient vector
 reproduces x_{k+q+1} from the window for every k, over the integers. This
-script scans orders exactly and shows the closure appears first at
-q = (p-1)/2, with the sparse coefficients (1, -1, 0, ..., 0, 1).
+script solves the Hankel system order by order and shows the closure appears
+first at q = (p-1)/2, with the sparse coefficients (1, -1, 0, ..., 0, 1).
+The library reads that order off the cyclotomic factors of the period
+polynomial, and prints them as its certificate.
 
 Run: python demos/02_minimal_linear_lifting.py
 """
@@ -15,6 +17,7 @@ from koopman_dh import (
     CompanionSystem,
     DhParams,
     canonical_alpha,
+    closing_divisors,
     full_period_system,
     full_period_trajectory,
     hankel_system,
@@ -24,6 +27,7 @@ from koopman_dh import (
     solve_alpha_exact,
     verify_closing,
 )
+from koopman_dh.cyclotomic import cyclotomic_poly
 
 params = DhParams(23, 5)
 p, q_tilde = params.p, params.q_tilde
@@ -37,8 +41,13 @@ for q in range(q_tilde + 2):
     closes = result.solvable and verify_closing(traj, result.solution)
     print(f"  q={q:2d}: {result.rank_a:2d}, {result.rank_augmented:2d}, {closes}")
 
+# The period polynomial S(x) = sum x_k x^k keeps the cyclotomic factors
+# Phi_d, d | p-1, that the recurrence needs; their degrees add up to the order.
+divisors = closing_divisors(traj.values[: p - 1])
 dim = minimal_lifting_dimension(params)
-print(f"\nminimal lifted dimension (brute-force scan): {dim} = (p-1)/2 + 1 = {q_tilde + 1}")
+print(f"\nsurviving cyclotomic factors Phi_d, d in {list(divisors)}: "
+      f"degrees {[len(cyclotomic_poly(d)) - 1 for d in divisors]}")
+print(f"minimal lifted dimension: {dim} = (p-1)/2 + 1 = {q_tilde + 1}")
 
 # The closure coefficients are sparse and integer valued.
 alpha = canonical_alpha(p, q_tilde)

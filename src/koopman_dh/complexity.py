@@ -33,11 +33,21 @@ def _modulus(field) -> int | None:
     return p
 
 
+def _residue(v, p: int) -> int:
+    """The image of a rational a/b in GF(p), a * b^-1 mod p; b must be a unit."""
+    if isinstance(v, int):
+        return v % p
+    v = Fraction(v)
+    if v.denominator % p == 0:
+        raise ValueError(f"{v} has no image in GF({p}): its denominator is divisible by {p}")
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
 def _elements(values, p: int | None) -> list:
     """Field elements: Fractions over the rationals, residues in [0, p) over GF(p)."""
     if p is None:
         return [Fraction(v) for v in values]
-    return [int(v) % p for v in values]
+    return [_residue(v, p) for v in values]
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _poly_exact_div(num: list[int], den) -> list[int]:
-    # den is monic, division is exact by construction
+def _poly_divmod(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending), den monic."""
     num = list(num)
     deg_d = len(den) - 1
     quot = [0] * (len(num) - deg_d)
@@ -53,9 +53,25 @@ def _poly_exact_div(num: list[int], den) -> list[int]:
             quot[i] = c
             for j, dj in enumerate(den):
                 num[i + j] -= c * dj
-    if any(num[:deg_d]):
+    return quot, num[:deg_d]
+
+
+def _poly_exact_div(num: list[int], den) -> list[int]:
+    # den is monic, division is exact by construction
+    quot, rem = _poly_divmod(num, den)
+    if any(rem):
         raise ArithmeticError("polynomial division was not exact")
     return quot
+
+
+def cyclotomic_remainder(coeffs, d: int) -> list[int]:
+    """S(x) mod Phi_d(x) for an integer polynomial S (ascending coefficients).
+
+    Phi_d divides x^d - 1, so S is first folded modulo x^d - 1 (coefficient
+    k adds into k mod d) in one pass, then divided by the monic Phi_d.
+    """
+    folded = [sum(coeffs[r::d]) for r in range(d)]
+    return _poly_divmod(folded, cyclotomic_poly(d))[1]
 
 
 class RootSum:
@@ -127,14 +143,7 @@ class RootSum:
         coeffs = [0] * n
         for t, c in self.terms.items():
             coeffs[int(t * n)] += int(c * scale)
-        phi = cyclotomic_poly(n)
-        deg = len(phi) - 1
-        for i in range(n - 1, deg - 1, -1):
-            lead = coeffs[i]
-            if lead:
-                for j, pj in enumerate(phi):
-                    coeffs[i - deg + j] -= lead * pj
-        return not any(coeffs[:deg])
+        return not any(_poly_divmod(coeffs, cyclotomic_poly(n))[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootSum):

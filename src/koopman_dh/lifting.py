@@ -2,18 +2,23 @@
 
 The shift dictionary stacks future orbit states, turning the nonlinear
 modular map into a companion-form linear system once the recurrence
-coefficients close over the integers. The machinery here builds the periodic
-Hankel systems certifying (or refuting) that closure for each candidate
-order, scans for the minimal order, and provides the auxiliary liftings
-(complex-exponential observables, affine augmentation, additive rotation)
-plus the table-lookup attack available at full dictionary length.
+coefficients close over the integers. The minimal closing order is the
+linear complexity of one period, read off the cyclotomic factors of the
+period polynomial (closing_divisors); the closing coefficients are then
+solved once from the leading block of the periodic Hankel system and
+certified by integer substitution (verify_closing). Also here: the
+unit-circle turn dictionary, the auxiliary liftings (affine augmentation,
+additive rotation) and the table-lookup attack available at full
+dictionary length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from .cyclotomic import cyclotomic_poly, cyclotomic_remainder
 from .dynamics import DhParams, ModTrajectory, full_period_trajectory
 from .linalg_exact import solve_int_with_ranks
 
@@ -107,21 +112,40 @@ def canonical_alpha(p: int, q: int) -> tuple[Fraction, ...]:
     return tuple(alpha)
 
 
+def _one_period(traj: ModTrajectory) -> tuple[int, ...]:
+    period = traj.params.period
+    if len(traj.values) < period:
+        raise ValueError(f"need a full period of {period} states, got {len(traj.values)}")
+    return tuple(traj.values[:period])
+
+
+def _windows(traj: ModTrajectory, q: int) -> tuple[int, ...]:
+    """The period repeated so every wrapped window x_r..x_{r+q+1}, r < period, is a slice.
+
+    Slices are built at their final size, where tuple(<generator>) is resized
+    and its leftovers pile up in CPython's tuple free lists.
+    """
+    return _one_period(traj) * (q // traj.params.period + 2)
+
+
 def verify_closing(traj: ModTrajectory, alpha) -> bool:
     """Check x_{k+q+1} = sum_j alpha_j x_{k+j} over the integers, all k in one period.
 
     The check is exact and deliberately not mod p: a residue-only identity
-    does not make the lifted system linear over the reals.
+    does not make the lifted system linear over the reals. Alpha is scaled
+    by the lcm of its denominators, so the comparison runs in integers.
     """
     q = len(alpha) - 1
     alpha = [Fraction(a) for a in alpha]
+    den = lcm(*(a.denominator for a in alpha))
     period = traj.params.period
-    for k in range(period):
-        lhs = Fraction(traj.value_at(k + q + 1))
-        rhs = sum(a * traj.value_at(k + j) for j, a in enumerate(alpha))
-        if lhs != rhs:
-            return False
-    return True
+    ext = _windows(traj, q)
+    rhs = [0] * period
+    for j, a in enumerate(alpha):
+        if a:
+            num = a.numerator * (den // a.denominator)
+            rhs = [r + num * v for r, v in zip(rhs, ext[j : j + period])]
+    return rhs == [den * v for v in ext[q + 1 : q + 1 + period]]
 
 
 @dataclass(frozen=True)
@@ -134,17 +158,16 @@ class HankelSystem:
     b: tuple[int, ...]
 
 
-def hankel_system(traj: ModTrajectory, q: int) -> HankelSystem:
-    """Build the full-period Hankel system with wraparound indexing."""
+def hankel_system(traj: ModTrajectory, q: int, rows: int | None = None) -> HankelSystem:
+    """Build the full-period Hankel system with wraparound indexing.
+
+    With `rows` set, only the leading rows r < rows are built.
+    """
     period = traj.params.period
-    if len(traj.values) < period:
-        raise ValueError(f"need a full period of {period} states, got {len(traj.values)}")
-    # repeat the period so every wrapped window is a plain slice: slices are
-    # built at their final size, where tuple(<generator>) is resized and its
-    # leftovers pile up in CPython's tuple free lists
-    ext = tuple(traj.values[:period]) * (q // period + 2)
-    a_rows = tuple(ext[r : r + q + 1] for r in range(period))
-    b = ext[q + 1 : q + 1 + period]
+    ext = _windows(traj, q)
+    count = period if rows is None else rows
+    a_rows = tuple(ext[r : r + q + 1] for r in range(count))
+    b = ext[q + 1 : q + 1 + count]
     return HankelSystem(q=q, period=period, a_rows=a_rows, b=b)
 
 
@@ -175,21 +198,43 @@ def solve_alpha_exact(sys: HankelSystem, full_ranks: bool = True) -> AlphaSolveR
     return AlphaSolveResult(solution=solution, rank_a=rank_a, rank_augmented=rank_aug)
 
 
+def closing_divisors(values) -> tuple[int, ...]:
+    """The divisors d of N = len(values) whose Phi_d does not divide S(x) = sum_k x_k x^k.
+
+    For a sequence of period N over Q, the generating function is
+    S(x) / (1 - x^N), and x^N - 1 is the product of the distinct Phi_d,
+    d | N; what cancels is exactly the Phi_d that divide S. So the minimal
+    polynomial of the sequence is the product of Phi_d over the returned d,
+    and its linear complexity is the sum of their degrees phi(d) (Blahut's
+    theorem). These factors are the certificate of a minimal dimension.
+    """
+    n = len(values)
+    return tuple(
+        d for d in range(1, n + 1) if n % d == 0 and any(cyclotomic_remainder(values, d))
+    )
+
+
 def minimal_lifting_dimension(params: DhParams, traj: ModTrajectory | None = None) -> int:
     """Smallest lifted dimension q+1 that closes linearly over the integers.
 
-    Brute-force scan over q = 0, 1, 2, ...: solve the exact Hankel system,
-    confirm any solution with verify_closing, stop at the first success.
-    The scan is capped at q = p-2, which is always solvable (the pure cyclic
-    shift), so exceeding the cap is an internal error.
+    The dimension is the linear complexity of one period, from its
+    cyclotomic factors (closing_divisors), and at least 1. At that order the
+    leading (q+1) x (q+1) Hankel block is nonsingular: the first q+1 shifts
+    of the sequence are independent, and each is fixed by its first q+1
+    terms. Its one solution must pass verify_closing over the whole period;
+    if the solve or the check fails, that is an internal error.
     """
     if traj is None:
         traj = full_period_trajectory(params)
-    for q in range(params.p - 1):
-        result = solve_alpha_exact(hankel_system(traj, q), full_ranks=False)
-        if result.solvable and verify_closing(traj, result.solution):
-            return q + 1
-    raise RuntimeError(f"no closing order up to q = p-2 for p={params.p}, m={params.m}")
+    divisors = closing_divisors(_one_period(traj))
+    q = max(sum(len(cyclotomic_poly(d)) - 1 for d in divisors), 1) - 1
+    result = solve_alpha_exact(hankel_system(traj, q, rows=q + 1), full_ranks=False)
+    if not (result.solvable and verify_closing(traj, result.solution)):
+        raise RuntimeError(
+            f"the order-{q + 1} recurrence from the cyclotomic factors {divisors} "
+            f"does not close for p={params.p}, m={params.m}"
+        )
+    return q + 1
 
 
 def full_period_system(params: DhParams) -> CompanionSystem:

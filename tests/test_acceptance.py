@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import PRIMES_TO_61, PRIMES_TO_199
+from lifting_oracle import minimal_lifting_dimension_scan
 from koopman_dh.cli import main as cli_main
 from koopman_dh.complexity import SequenceSample, berlekamp_massey
 from koopman_dh.dynamics import (
@@ -48,15 +49,21 @@ F = Fraction
 
 
 def test_criterion_1_minimal_dimension_theorem():
-    """Brute-force minimal lifting dimension equals (p-1)/2 + 1 for every
-    prime 5 <= p <= 61 and every primitive root."""
+    """The minimal lifting dimension from cyclotomic factors, the brute-force
+    Hankel scan oracle and (p-1)/2 + 1 all agree for every prime
+    5 <= p <= 61 and every primitive root."""
     checked = 0
     for p in PRIMES_TO_61:
         expected = (p - 1) // 2 + 1
         for m in all_primitive_roots(p):
-            assert minimal_lifting_dimension(DhParams(p, m)) == expected, (p, m)
+            params = DhParams(p, m)
+            library = minimal_lifting_dimension(params)
+            assert library == minimal_lifting_dimension_scan(params) == expected, (p, m)
             checked += 1
-    print(f"PASS criterion 1: minimal dimension law on {checked} (p, m) pairs up to p=61")
+    print(
+        f"PASS criterion 1: minimal dimension law (library == scan oracle) on {checked} "
+        f"(p, m) pairs up to p=61"
+    )
 
 
 def test_criterion_2_closing_condition_two_periods():

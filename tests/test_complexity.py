@@ -48,6 +48,15 @@ class TestBerlekampMassey:
         with pytest.raises(ValueError):
             SequenceSample(terms=(1, 2), field=6)
 
+    def test_rational_terms_map_into_prime_field(self):
+        # 1/2 is 2 in GF(3) (2 * 2 = 4 = 1), not the truncation 0
+        assert SequenceSample(terms=(F(1, 2), 1), field=3).terms == (2, 1)
+        assert SequenceSample(terms=(F(-3, 4), F(6, 2)), field=7).terms == (1, 3)
+
+    def test_rational_term_without_image_rejected(self):
+        with pytest.raises(ValueError, match="GF\\(3\\)"):
+            SequenceSample(terms=(F(1, 3), 1), field=3)
+
     def test_field_sensitivity_example1(self):
         # complexity 3 over the rationals but 2 over GF(3)
         assert berlekamp_massey(SequenceSample(terms=EX1)).length == 3

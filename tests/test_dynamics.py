@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_199
@@ -55,6 +55,7 @@ class TestModPow:
         with pytest.raises(ValueError):
             mod_pow(3, -1, 7)
 
+    @settings(deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 60), st.integers(2, 10**4))
     def test_matches_repeated_multiplication(self, base, exp, p):
         assert mod_pow(base, exp, p) == naive_pow(base, exp, p)

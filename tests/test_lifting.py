@@ -1,12 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import PRIMES_TO_199
+from conftest import PRIMES_TO_61, PRIMES_TO_199
+from koopman_dh.cli import main as cli_main
+from koopman_dh.cyclotomic import cyclotomic_poly
 from koopman_dh.dynamics import (
     DhParams,
     all_primitive_roots,
     discrete_log_bruteforce,
+    find_primitive_root,
     full_period_trajectory,
     mod_pow,
 )
@@ -15,6 +20,7 @@ from koopman_dh.lifting import (
     additive_complex_lift,
     affine_augment_system,
     canonical_alpha,
+    closing_divisors,
     companion_matrix,
     full_period_system,
     hankel_system,
@@ -26,10 +32,29 @@ from koopman_dh.lifting import (
     solve_alpha_exact,
     verify_closing,
 )
+from lifting_oracle import (
+    minimal_lifting_dimension_scan,
+    periodic_trajectory,
+    verify_closing_fractions,
+)
 
 F = Fraction
 P5 = DhParams(5, 2)
 P7 = DhParams(7, 3)
+
+
+def certified_generators(p):
+    """Every generator up to 61, the smallest one above."""
+    return all_primitive_roots(p) if p in PRIMES_TO_61 else [find_primitive_root(p)]
+
+
+# small periodic integer sequences: arbitrary, constant (zero included) and all-zero
+PERIODS = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+    st.builds(lambda c, n: [c] * n, st.integers(-3, 3), st.integers(1, 12)),
+    st.builds(lambda n: [0] * n, st.integers(1, 12)),
+)
 
 
 class TestLiftShift:
@@ -135,6 +160,58 @@ class TestVerifyClosing:
         assert verify_closing(traj, canonical_alpha(7, 4))
         assert verify_closing(traj, canonical_alpha(7, 5))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(5, 2), (7, 3), (11, 2), (13, 6), (23, 5)]),
+        st.integers(0, 30),
+        st.lists(st.tuples(st.integers(0, 30), st.integers(-3, 3)), max_size=3),
+        st.sampled_from(["int", "float", "fraction"]),
+        st.integers(1, 4),
+    )
+    def test_matches_fraction_loop(self, case, order, perturb, kind, scale):
+        # odd draws: the canonical alpha at or above the threshold (it closes);
+        # even draws: any order, below the threshold a zero alpha; then a few
+        # perturbed entries, and each entry type
+        params = DhParams(*case)
+        traj = full_period_trajectory(params)
+        q = max(order, params.q_tilde) if order % 2 else order
+        alpha = list(canonical_alpha(params.p, q)) if q >= params.q_tilde else [F(0)] * (q + 1)
+        for j, delta in perturb:
+            alpha[j % (q + 1)] += F(delta, scale)
+        if kind == "int":
+            alpha = [int(a) for a in alpha]
+        elif kind == "float":
+            alpha = [float(a) for a in alpha]
+        assert verify_closing(traj, alpha) == verify_closing_fractions(traj, alpha)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        PERIODS,
+        st.integers(0, 14),
+        st.booleans(),
+        st.lists(
+            st.tuples(st.integers(0, 14), st.fractions(-2, 2, max_denominator=6)), max_size=3
+        ),
+    )
+    def test_matches_fraction_loop_on_periodic_sequences(self, values, q, shift, noise):
+        # the pure shift x_{k+q+1} = x_{k+q+1-N} closes for q + 1 >= N
+        traj = periodic_trajectory(values)
+        n = len(values)
+        if shift:
+            q = max(q, n - 1)
+        alpha = [F(0)] * (q + 1)
+        if shift:
+            alpha[q + 1 - n] = F(1)
+        for j, delta in noise:
+            alpha[j % (q + 1)] += delta
+        assert verify_closing(traj, alpha) == verify_closing_fractions(traj, alpha)
+
+    def test_short_trajectory_rejected(self):
+        traj = full_period_trajectory(P7)
+        short = type(traj)(params=P7, multiplier=3, x0=1, values=traj.values[:3])
+        with pytest.raises(ValueError):
+            verify_closing(short, (0,))
+
 
 class TestHankelSystem:
     def test_example_p5(self):
@@ -191,6 +268,57 @@ class TestMinimalDimension:
     def test_independent_of_generator(self, p):
         for m in all_primitive_roots(p):
             assert minimal_lifting_dimension(DhParams(p, m)) == (p - 1) // 2 + 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(PERIODS)
+    def test_closing_order_matches_scan(self, values):
+        traj = periodic_trajectory(values)
+        order = sum(len(cyclotomic_poly(d)) - 1 for d in closing_divisors(traj.values))
+        oracle = minimal_lifting_dimension_scan(traj.params, traj)
+        assert max(order, 1) == oracle
+        assert minimal_lifting_dimension(traj.params, traj) == oracle
+
+    def test_zero_and_constant_sequences(self):
+        assert closing_divisors((0, 0, 0, 0)) == ()
+        assert closing_divisors((5, 5, 5)) == (1,)
+        assert closing_divisors((1, -1)) == (2,)
+        zeros = periodic_trajectory((0, 0, 0))
+        assert minimal_lifting_dimension(zeros.params, zeros) == 1
+
+    def test_failed_certificate_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr("koopman_dh.lifting.verify_closing", lambda traj, alpha: False)
+        with pytest.raises(RuntimeError):
+            minimal_lifting_dimension(P7)
+        assert cli_main(["verify-theorem", "--primes", "5..13"]) == 4
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestClosingCertificate:
+    @pytest.mark.parametrize("p", PRIMES_TO_199)
+    def test_surviving_divisors(self, p):
+        # {1} and the d | 2q with d not dividing q: the factors of (x - 1)(x^q + 1)
+        q = (p - 1) // 2
+        expected = (1,) + tuple(d for d in range(1, 2 * q + 1) if (2 * q) % d == 0 and q % d)
+        for m in certified_generators(p):
+            values = full_period_trajectory(DhParams(p, m)).values[: p - 1]
+            assert closing_divisors(values) == expected, m
+
+    @pytest.mark.parametrize("p", PRIMES_TO_199)
+    def test_factor_product_is_the_canonical_recurrence(self, p):
+        q = (p - 1) // 2
+        for m in certified_generators(p):
+            product = [1]
+            for d in closing_divisors(full_period_trajectory(DhParams(p, m)).values[: p - 1]):
+                product = _poly_mul(product, cyclotomic_poly(d))
+            assert product == _poly_mul([-1, 1], [1] + [0] * (q - 1) + [1])  # (x - 1)(x^q + 1)
+            assert tuple(-c for c in product[:-1]) == canonical_alpha(p, q), m
 
 
 class TestCompanionSystem:
