@@ -136,10 +136,10 @@ class RootSum:
         """Exact zero test by reduction modulo a cyclotomic polynomial."""
         if not self.terms:
             return True
-        n = lcm(*(t.denominator for t in self.terms))
+        n = lcm(*[t.denominator for t in self.terms])
         if n == 1:
             return False  # a single nonzero multiple of 1
-        scale = lcm(*(c.denominator for c in self.terms.values()))
+        scale = lcm(*[c.denominator for c in self.terms.values()])
         coeffs = [0] * n
         for t, c in self.terms.items():
             coeffs[int(t * n)] += int(c * scale)

@@ -137,7 +137,7 @@ def verify_closing(traj: ModTrajectory, alpha) -> bool:
     """
     q = len(alpha) - 1
     alpha = [Fraction(a) for a in alpha]
-    den = lcm(*(a.denominator for a in alpha))
+    den = lcm(*[a.denominator for a in alpha])
     period = traj.params.period
     ext = _windows(traj, q)
     rhs = [0] * period
@@ -166,7 +166,7 @@ def hankel_system(traj: ModTrajectory, q: int, rows: int | None = None) -> Hanke
     period = traj.params.period
     ext = _windows(traj, q)
     count = period if rows is None else rows
-    a_rows = tuple(ext[r : r + q + 1] for r in range(count))
+    a_rows = tuple([ext[r : r + q + 1] for r in range(count)])  # final size: see _windows
     b = ext[q + 1 : q + 1 + count]
     return HankelSystem(q=q, period=period, a_rows=a_rows, b=b)
 
@@ -210,7 +210,7 @@ def closing_divisors(values) -> tuple[int, ...]:
     """
     n = len(values)
     return tuple(
-        d for d in range(1, n + 1) if n % d == 0 and any(cyclotomic_remainder(values, d))
+        [d for d in range(1, n + 1) if n % d == 0 and any(cyclotomic_remainder(values, d))]
     )
 
 

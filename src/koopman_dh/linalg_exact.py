@@ -76,7 +76,7 @@ class IntegerEchelon:
         for col in sorted(self.pivot_rows, reverse=True):
             prow = self.pivot_rows[col]
             known = [c2 for c2 in range(col + 1, nvars) if prow[c2]]
-            scale = lcm(*(dens[c2] for c2 in known))
+            scale = lcm(*[dens[c2] for c2 in known])
             acc = [a * scale for a in prow[nvars:]]
             for c2 in known:
                 f = prow[c2] * (scale // dens[c2])

@@ -9,6 +9,10 @@ available both as an exact closed form (Lagrange interpolation rows, computed
 in RootSum arithmetic) and as a floating mirror used for recovery, where
 matching is separation-based and therefore tolerance-free.
 
+The exact eigenpair check costs O(q) integer operations and one RootSum zero
+test per eigenvalue: the shift rows of A v = l v are identities of turns,
+and only the closing row needs the cyclotomic reduction.
+
 Set-up is O(q^3): every entry of V is one of the 2q roots of turn n/(2q),
 picked by the integer index r*(2k+1) mod 2q, and V is inverted once. A
 recovery query is then two O(q^2) products with Vinv (in numpy) plus O(q)
@@ -129,13 +133,27 @@ def vinv_exact(q: int) -> tuple[tuple[RootSum, ...], ...]:
 
 
 def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:
-    """Exact check that A v(l) = l v(l) for every eigenpair, in RootSum form."""
-    alpha = char_alpha(dec.q)
+    """Exact check that A v(l) = l v(l) for every eigenpair.
+
+    Entry r of v(l) is the root of turn r*t for l of turn t. Rows 0..q-1 of
+    A shift, so they hold when the turns agree, (r+1)t = rt + t mod 1, an
+    integer identity on the turn's numerator and denominator. The closing
+    row sum_j alpha_j v_j = l^(q+1) is one RootSum zero test per eigenvalue.
+    """
+    q = dec.q
+    alpha = char_alpha(q)
     for t in dec.turns:
-        v = [RootSum.root((r * t) % 1) for r in range(dec.q + 1)]
-        shifted = [x.rotated(t) for x in v]
-        av = v[1:] + [sum((RootSum.from_scalar(a) * x for a, x in zip(alpha, v)), RootSum.zero())]
-        if any(not (lhs - rhs).is_zero() for lhs, rhs in zip(av, shifted)):
+        num, den = t.numerator, t.denominator
+        if any(((r + 1) * num) % den != (r * num % den + num) % den for r in range(q)):
+            return False
+        closing: dict[Fraction, Fraction] = {}
+        for j, a in enumerate(alpha):
+            if a:
+                turn = (j * t) % 1
+                closing[turn] = closing.get(turn, 0) + a  # alpha_1, alpha_q may share a turn
+        turn = ((q + 1) * t) % 1
+        closing[turn] = closing.get(turn, 0) - 1
+        if not RootSum(closing).is_zero():
             return False
     return True
 

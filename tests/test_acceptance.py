@@ -169,14 +169,21 @@ def test_criterion_6_rank_law():
 
 def test_criterion_7_linear_complexity_attainment():
     """Berlekamp-Massey over the rationals on two periods returns exactly
-    (p-1)/2 + 1 for p <= 61, matching the lifted dimension."""
-    for p in PRIMES_TO_61:
-        params = DhParams.with_smallest_root(p)
+    (p-1)/2 + 1, matching the lifted dimension, for every generator of
+    every p <= 61 and for the smallest generator at p = 101, 199 and 401."""
+    cases = [DhParams(p, m) for p in PRIMES_TO_61 for m in all_primitive_roots(p)]
+    cases += [DhParams.with_smallest_root(p) for p in (101, 199, 401)]
+    for params in cases:
+        p = params.p
         terms = simulate(params.m, params, 1, 2 * (p - 1) - 1).values
         length = berlekamp_massey(SequenceSample(terms=terms)).length
-        assert length == (p - 1) // 2 + 1, (p, length)
-        assert length == minimal_lifting_dimension(params), p
-    print(f"PASS criterion 7: register length equals lifted dimension for {len(PRIMES_TO_61)} primes up to 61")
+        assert length == (p - 1) // 2 + 1, (p, params.m, length)
+        assert length == minimal_lifting_dimension(params), (p, params.m)
+    print(
+        f"PASS criterion 7: register length equals lifted dimension for {len(cases)} "
+        f"(p, m) pairs: every generator of the {len(PRIMES_TO_61)} primes up to 61, "
+        "and the smallest generator at 101, 199 and 401"
+    )
 
 
 def test_criterion_8_worked_examples(tmp_path, capsys):

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complexity_oracle import berlekamp_massey_fractions
 from conftest import PRIMES_TO_61
+from koopman_dh import complexity
 from koopman_dh.complexity import (
+    RATIONAL,
     SequenceSample,
     berlekamp_massey,
     bruteforce_min_lfsr,
@@ -80,6 +83,69 @@ class TestBerlekampMassey:
     def test_companion_last_row_mapping(self):
         result = berlekamp_massey(SequenceSample(terms=two_periods(5, 2)))
         assert result.companion_last_row == tuple(reversed(result.connection))
+
+
+@st.composite
+def samples(draw):
+    """Sequences over Q or a small GF(p): arbitrary, register-generated or all zero.
+
+    Terms are rationals with small denominators (units mod p over GF(p)),
+    negative values included, after up to four leading zeros.
+    """
+    field = draw(st.sampled_from([RATIONAL, 2, 3, 5, 7, 23]))
+    dens = [b for b in range(1, 7) if field == RATIONAL or b % field]
+    term = st.builds(F, st.integers(-20, 20), st.sampled_from(dens))
+    kind = draw(st.sampled_from(["arbitrary", "register", "zero"]))
+    if kind == "zero":
+        return SequenceSample(terms=(0,) * draw(st.integers(1, 10)), field=field)
+    lead = [0] * draw(st.integers(0, 4))
+    if kind == "arbitrary":
+        body = draw(st.lists(term, min_size=0 if lead else 1, max_size=12))
+    else:
+        order = draw(st.integers(1, 4))
+        connection = draw(st.lists(term, min_size=order, max_size=order))
+        seed = draw(st.lists(term, min_size=order, max_size=order))
+        body = lfsr_generate(connection, seed, draw(st.integers(order, 14)), field)
+    return SequenceSample(terms=tuple(lead + list(body)), field=field)
+
+
+class TestAgainstFractionOracle:
+    """The fraction-free loop against the textbook division form."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(samples())
+    def test_equal_to_oracle(self, sample):
+        result = berlekamp_massey(sample)
+        assert result == berlekamp_massey_fractions(sample)
+        kind = F if sample.field == RATIONAL else int
+        assert all(type(c) is kind for c in result.connection)
+
+    @pytest.mark.parametrize("p", [61, 101, 199])
+    def test_orbit_two_periods_equal_to_oracle(self, p):
+        sample = SequenceSample(terms=two_periods(p, DhParams.with_smallest_root(p).m))
+        assert berlekamp_massey(sample) == berlekamp_massey_fractions(sample)
+
+    def test_leading_zeros_keep_the_unscaled_register(self):
+        # after eleven zeros the first update sets c_12 = -s_11, which the
+        # input does not constrain: scaling the terms by 2 must not double it
+        terms = (0,) * 11 + (2, 3, F(-3, 2), 3, -1, F(5, 2), 0, 1, 0, 2)
+        sample = SequenceSample(terms=terms)
+        result = berlekamp_massey(sample)
+        assert result == berlekamp_massey_fractions(sample)
+        assert result.connection[-1] == 2
+
+    def test_failed_recurrence_check_raises(self, monkeypatch):
+        monkeypatch.setattr(complexity, "_annihilates", lambda c, s, p: False)
+        with pytest.raises(RuntimeError, match="fails to regenerate"):
+            berlekamp_massey(SequenceSample(terms=two_periods(7, 3)))
+
+    def test_recurrence_check_rejects_a_wrong_register(self):
+        # C = (1, -1) says s_k = s_{k-1}
+        assert complexity._annihilates([1, -1], [5, 5, 5], None)
+        assert not complexity._annihilates([1, -1], [5, 5, 6], None)
+        assert not complexity._annihilates([1, -1], [5, 6, 6], None)  # k = L counts
+        assert complexity._annihilates([1, -1], [5, 5, 12], 7)
+        assert not complexity._annihilates([1, -1], [5, 5, 12], 5)
 
 
 class TestLfsrGenerate:

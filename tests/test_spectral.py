@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import pi, sin
 
@@ -85,10 +86,67 @@ class TestEigenSetupReference:
         assert np.array_equal(dec.Vinv, np.linalg.inv(v))
 
 
+def eigenpair_residuals_by_rootsum(dec):
+    """Reference check: every row of A v(l) - l v(l) built and zero-tested in RootSum.
+
+    (q+1)^2 zero tests per decomposition; eigenpair_residuals_exact_zero must
+    agree with it.
+    """
+    alpha = char_alpha(dec.q)
+    for t in dec.turns:
+        v = [RootSum.root((r * t) % 1) for r in range(dec.q + 1)]
+        shifted = [x.rotated(t) for x in v]
+        av = v[1:] + [sum((RootSum.from_scalar(a) * x for a, x in zip(alpha, v)), RootSum.zero())]
+        if any(not (lhs - rhs).is_zero() for lhs, rhs in zip(av, shifted)):
+            return False
+    return True
+
+
+def with_turns(dec, turns):
+    return replace(dec, turns=tuple(turns))
+
+
 class TestEigenpairs:
-    @pytest.mark.parametrize("p", [5, 7, 23, 101, 199])
+    @pytest.mark.parametrize("p", [5, 7, 23, 101, 199, 401])
     def test_exact_residual_zero(self, p):
         assert eigenpair_residuals_exact_zero(eigen_canonical(p, (p - 1) // 2))
+
+    @pytest.mark.parametrize("q", range(1, 31))
+    def test_agrees_with_rootsum_oracle(self, q):
+        dec = eigen_canonical(61, q)
+        assert eigenpair_residuals_exact_zero(dec) is eigenpair_residuals_by_rootsum(dec) is True
+        # a nonzero turn moved by a quarter step is no longer a root of (x^q + 1)(x - 1)
+        for j in sorted({1, (q + 1) // 2, q}):
+            tampered = list(dec.turns)
+            tampered[j] = (tampered[j] + F(1, 4 * q)) % 1
+            bad = with_turns(dec, tampered)
+            assert eigenpair_residuals_exact_zero(bad) is False
+            assert eigenpair_residuals_by_rootsum(bad) is False
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_agrees_with_rootsum_oracle_on_every_small_turn(self, q):
+        # every turn n/d with d | 4q, eigenvalue or not
+        dec = eigen_canonical(61, q)
+        for d in range(1, 4 * q + 1):
+            if (4 * q) % d:
+                continue
+            for n in range(d):
+                one = with_turns(dec, [F(n, d)])
+                assert eigenpair_residuals_exact_zero(one) == eigenpair_residuals_by_rootsum(one)
+
+    @pytest.mark.parametrize("p", [7, 11, 23, 199])
+    def test_minus_one_at_odd_q(self, p):
+        # at odd q, l = -1 puts alpha_1 = -1 and alpha_q = 1 on the same turn 1/2:
+        # their sum, not either alone, enters the closing row
+        q = (p - 1) // 2
+        dec = eigen_canonical(p, q)
+        assert F(1, 2) in dec.turns
+        assert eigenpair_residuals_exact_zero(with_turns(dec, [F(1, 2)]))
+
+    @pytest.mark.parametrize("q", [2, 4, 6])
+    def test_minus_one_is_no_eigenvalue_at_even_q(self, q):
+        dec = eigen_canonical(61, q)
+        assert not eigenpair_residuals_exact_zero(with_turns(dec, [F(1, 2)]))
 
     @pytest.mark.parametrize("p", [5, 7, 23, 101, 199])
     def test_float_residual_small(self, p):
