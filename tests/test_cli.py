@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -87,6 +89,13 @@ class TestRecover:
         report = run_json(capsys, "recover", "--p", "7", "--m", "3", "--c", "5", "--parity-only")
         assert report["parity"] == "odd"
         assert "e_recovered" not in report
+
+    @pytest.mark.parametrize("e", ["0", "7", "-3", "13"])
+    def test_exponent_outside_range_exit_2(self, capsys, e):
+        code, out, err = run(capsys, "recover", "--p", "7", "--m", "3", "--e", e)
+        assert code == 2
+        assert out == ""
+        assert "[1, p-1]" in err
 
     def test_requires_exactly_one_input(self, capsys):
         code, _, _ = run(capsys, "recover", "--p", "7", "--m", "3")
@@ -327,14 +336,19 @@ class TestSweep:
             {"primes": [5], "output": "x.json"},
             {"primes": [5], "generators": 3},
             {"primes": [5], "exponent_sweep": {"every": 2}},
+            {"primes": [5], "q_policy": 2.5},
+            {"primes": [5], "q_policy": True},
+            {"primes": [5], "q_policy": "foo"},
         ],
     )
-    def test_malformed_config_shape_exit_3(self, capsys, tmp_path, config):
+    def test_malformed_config_shape_exit_3(self, capsys, tmp_path, monkeypatch, config):
+        monkeypatch.chdir(tmp_path)  # a config that is wrongly accepted writes report.json
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         code, _, err = run(capsys, "sweep", "--config", str(path))
         assert code == 3
         assert str(path) in err
+        assert all(f"'{key}'" in err for key in config if key != "primes")
 
     def test_invalid_prime_exit_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -349,6 +363,32 @@ class TestSweep:
         )
         code, _, _ = run(capsys, "sweep", "--config", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "primes,exponents", [([7], [0, 3]), ([7], [7]), ([13, 7], [1, 8]), ([7], [-2])]
+    )
+    def test_explicit_exponent_outside_range_exit_2(self, capsys, tmp_path, primes, exponents):
+        cfg_path, out_path = self.write_config(tmp_path, primes=primes, exponent_sweep=exponents)
+        code, _, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert "outside [1, p-1] for p=7" in err
+        assert not out_path.exists()
+
+    def test_minimal_dimension_computed_once_per_case(self, capsys, tmp_path, monkeypatch):
+        from koopman_dh import complexity, lifting
+
+        calls = []
+
+        def counted(params, traj=None):
+            calls.append(params.p)
+            return lifting.minimal_lifting_dimension(params, traj)
+
+        monkeypatch.setattr(complexity, "minimal_lifting_dimension", counted)
+        monkeypatch.setattr("koopman_dh.cli.minimal_lifting_dimension", counted)
+        cfg_path, _ = self.write_config(tmp_path)
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 0
+        assert calls == [5, 7]
 
     def test_full_length_q_policy_uses_index_lookup(self, capsys, tmp_path):
         cfg_path, out_path = self.write_config(
@@ -371,6 +411,13 @@ class TestSweep:
 
 
 class TestExitCode4:
+    def test_report_is_written_before_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr("koopman_dh.cli.minimal_lifting_dimension", lambda params: 0)
+        code, out, err = run(capsys, "verify-theorem", "--primes", "5,7")
+        assert code == 4
+        assert json.loads(out)["all_match"] is False
+        assert "internal consistency failure" in err
+
     def test_oracle_disagreement_exits_4(self, capsys, monkeypatch):
         # force the oracle to disagree to exercise the consistency gate
         monkeypatch.setattr("koopman_dh.cli.discrete_log_bruteforce", lambda c, params: -1)
@@ -379,9 +426,106 @@ class TestExitCode4:
         assert "internal consistency" in err
 
 
+class TestParser:
+    def test_built_once(self):
+        from koopman_dh import cli
+
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestFloatFormatting:
     def test_match_errors_have_15_significant_digits(self, capsys):
         report = run_json(capsys, "recover", "--p", "7", "--m", "3", "--c", "4")
         for entry in report["per_eigenvalue"]:
             value = entry["match_error"]
             assert value == float(f"{value:.15g}")
+
+
+# --- golden report bytes -----------------------------------------------------
+
+# `per_eigenvalue[].match_error` comes from numpy's inverse and may differ in
+# its last bits between BLAS builds; a sweep's wall clock differs every run.
+UNPINNED_LINE = re.compile(r'^ *"(match_error|wall_clock_s)": [^\n]*\n', re.MULTILINE)
+GOLDEN_FILES = {
+    "ramp.csv": "".join(f"{v}\n" for v in range(1, 11)),
+    "seq.csv": "".join(f"{v}\n" for v in (0, 1, 2) * 3),
+    "seq.json": json.dumps([1, 4, 10, 22, 46, 94, 190, 382]),
+    "mixed.json": json.dumps(
+        {
+            "primes": "5..11",
+            "generators": "all",
+            "q_policy": 3,
+            "exponent_sweep": {"sample": 2},
+            "output": {"path": "mixed.csv", "format": "csv"},
+            "seed": 5,
+        }
+    ),
+    "sweep.json": json.dumps(
+        {
+            "primes": [11, 5, 7, 5],
+            "generators": "all",
+            "exponent_sweep": [3, 1, 2],
+            "output": {"path": "report.json", "extra": 1},
+            "seed": 2,
+            "unused": True,
+        }
+    ),
+}
+# (argv, file the report goes to or None for stdout, sha256 of stdout + "\0" + file)
+GOLDEN = [
+    (("simulate", "--p", "7", "--m", "3", "--steps", "12"), None,
+     "ad9d6ad1b74920d017dfa40fab30a705c96300ec8a828329334c6dd1fd8c206e"),
+    (("simulate", "--p", "23", "--m", "5", "--steps", "30", "--x0", "4", "--out", "sim.csv"),
+     "sim.csv", "505574969958d0a21fc1d2d23beb4f3f18d8115d4e01555d3f8dcdc4abfb9399"),
+    (("verify-theorem", "--primes", "2..61"), None,
+     "e1048b318405aab25eee2170fe689b29c37797adbe2399f0bd48c6e41710b324"),
+    (("verify-theorem", "--primes", "5,13,9", "--generators", "all", "--out", "vt.json"),
+     "vt.json", "10a962ca455a27a79713c30241e9d616839fd1e583de80b441873ecf6cb4b7b4"),
+    (("recover", "--p", "23", "--m", "5", "--c", "7"), None,
+     "a589f567bc9680f548679e04037141485f9131fb862cc1997a1e1ce2d616370f"),
+    (("recover", "--p", "13", "--m", "2", "--e", "12"), None,
+     "d0f944a36f3a8b6e85f7ff3971230f5f07933d848755e45faefc087b04b01e86"),
+    (("recover", "--p", "11", "--m", "2", "--c", "5", "--parity-only"), None,
+     "07713367b659a504c497b29e2cca90f84e0451787e9c1b840c75ce4c66150688"),
+    (("shared-secret", "--p", "23", "--m", "5", "--c-e", "10", "--c-d", "19"), None,
+     "0e908b41524eea7ec5065f5e2ed25b611ab1d96ec14dedb96ebcd4efae3bb01a"),
+    (("edmd", "--p", "7", "--m", "3", "--q", "3", "--n", "7"), None,
+     "b52884fdf19aceb5405db015616ab3bdd256b8870a405417c1061a645e576396"),
+    (("edmd", "--p", "11", "--m", "2", "--q", "9", "--n", "12", "--out", "ed.json"),
+     "ed.json", "1acc89984816145f74e8eacb89df3baa428543b5785f597e82ee34a51823f2d0"),
+    (("edmd", "--p", "23", "--m", "5", "--q", "5", "--n", "22"), None,
+     "31d480d7961562f19e159a2d1a9960496ceef006b2ac0e4fa7761e8269ca908b"),
+    (("edmd", "--p", "7", "--m", "3", "--q", "3", "--data", "ramp.csv"), None,
+     "58172059f5cd096c54a824e67ba4be9656b29050252719e79715db949e9f8bda"),
+    (("edmd", "--p", "7", "--m", "3", "--q", "1", "--data", "ramp.csv", "--n", "5"), None,
+     "3e28df9005cea62de066289c896dbc8b5b6b1cde8ee9c9e381bbac097b44aa9f"),
+    (("complexity", "--p", "23", "--m", "5"), None,
+     "c295ddcc31b10799ffe531f38b564a3f5faf6bc051466f1c71828d7d90635b60"),
+    (("complexity", "--sequence", "seq.csv", "--field-prime", "3", "--expected", "5"), None,
+     "1558c241d98d65b58ab2667f377b4838f023649c3e37a21ffd2e73e250d9377b"),
+    (("complexity", "--sequence", "seq.json", "--expected", "2"), None,
+     "4fffca74cb359153774d56d6c41c14d2195995ce89814476550911b067a31ba1"),
+    (("sweep", "--config", "mixed.json"), "mixed.csv",
+     "b3508daf4b8115f824bb98d75fe35d3a9fcf3a3c3461896977137e8e364ebb12"),
+    (("sweep", "--config", "sweep.json"), "report.json",
+     "9cbea543a95ca96c859c81c5bda8250351b27b9c7eb52bebef60ba7c4473ab84"),
+]
+
+
+def golden_digest(capsys, argv, out_file) -> str:
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    text = out + "\0"
+    if out_file is not None:
+        with open(out_file) as fh:
+            text += fh.read()
+    return hashlib.sha256(UNPINNED_LINE.sub("", text).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,out_file,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv, out_file, digest):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KOOPMAN_DH_OUT_DIR", raising=False)
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert golden_digest(capsys, argv, out_file) == digest
