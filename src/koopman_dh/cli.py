@@ -97,7 +97,11 @@ def _generators(p: int, which) -> list[int]:
     """The smallest primitive root of p, all of them, or an explicit list."""
     if which == "smallest":
         return [DhParams.with_smallest_root(p).m]
-    return all_primitive_roots(p) if which == "all" else [int(m) for m in which]
+    return all_primitive_roots(p) if which == "all" else list(which)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parity_name(n: int) -> str:
@@ -324,21 +328,26 @@ def load_config(path: str) -> dict:
     for key, ok, shape in (
         ("output", isinstance(output, dict), "an object"),
         (
+            "output.path",
+            not isinstance(output, dict) or isinstance(output.get("path", ""), str),
+            "a string",
+        ),
+        (
             "generators",
-            generators in ("smallest", "all") or isinstance(generators, list),
-            '"smallest", "all" or a list',
+            generators in ("smallest", "all")
+            or (isinstance(generators, list) and all(map(_is_int, generators))),
+            '"smallest", "all" or a list of integers',
         ),
         (
             "exponent_sweep",
             exponents == "all"
-            or isinstance(exponents, list)
-            or (isinstance(exponents, dict) and "sample" in exponents),
-            '"all", {"sample": k} or a list',
+            or (isinstance(exponents, list) and all(map(_is_int, exponents)))
+            or (isinstance(exponents, dict) and _is_int(exponents.get("sample"))),
+            '"all", {"sample": k} or a list of integers',
         ),
         (
             "q_policy",
-            q_policy in ("q_tilde", "p_minus_2")
-            or (isinstance(q_policy, int) and not isinstance(q_policy, bool)),
+            q_policy in ("q_tilde", "p_minus_2") or _is_int(q_policy),
             '"q_tilde", "p_minus_2" or an integer',
         ),
     ):
@@ -356,7 +365,6 @@ def load_config(path: str) -> dict:
             },
             "seed": int(raw.get("seed", 0)),
         }
-        explicit = [int(e) for e in exponents] if isinstance(exponents, list) else []
     except TypeError as exc:
         raise MalformedDataError(f"config {path} malformed: {exc}") from exc
     for p in cfg["primes"]:
@@ -364,7 +372,7 @@ def load_config(path: str) -> dict:
             raise ValueError(f"config primes must be odd primes > 3, got {p}")
         if isinstance(q_policy, int) and not 0 <= q_policy <= p - 2:
             raise ValueError(f"q={q_policy} outside [0, p-2] for p={p}")
-        for e in explicit:
+        for e in exponents if isinstance(exponents, list) else []:
             if not 1 <= e <= p - 1:
                 raise ValueError(f"exponent {e} outside [1, p-1] for p={p}")
     if cfg["output"]["format"] not in ("json", "csv"):
@@ -453,10 +461,10 @@ def run_sweep(cfg: dict) -> dict:
                 if exponent_sweep == "all":
                     exponents = list(range(1, p))
                 elif isinstance(exponent_sweep, dict):
-                    k = min(int(exponent_sweep["sample"]), p - 1)
+                    k = min(exponent_sweep["sample"], p - 1)
                     exponents = sorted(rng.sample(range(1, p), k))
                 else:
-                    exponents = sorted(int(e) for e in exponent_sweep)
+                    exponents = sorted(exponent_sweep)
             records.append(_sweep_case(DhParams(p, m), q, exponents))
     manifest = {"config": cfg, "wall_clock_s": float15(time.time() - started)}
     return {"manifest": manifest, "records": records}
@@ -564,8 +572,12 @@ def main(argv=None) -> int:
         if isinstance(report, dict):
             report = dumps_report({**ENVELOPE, "command": args.subcommand, **report})
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(report)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(report)
+            except OSError as exc:
+                print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
+                return EXIT_INVALID_PARAMS
             report = args.summary
         sys.stdout.write(report)
     if failure:

@@ -1,12 +1,13 @@
-"""Exact arithmetic with sums of unit-circle roots.
+"""Cyclotomic polynomials and an exact zero test for sums of unit roots.
 
 A point on the unit circle is stored as its *turn*, the rational t in [0, 1)
 with value exp(2*pi*i*t). A RootSum is a finite rational combination of such
-points, closed under addition and multiplication, with an exact zero test:
-after folding antipodal turns (t + 1/2 has value -1 times t), the element is
-written as an integer polynomial in a primitive n-th root of unity and
-reduced modulo the n-th cyclotomic polynomial, the minimal polynomial of
-that root. Conversion to complex floats happens only at output boundaries.
+points, kept only to be tested for zero: after folding antipodal turns
+(t + 1/2 has value -1 times t), it is written as an integer polynomial in a
+primitive n-th root of unity and reduced modulo the n-th cyclotomic
+polynomial, the minimal polynomial of that root. The same reduction modulo
+Phi_d finds the closing divisors of a period polynomial. Conversion to
+complex floats happens only at output boundaries.
 """
 
 from __future__ import annotations
@@ -17,13 +18,6 @@ from functools import lru_cache
 from math import lcm, pi
 
 HALF = Fraction(1, 2)
-
-
-def _fold(turn: Fraction, coeff: Fraction) -> tuple[Fraction, Fraction]:
-    turn %= 1
-    if turn >= HALF:
-        return turn - HALF, -coeff
-    return turn, coeff
 
 
 def turn_to_complex(turn: Fraction) -> complex:
@@ -75,62 +69,18 @@ def cyclotomic_remainder(coeffs, d: int) -> list[int]:
 
 
 class RootSum:
-    """Exact finite sum of rational multiples of unit roots."""
+    """Finite sum of rational multiples of unit roots, with an exact zero test."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Fraction, Fraction] | None = None):
+    def __init__(self, terms: dict[Fraction, Fraction]):
         folded: dict[Fraction, Fraction] = {}
-        for turn, coeff in (terms or {}).items():
-            turn, coeff = _fold(Fraction(turn), Fraction(coeff))
+        for turn, coeff in terms.items():
+            turn, coeff = Fraction(turn) % 1, Fraction(coeff)
+            if turn >= HALF:  # t + 1/2 has value -1 times t
+                turn, coeff = turn - HALF, -coeff
             folded[turn] = folded.get(turn, Fraction(0)) + coeff
         self.terms = {t: c for t, c in folded.items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "RootSum":
-        return cls()
-
-    @classmethod
-    def from_scalar(cls, value) -> "RootSum":
-        return cls({Fraction(0): Fraction(value)})
-
-    @classmethod
-    def root(cls, turn: Fraction) -> "RootSum":
-        return cls({Fraction(turn): Fraction(1)})
-
-    def __add__(self, other: "RootSum") -> "RootSum":
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            terms[t] = terms.get(t, Fraction(0)) + c
-        return RootSum(terms)
-
-    def __sub__(self, other: "RootSum") -> "RootSum":
-        return self + (-other)
-
-    def __neg__(self) -> "RootSum":
-        return RootSum({t: -c for t, c in self.terms.items()})
-
-    def __mul__(self, other) -> "RootSum":
-        if isinstance(other, RootSum):
-            terms: dict[Fraction, Fraction] = {}
-            for t1, c1 in self.terms.items():
-                for t2, c2 in other.terms.items():
-                    t, c = _fold(t1 + t2, c1 * c2)
-                    terms[t] = terms.get(t, Fraction(0)) + c
-            return RootSum(terms)
-        return self.scaled(other)
-
-    __rmul__ = __mul__
-
-    def scaled(self, factor) -> "RootSum":
-        return RootSum({t: c * Fraction(factor) for t, c in self.terms.items()})
-
-    def rotated(self, turn: Fraction) -> "RootSum":
-        """Multiply by the unit root of the given turn."""
-        return RootSum({t + turn: c for t, c in self.terms.items()})
-
-    def conjugate(self) -> "RootSum":
-        return RootSum({-t: c for t, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         """Exact zero test by reduction modulo a cyclotomic polynomial."""
@@ -144,36 +94,3 @@ class RootSum:
         for t, c in self.terms.items():
             coeffs[int(t * n)] += int(c * scale)
         return not any(_poly_divmod(coeffs, cyclotomic_poly(n))[1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootSum):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __complex__(self) -> complex:
-        return sum((complex(c) * turn_to_complex(t) for t, c in self.terms.items()), 0j)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "RootSum(0)"
-        parts = [f"{c}*e({t})" for t, c in sorted(self.terms.items())]
-        return "RootSum(" + " + ".join(parts) + ")"
-
-
-def inv_root_minus_one(turn: Fraction, n: int) -> RootSum:
-    """Exact 1/(z - 1) for a unit root z of the given turn with z^n = 1, z != 1.
-
-    Since z^n = 1 and z != 1, (z - 1) * sum_{t=0}^{n-1} t z^t = n, so the
-    inverse is that weighted power sum divided by n.
-    """
-    turn = Fraction(turn) % 1
-    if (turn * n).denominator != 1:
-        raise ValueError(f"turn {turn} is not an n-th root of unity for n={n}")
-    if turn == 0:
-        raise ValueError("z = 1 has no inverse of z - 1")
-    terms: dict[Fraction, Fraction] = {}
-    inv_n = Fraction(1, n)
-    for t in range(1, n):
-        key, coeff = _fold(turn * t, t * inv_n)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return RootSum(terms)

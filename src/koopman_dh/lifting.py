@@ -7,9 +7,8 @@ linear complexity of one period, read off the cyclotomic factors of the
 period polynomial (closing_divisors); the closing coefficients are then
 solved once from the leading block of the periodic Hankel system and
 certified by integer substitution (verify_closing). Also here: the
-unit-circle turn dictionary, the auxiliary liftings (affine augmentation,
-additive rotation) and the table-lookup attack available at full
-dictionary length.
+auxiliary liftings (affine augmentation, additive rotation) and the
+table-lookup attack available at full dictionary length.
 """
 
 from __future__ import annotations
@@ -78,23 +77,6 @@ def lift_ciphertext(c: int, params: DhParams, q: int) -> tuple[int, ...]:
     for _ in range(q):
         out.append((params.m * out[-1]) % p)
     return tuple(out)
-
-
-def lift_complex(x: int, params: DhParams, q: int) -> tuple[Fraction, ...]:
-    """Unit-circle dictionary: turns of exp(i*(2*pi/p)*m^(j+1)*x), j = 0..q.
-
-    Angles are exact rationals (m^(j+1)*x mod p)/p of a full turn; convert
-    with cyclotomic.turn_to_complex at output boundaries.
-    """
-    p, m = params.p, params.m
-    if not 1 <= x <= p - 1:
-        raise ValueError(f"x must lie in [1, p-1], got {x}")
-    turns = []
-    acc = (m * x) % p
-    for _ in range(q + 1):
-        turns.append(Fraction(acc, p))
-        acc = (m * acc) % p
-    return tuple(turns)
 
 
 def canonical_alpha(p: int, q: int) -> tuple[Fraction, ...]:

@@ -4,10 +4,9 @@ exponent recovery from lifted states.
 The canonical closing coefficients give the characteristic polynomial
 (x^q + 1)(x - 1), so the spectrum is {1} plus the odd-indexed 2q-th roots of
 unity, all on the unit circle, with Vandermonde eigenvectors (1, l, ..., l^q).
-Eigenvalue angles are exact rational turns; the eigenvector matrix inverse is
-available both as an exact closed form (Lagrange interpolation rows, computed
-in RootSum arithmetic) and as a floating mirror used for recovery, where
-matching is separation-based and therefore tolerance-free.
+Eigenvalue angles are exact rational turns; the eigenvector matrix and its
+inverse are floating mirrors used for recovery, where matching is
+separation-based and therefore tolerance-free.
 
 The exact eigenpair check costs O(q) integer operations and one RootSum zero
 test per eigenvalue: the shift rows of A v = l v are identities of turns,
@@ -26,12 +25,11 @@ from __future__ import annotations
 from cmath import isfinite, phase
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, pi, sin
 
 import numpy as np
 
-from .cyclotomic import HALF, RootSum, inv_root_minus_one, turn_to_complex
+from .cyclotomic import HALF, RootSum, turn_to_complex
 from .dynamics import is_prime
 from .lifting import companion_matrix
 
@@ -95,43 +93,6 @@ def eigen_canonical(p: int, q: int, alpha=None) -> SpectralDecomposition:
     return SpectralDecomposition(q=q, turns=turns, eigenvalues=eigenvalues, V=v, Vinv=vinv)
 
 
-@lru_cache(maxsize=None)
-def vandermonde_exact(q: int) -> tuple[tuple[RootSum, ...], ...]:
-    """Exact eigenvector matrix: entry (r, j) is the unit root of turn r*t_j."""
-    turns = (Fraction(0),) + tuple(Fraction(2 * k + 1, 2 * q) for k in range(q))
-    return tuple(
-        tuple(RootSum.root((r * t) % 1) for t in turns) for r in range(q + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def vinv_exact(q: int) -> tuple[tuple[RootSum, ...], ...]:
-    """Exact rows of the inverse eigenvector matrix via Lagrange interpolation.
-
-    Row j holds the coefficients of the Lagrange basis polynomial of node
-    l_j within the spectrum, so row_j(l_k) = delta_jk. For l = 1 the row is
-    (x^q + 1)/2. For an odd root l the quotient (x^q + 1)/(x - l) has
-    coefficient l^(q-1-c) at x^c and the node weight is -l/(q*(l - 1)),
-    with 1/(l - 1) expanded exactly as a weighted power sum of l.
-    """
-    rows: list[tuple[RootSum, ...]] = []
-    half = Fraction(1, 2)
-    one_row = [RootSum.zero()] * (q + 1)
-    one_row[0] = RootSum.from_scalar(half)
-    one_row[q] = RootSum.from_scalar(half)
-    rows.append(tuple(one_row))
-    for k in range(q):
-        t = Fraction(2 * k + 1, 2 * q)
-        weight = inv_root_minus_one(t, 2 * q).rotated(t).scaled(Fraction(-1, q))
-        row = [RootSum.zero()] * (q + 1)
-        row[0] = -weight.rotated((t * (q - 1)) % 1)
-        for c in range(1, q):
-            row[c] = weight.rotated((t * (q - c)) % 1) - weight.rotated((t * (q - 1 - c)) % 1)
-        row[q] = weight
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:
     """Exact check that A v(l) = l v(l) for every eigenpair.
 
@@ -176,17 +137,6 @@ def transform(z, dec: SpectralDecomposition) -> TransformedState:
     if z.shape != (dec.dimension,):
         raise ValueError(f"state has dimension {z.shape}, expected ({dec.dimension},)")
     return TransformedState(entries=dec.Vinv @ z)
-
-
-def transform_exact(z, dec: SpectralDecomposition) -> list[RootSum]:
-    """Exact eigencoordinates of an integer lifted state."""
-    rows = vinv_exact(dec.q)
-    if len(z) != dec.dimension:
-        raise ValueError(f"state has dimension {len(z)}, expected {dec.dimension}")
-    return [
-        sum((entry.scaled(val) for entry, val in zip(row, z)), RootSum.zero())
-        for row in rows
-    ]
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,15 @@ class TestSimulate:
         assert code == 0
         assert path.read_text().split() == ["1", "3", "2", "6", "4", "5", "1"]
 
+    def test_out_in_missing_directory_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "traj.csv"
+        code, out, err = run(
+            capsys, "simulate", "--p", "7", "--m", "3", "--steps", "6", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+
 
 class TestVerifyTheorem:
     def test_single_p23(self, capsys):
@@ -339,6 +348,8 @@ class TestSweep:
             {"primes": [5], "q_policy": 2.5},
             {"primes": [5], "q_policy": True},
             {"primes": [5], "q_policy": "foo"},
+            {"primes": [5], "generators": [None]},
+            {"primes": [5], "exponent_sweep": {"sample": None}},
         ],
     )
     def test_malformed_config_shape_exit_3(self, capsys, tmp_path, monkeypatch, config):
@@ -349,6 +360,23 @@ class TestSweep:
         assert code == 3
         assert str(path) in err
         assert all(f"'{key}'" in err for key in config if key != "primes")
+
+    def test_non_string_output_path_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"primes": [5], "output": {"path": 7}}))
+        code, _, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 3
+        assert "'output.path'" in err
+
+    def test_output_path_in_missing_directory_exit_2(self, capsys, tmp_path):
+        cfg_path, _ = self.write_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["output"]["path"] = str(tmp_path / "missing" / "report.json")
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert cfg["output"]["path"] in err
 
     def test_invalid_prime_exit_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -26,7 +26,6 @@ from koopman_dh.lifting import (
     hankel_system,
     index_lookup_attack,
     lift_ciphertext,
-    lift_complex,
     lift_shift,
     minimal_lifting_dimension,
     solve_alpha_exact,
@@ -92,31 +91,6 @@ class TestLiftCiphertext:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             lift_ciphertext(0, P7, 2)
-
-
-class TestLiftComplex:
-    def test_example_turns(self):
-        assert lift_complex(1, P5, 1) == (F(2, 5), F(4, 5))
-
-    def test_shift_property_example(self):
-        assert lift_complex(2, P5, 1)[0] == lift_complex(1, P5, 1)[1]
-
-    @pytest.mark.parametrize("p", [5, 7, 23])
-    def test_shift_property_exact_everywhere(self, p):
-        # h_j(m*x mod p) = h_{j+1}(x), compared as exact turns
-        params = DhParams.with_smallest_root(p)
-        q = params.q_tilde
-        for x in range(1, p):
-            shifted = lift_complex((params.m * x) % p, params, q)
-            original = lift_complex(x, params, q)
-            for j in range(q):
-                assert shifted[j] == original[j + 1]
-
-    def test_unit_modulus(self):
-        from koopman_dh.cyclotomic import turn_to_complex
-
-        for t in lift_complex(3, P7, 3):
-            assert abs(abs(turn_to_complex(t)) - 1) < 1e-12
 
 
 class TestCanonicalAlpha:

@@ -6,7 +6,7 @@ from math import pi, sin
 import numpy as np
 import pytest
 
-from koopman_dh.cyclotomic import RootSum, turn_to_complex
+from koopman_dh.cyclotomic import turn_to_complex
 from koopman_dh.dynamics import (
     DhParams,
     discrete_log_bruteforce,
@@ -24,10 +24,15 @@ from koopman_dh.spectral import (
     parity,
     recover_exponent,
     transform,
+)
+from spectral_oracle import (
+    ZERO,
+    eigenpair_residuals_by_rootsum,
     transform_exact,
     vandermonde_exact,
     vinv_exact,
 )
+from spectral_oracle import ExactRootSum as R
 
 F = Fraction
 
@@ -84,22 +89,6 @@ class TestEigenSetupReference:
         assert np.array_equal(dec.eigenvalues, np.array([turn_to_complex(t) for t in turns]))
         assert np.array_equal(dec.V, v)
         assert np.array_equal(dec.Vinv, np.linalg.inv(v))
-
-
-def eigenpair_residuals_by_rootsum(dec):
-    """Reference check: every row of A v(l) - l v(l) built and zero-tested in RootSum.
-
-    (q+1)^2 zero tests per decomposition; eigenpair_residuals_exact_zero must
-    agree with it.
-    """
-    alpha = char_alpha(dec.q)
-    for t in dec.turns:
-        v = [RootSum.root((r * t) % 1) for r in range(dec.q + 1)]
-        shifted = [x.rotated(t) for x in v]
-        av = v[1:] + [sum((RootSum.from_scalar(a) * x for a, x in zip(alpha, v)), RootSum.zero())]
-        if any(not (lhs - rhs).is_zero() for lhs, rhs in zip(av, shifted)):
-            return False
-    return True
 
 
 def with_turns(dec, turns):
@@ -161,10 +150,10 @@ class TestExactInverse:
         n = q + 1
         for r in range(n):
             for c in range(n):
-                acc = RootSum.zero()
+                acc = ZERO
                 for k in range(n):
                     acc = acc + v[r][k] * vinv[k][c]
-                assert acc == RootSum.from_scalar(int(r == c))
+                assert acc == R.root(0, int(r == c))
 
     @pytest.mark.parametrize("p", [5, 7, 23])
     def test_floating_mirror_agrees(self, p):
@@ -203,11 +192,8 @@ class TestTransform:
         params, q, dec, traj, z0 = setup_case(p)
         for e in (1, 2, p - 1):
             ze = lift_shift(traj, q, e)
-            lhs = transform_exact(ze, dec)
-            rhs = [
-                coord.rotated((t * e) % 1)
-                for coord, t in zip(transform_exact(z0, dec), dec.turns)
-            ]
+            lhs = transform_exact(ze, q)
+            rhs = [coord.rotated(t * e) for coord, t in zip(transform_exact(z0, q), dec.turns)]
             assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
 
     def test_conservation_of_magnitudes(self):
