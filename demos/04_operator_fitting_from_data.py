@@ -5,7 +5,9 @@ Z_plus, then solve the least-squares problem min |Z_plus - A Z| in exact
 rational arithmetic. With enough data at order q >= (p-1)/2 the residual is
 exactly zero and at q = (p-1)/2 the estimate *is* the analytic companion
 matrix, entry for entry. Below that order no linear operator fits: the
-residual is strictly positive.
+residual is strictly positive. The data is a plain integer sequence, here
+three periods of an orbit; predictions are checked on it as one-step
+integer identities.
 
 Run: python demos/04_operator_fitting_from_data.py
 """
@@ -13,33 +15,33 @@ Run: python demos/04_operator_fitting_from_data.py
 from koopman_dh import (
     CompanionSystem,
     DhParams,
-    build_dataset,
     canonical_alpha,
     check_assumption,
-    compare_operators,
+    dataset_from_values,
     edmd_fit,
-    edmd_underparameterized,
+    full_period_system,
     full_period_trajectory,
 )
-from koopman_dh.edmd import operator_to_json
+from koopman_dh.edmd import compare_on_values, operator_to_json, underparameterized_from_values
 
 params = DhParams(23, 5)
 p, q_tilde = params.p, params.q_tilde
 traj = full_period_trajectory(params)
+values = [traj.value_at(i) for i in range(3 * (p - 1))]
 
 # Snapshot ranks saturate at q~ + 1 no matter how long the trajectory is:
 # every later column is a fixed combination of the first q~ + 1.
 print("snapshot rank vs dictionary order (n = p-1 pairs):")
 for q in (2, 5, q_tilde - 1, q_tilde, q_tilde + 3, p - 2):
-    ds = build_dataset(traj, q, p - 1)
+    ds = dataset_from_values(values, q, p - 1)
     print(f"  q={q:2d}: rank(Z) = {ds.rank_z}  (cap {q_tilde + 1})")
 
 # Exact fit at the closing order, from the minimum amount of data.
-ds = build_dataset(traj, q_tilde, q_tilde + 1)
+ds = dataset_from_values(values, q_tilde, q_tilde + 1)
 print(f"\ndata-richness condition holds: {check_assumption(ds, p)}")
 fitted = edmd_fit(ds)
 analytic = CompanionSystem(q=q_tilde, alpha=canonical_alpha(p, q_tilde))
-report = compare_operators(fitted, analytic, traj, horizon=2 * (p - 1))
+report = compare_on_values(fitted, analytic, values, 2 * (p - 1))
 print(f"fit kind: {fitted.fit_kind}; residual^2 = {fitted.residual_sq}")
 print(f"equals analytic companion entrywise: {report.entrywise_equal}")
 print(f"prediction-equivalent over two periods: {report.prediction_equivalent}")
@@ -47,18 +49,17 @@ print(f"prediction-equivalent over two periods: {report.prediction_equivalent}")
 # At full order q = p-2 the snapshot matrix is row-rank-deficient, so the
 # minimum-norm solution is taken. It predicts the orbit exactly, though it
 # is not the cyclic shift matrix entry for entry.
-full = edmd_fit(build_dataset(traj, p - 2, q_tilde + 1))
-from koopman_dh import full_period_system
-
-full_report = compare_operators(full, full_period_system(params), traj, horizon=2 * (p - 1))
+full = edmd_fit(dataset_from_values(values, p - 2, q_tilde + 1))
+full_report = compare_on_values(full, full_period_system(params), values, 2 * (p - 1))
 print(f"\nq = p-2: fit kind {full.fit_kind}, residual^2 = {full.residual_sq}, "
       f"entrywise = {full_report.entrywise_equal}, prediction = {full_report.prediction_equivalent}")
 
 # Below the closing order the best exact fit still misses.
-under = edmd_underparameterized(traj, 5, p - 1)
+under = underparameterized_from_values(values, 5, p - 1, horizon=p - 1)
 print(f"\nq = 5 < q~: residual^2 = {under.operator.residual_sq} > 0; "
       f"worst one-period state error = {under.max_state_error}")
 
 # Operators serialize losslessly (rationals as num/den string pairs).
-doc = operator_to_json(edmd_fit(build_dataset(full_period_trajectory(DhParams(5, 2)), 2, 3)))
+small = full_period_trajectory(DhParams(5, 2))
+doc = operator_to_json(edmd_fit(dataset_from_values([small.value_at(i) for i in range(6)], 2, 3)))
 print(f"\nserialized 3x3 operator for p=5: {doc['matrix']}")

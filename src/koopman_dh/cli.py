@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -104,6 +105,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_report_dir(path: str | None) -> None:
+    """Refuse a report path in a missing directory before any work; create nothing."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        raise ValueError(f"cannot write report {path}: {missing}")
+
+
 def _parity_name(n: int) -> str:
     return "even" if n % 2 == 0 else "odd"
 
@@ -158,9 +166,11 @@ def cmd_simulate(args):
 
 
 def cmd_verify_theorem(args):
-    rows = []
-    skipped = []
-    for p in sorted(set(_parse_primes(args.primes))):
+    primes = sorted(set(_parse_primes(args.primes)))
+    if not primes:
+        raise ValueError(f"--primes {args.primes!r} selects no number")
+    rows, skipped = [], []
+    for p in primes:
         if not is_prime(p) or p <= 3:
             skipped.append({"p": p, "reason": "requires p > 3" if is_prime(p) else "not prime"})
             continue
@@ -280,7 +290,7 @@ def cmd_complexity(args):
         "complexity_rational": rational.length,
         "connection_rational": [frac_json(c) for c in rational.connection],
     }
-    if args.field_prime:
+    if args.field_prime is not None:
         modular = berlekamp_massey(SequenceSample(terms=tuple(terms), field=args.field_prime))
         report["complexity_prime_field"] = {
             "p": args.field_prime,
@@ -319,13 +329,18 @@ def load_config(path: str) -> dict:
     primes = raw.get("primes")
     if isinstance(primes, str):
         primes = _parse_primes(primes)
-    if not isinstance(primes, list) or not primes:
-        raise MalformedDataError("config needs a nonempty 'primes' list or range string")
     output = raw.get("output", {})
+    seed = raw.get("seed", 0)
     generators = raw.get("generators", "smallest")
     q_policy = raw.get("q_policy", "q_tilde")
     exponents = raw.get("exponent_sweep", "all")
     for key, ok, shape in (
+        (
+            "primes",
+            isinstance(primes, list) and primes and all(map(_is_int, primes)),
+            "a nonempty list of integers or a range string",
+        ),
+        ("seed", _is_int(seed), "an integer"),
         ("output", isinstance(output, dict), "an object"),
         (
             "output.path",
@@ -353,20 +368,17 @@ def load_config(path: str) -> dict:
     ):
         if not ok:
             raise MalformedDataError(f"config {path}: '{key}' must be {shape}")
-    try:
-        cfg = {
-            "primes": [int(p) for p in primes],
-            "generators": generators,
-            "q_policy": q_policy,
-            "exponent_sweep": exponents,
-            "output": {
-                "path": output.get("path", "report.json"),
-                "format": output.get("format", "json"),
-            },
-            "seed": int(raw.get("seed", 0)),
-        }
-    except TypeError as exc:
-        raise MalformedDataError(f"config {path} malformed: {exc}") from exc
+    cfg = {
+        "primes": primes,
+        "generators": generators,
+        "q_policy": q_policy,
+        "exponent_sweep": exponents,
+        "output": {
+            "path": output.get("path", "report.json"),
+            "format": output.get("format", "json"),
+        },
+        "seed": seed,
+    }
     for p in cfg["primes"]:
         if not is_prime(p) or p <= 3 or p % 2 == 0:
             raise ValueError(f"config primes must be odd primes > 3, got {p}")
@@ -487,11 +499,12 @@ def cmd_sweep(args):
     $KOOPMAN_DH_OUT_DIR when it is set.
     """
     cfg = load_config(args.config)
-    report = run_sweep(cfg)
-    records = report["records"]
     args.out = cfg["output"]["path"]
     if os.environ.get(OUTPUT_DIR_ENV):
         args.out = os.path.join(os.environ[OUTPUT_DIR_ENV], os.path.basename(args.out))
+    _check_report_dir(args.out)
+    report = run_sweep(cfg)
+    records = report["records"]
     args.summary = f"wrote {args.out} with {len(records)} records\n"
     bad = sum(not r["dimension_match"] for r in records)
     failure = f"{bad} cases deviated from the dimension law" if bad else None
@@ -562,6 +575,7 @@ def main(argv=None) -> int:
     # looked up per call, so a rebound cmd_* (a test double, a tracer) is the one that runs
     command = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
+        _check_report_dir(args.out)
         report, failure = command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

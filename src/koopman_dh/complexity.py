@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .dynamics import DhParams, is_prime, simulate
 from .lifting import minimal_lifting_dimension
-from .linalg_exact import solve_int_with_ranks
+from .linalg_exact import annihilates, scale_to_integers, solve_int_with_ranks
 
 RATIONAL = "rational"
 
@@ -81,19 +81,6 @@ class LinearComplexityResult:
         return tuple(reversed(self.connection))
 
 
-def _annihilates(c, s, p: int | None) -> bool:
-    """Whether sum_i c_i s_{k-i} = 0 (mod p over GF(p)) for every k >= len(c) - 1."""
-    for k in range(len(c) - 1, len(s)):
-        total = 0
-        for i, ci in enumerate(c):
-            total += ci * s[k - i]
-        if p is not None:
-            total %= p
-        if total:
-            return False
-    return True
-
-
 def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
     """Minimal LFSR of a sequence by the Berlekamp-Massey algorithm.
 
@@ -109,10 +96,7 @@ def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
     """
     p = _modulus(sample.field)
     s = sample.terms
-    scale = 1
-    if p is None:
-        scale = lcm(*[v.denominator for v in s])
-        s = [v.numerator * (scale // v.denominator) for v in s]
+    scale, s = scale_to_integers(s) if p is None else (1, s)
     c = [1]  # an integer multiple of the current connection polynomial
     b = [1]  # c as it was before the last length change, with discrepancy db
     # The first update divides by a unit discrepancy in the input's own
@@ -151,7 +135,7 @@ def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
             m += 1
         c = new
     c = (c + [0] * length)[: length + 1]
-    if not _annihilates(c, s, p):
+    if not annihilates(c[::-1], s, p):
         raise RuntimeError("internal error: synthesized register fails to regenerate input")
     if p is None:
         connection = [Fraction(-v, c[0]) for v in c[1:]]
@@ -179,12 +163,6 @@ def lfsr_generate(connection, seed, n: int, field=RATIONAL) -> list:
     return out
 
 
-def _integer_row(row) -> list[int]:
-    """A rational row scaled by the lcm of its denominators: same solution set."""
-    scale = lcm(*[v.denominator for v in row])
-    return [v.numerator * (scale // v.denominator) for v in row]
-
-
 def bruteforce_min_lfsr(sample: SequenceSample, max_order: int) -> LinearComplexityResult | None:
     """Smallest register length by exhaustive exact solves, or None above the bound.
 
@@ -208,8 +186,7 @@ def bruteforce_min_lfsr(sample: SequenceSample, max_order: int) -> LinearComplex
             return LinearComplexityResult(
                 length=order, connection=connection, field=sample.field
             )
-        if p is None:
-            rows = [_integer_row(row) for row in rows]
+        rows = [scale_to_integers(row)[1] for row in rows]  # residues pass unchanged
         solution, _, _ = solve_int_with_ranks(
             [row[:-1] for row in rows], [row[-1] for row in rows], modulus=p
         )

@@ -15,7 +15,9 @@ from __future__ import annotations
 from cmath import exp as cexp
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, pi
+from math import pi
+
+from .linalg_exact import scale_to_integers
 
 HALF = Fraction(1, 2)
 
@@ -86,11 +88,10 @@ class RootSum:
         """Exact zero test by reduction modulo a cyclotomic polynomial."""
         if not self.terms:
             return True
-        n = lcm(*[t.denominator for t in self.terms])
+        n, powers = scale_to_integers(self.terms)  # turn t is the power t * n
         if n == 1:
             return False  # a single nonzero multiple of 1
-        scale = lcm(*[c.denominator for c in self.terms.values()])
         coeffs = [0] * n
-        for t, c in self.terms.items():
-            coeffs[int(t * n)] += int(c * scale)
+        for k, c in zip(powers, scale_to_integers(self.terms.values())[1]):
+            coeffs[k] += c
         return not any(_poly_divmod(coeffs, cyclotomic_poly(n))[1])

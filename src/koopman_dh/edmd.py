@@ -7,6 +7,10 @@ is one integer solve on the package's elimination engine: with C a column
 basis of Z, A = Y C^T where (C^T Z)(C^T Z)^T Y^T = (C^T Z) Z_plus^T. That is
 the unique least-squares solution when Z has full row rank and the
 minimum-Frobenius-norm one, Z_plus Z^+, otherwise.
+
+Data enters as a raw integer sequence, an orbit as its values. Predictions
+A^k z_0 = z_k are checked as one-step integer identities on the data's own
+windows; only the under-parameterized error iterates A, in Fractions.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import ModTrajectory
 from .lifting import CompanionSystem
 from .linalg_exact import (
     IntegerEchelon,
+    annihilates,
     frobenius_sq,
     matmul,
     rank_int,
+    scale_to_integers,
     transpose,
 )
 from .serialize import frac_json, frac_matrix_json
@@ -59,12 +64,6 @@ def dataset_from_values(values, q: int, n: int) -> EdmdDataset:
     z = tuple(zip(*cols[:n]))
     z_plus = tuple(zip(*cols[1 : n + 1]))
     return EdmdDataset(q=q, n=n, z=z, z_plus=z_plus, rank_z=rank_int(z))
-
-
-def build_dataset(traj: ModTrajectory, q: int, n: int) -> EdmdDataset:
-    """Snapshot matrices from a trajectory, extending by periodicity if needed."""
-    values = [traj.value_at(i) for i in range(n + q + 1)]
-    return dataset_from_values(values, q, n)
 
 
 class RankLawViolation(RuntimeError):
@@ -159,18 +158,6 @@ class OperatorComparison:
 
     entrywise_equal: bool
     prediction_equivalent: bool
-    horizon: int
-
-
-def compare_operators(
-    fitted: FittedOperator,
-    analytic: CompanionSystem,
-    traj: ModTrajectory,
-    horizon: int,
-) -> OperatorComparison:
-    """Entrywise equality plus exact predictions A^k z_0 = z_k up to the horizon."""
-    values = [traj.value_at(i) for i in range(horizon + analytic.q + 1)]
-    return compare_on_values(fitted, analytic, values, horizon)
 
 
 def compare_on_values(
@@ -179,7 +166,12 @@ def compare_on_values(
     values,
     horizon: int,
 ) -> OperatorComparison:
-    """compare_operators on a raw integer sequence, z_k = (values[k], ..., values[k+q])."""
+    """Entrywise equality, and exact predictions A^k z_0 = z_k for k <= horizon.
+
+    z_k = (values[k], ..., values[k+q]). The predictions hold exactly when
+    A z_k = z_{k+1} for every k < horizon (induction), so each row A_i = N_i / d_i
+    is checked as the integer identity N_i z_k = d_i z_{k+1,i} on all windows.
+    """
     if fitted.dimension != analytic.dimension:
         raise ValueError(
             f"dimension mismatch: fitted {fitted.dimension}, analytic {analytic.dimension}"
@@ -189,17 +181,16 @@ def compare_on_values(
         raise ValueError(
             f"insufficient data: {len(values)} values cannot reach step {horizon} at order {q}"
         )
-    entrywise = [list(map(Fraction, row)) for row in fitted.a_hat] == analytic.matrix
-    z = [Fraction(v) for v in values[: q + 1]]
+    data = values[: horizon + q + 1]
     prediction = True
-    for k in range(1, horizon + 1):
-        z = [sum(a * v for a, v in zip(row, z)) for row in fitted.a_hat]
-        if z != [Fraction(v) for v in values[k : k + q + 1]]:
-            prediction = False
+    for i, row in enumerate(fitted.a_hat):
+        den, coeffs = scale_to_integers((*row, 0))
+        coeffs[i + 1] -= den
+        prediction = annihilates(coeffs, data)
+        if not prediction:
             break
-    return OperatorComparison(
-        entrywise_equal=entrywise, prediction_equivalent=prediction, horizon=horizon
-    )
+    entrywise = [list(row) for row in fitted.a_hat] == analytic.matrix
+    return OperatorComparison(entrywise_equal=entrywise, prediction_equivalent=prediction)
 
 
 @dataclass(frozen=True)
@@ -208,21 +199,6 @@ class UnderparameterizedFit:
 
     operator: FittedOperator
     max_state_error: Fraction
-    horizon: int
-
-
-def edmd_underparameterized(traj: ModTrajectory, q: int, n: int) -> UnderparameterizedFit:
-    """Fit below the closing order; the exact residual is necessarily nonzero.
-
-    The prediction error is quantified over one period as the largest
-    absolute deviation of the predicted first component from the true state.
-    """
-    q_tilde = traj.params.q_tilde
-    if q >= q_tilde:
-        raise ValueError(f"q={q} is not under-parameterized; closing order is {q_tilde}")
-    period = traj.params.period
-    values = [traj.value_at(i) for i in range(max(n + q, period) + 1)]
-    return underparameterized_from_values(values, q, n, horizon=period)
 
 
 def underparameterized_from_values(values, q: int, n: int, horizon: int) -> UnderparameterizedFit:
@@ -239,7 +215,7 @@ def underparameterized_from_values(values, q: int, n: int, horizon: int) -> Unde
     for k in range(1, horizon + 1):
         z = [sum(a * v for a, v in zip(row, z)) for row in fitted.a_hat]
         worst = max(worst, abs(z[0] - values[k]))
-    return UnderparameterizedFit(operator=fitted, max_state_error=worst, horizon=horizon)
+    return UnderparameterizedFit(operator=fitted, max_state_error=worst)
 
 
 def operator_to_json(fitted: FittedOperator) -> dict:

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cyclotomic import cyclotomic_poly, cyclotomic_remainder
 from .dynamics import DhParams, ModTrajectory, full_period_trajectory
-from .linalg_exact import solve_int_with_ranks
+from .linalg_exact import annihilates, scale_to_integers, solve_int_with_ranks
 
 def companion_matrix(alpha) -> list[list[Fraction]]:
     """Companion matrix with sub-diagonal shift and alpha as the last row."""
@@ -118,16 +117,8 @@ def verify_closing(traj: ModTrajectory, alpha) -> bool:
     by the lcm of its denominators, so the comparison runs in integers.
     """
     q = len(alpha) - 1
-    alpha = [Fraction(a) for a in alpha]
-    den = lcm(*[a.denominator for a in alpha])
-    period = traj.params.period
-    ext = _windows(traj, q)
-    rhs = [0] * period
-    for j, a in enumerate(alpha):
-        if a:
-            num = a.numerator * (den // a.denominator)
-            rhs = [r + num * v for r, v in zip(rhs, ext[j : j + period])]
-    return rhs == [den * v for v in ext[q + 1 : q + 1 + period]]
+    den, nums = scale_to_integers([Fraction(a) for a in alpha])
+    return annihilates(nums + [-den], _windows(traj, q)[: traj.params.period + q + 1])
 
 
 @dataclass(frozen=True)

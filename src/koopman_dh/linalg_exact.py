@@ -5,8 +5,8 @@
 when it is given a prime modulus. Every rank decision, solvability test and
 solve in the package runs through it: no floating point, so rank(...) == k
 is a theorem about the input, not a tolerance call. Back-substitution gives
-exact Fractions over the rationals and residues over GF(p); rational systems
-enter the engine after each row is scaled to integers.
+exact Fractions over the rationals and residues over GF(p); rationals enter
+as integers through scale_to_integers, and identities are checked by annihilates.
 """
 
 from __future__ import annotations
@@ -90,6 +90,25 @@ class IntegerEchelon:
                 nums[col] = [a * inv % p for a in acc]
         d = lcm(*dens)
         return d, [[a * (d // dj) for a in row] for row, dj in zip(nums, dens)]
+
+
+def scale_to_integers(values) -> tuple[int, list[int]]:
+    """(d, [d * v]) with d the lcm of the denominators of rationals v (ints or Fractions)."""
+    den = lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def annihilates(coeffs, seq, modulus: int | None = None) -> bool:
+    """Whether sum_j coeffs_j seq_{k+j} = 0 (mod modulus) for every window k of seq.
+
+    Integer coefficients, oldest first, summed column by column over all windows.
+    """
+    windows = len(seq) - len(coeffs) + 1
+    acc = [0] * windows
+    for j, c in enumerate(coeffs):
+        if c:
+            acc = [a + c * v for a, v in zip(acc, seq[j : j + windows])]
+    return not any(acc if modulus is None else [a % modulus for a in acc])
 
 
 def rank_int(rows) -> int:

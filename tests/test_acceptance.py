@@ -26,7 +26,7 @@ from koopman_dh.dynamics import (
     shared_secret_intersection,
     simulate,
 )
-from koopman_dh.edmd import build_dataset, compare_operators, edmd_fit
+from koopman_dh.edmd import compare_on_values, dataset_from_values, edmd_fit
 from koopman_dh.lifting import (
     CompanionSystem,
     additive_complex_lift,
@@ -128,17 +128,17 @@ def test_criterion_5_edmd_exactness():
         params = DhParams.with_smallest_root(p)
         traj = full_period_trajectory(params)
         qt = params.q_tilde
-        fitted = edmd_fit(build_dataset(traj, qt, qt + 1))
+        horizon = 2 * (p - 1)
+        values = [traj.value_at(i) for i in range(horizon + p - 1)]
+        fitted = edmd_fit(dataset_from_values(values, qt, qt + 1))
         assert fitted.residual_sq == 0, p
         analytic = CompanionSystem(q=qt, alpha=canonical_alpha(p, qt))
-        comparison = compare_operators(fitted, analytic, traj, horizon=2 * (p - 1))
+        comparison = compare_on_values(fitted, analytic, values, horizon)
         assert comparison.entrywise_equal and comparison.prediction_equivalent, p
 
-        full = edmd_fit(build_dataset(traj, p - 2, qt + 1))
+        full = edmd_fit(dataset_from_values(values, p - 2, qt + 1))
         assert full.residual_sq == 0, p
-        comparison_full = compare_operators(
-            full, full_period_system(params), traj, horizon=2 * (p - 1)
-        )
+        comparison_full = compare_on_values(full, full_period_system(params), values, horizon)
         assert comparison_full.prediction_equivalent, p
         entrywise_at_full.append(comparison_full.entrywise_equal)
     observed = sum(entrywise_at_full)
@@ -157,12 +157,13 @@ def test_criterion_6_rank_law():
         params = DhParams.with_smallest_root(p)
         traj = full_period_trajectory(params)
         qt = params.q_tilde
+        values = [traj.value_at(i) for i in range(2 * (p - 1))]
         for q in range(qt, p - 1):
-            ds = build_dataset(traj, q, qt + 1)
+            ds = dataset_from_values(values, q, qt + 1)
             assert ds.rank_z == qt + 1, (p, q, ds.rank_z)
             cases += 1
         for q in (0, qt // 2, qt - 1):
-            ds = build_dataset(traj, q, p - 1)
+            ds = dataset_from_values(values, q, p - 1)
             assert ds.rank_z <= qt + 1, (p, q)
     print(f"PASS criterion 6: exact rank law on {cases} (p, q) cases up to p=61")
 

@@ -76,6 +76,30 @@ class TestVerifyTheorem:
         report = run_json(capsys, "verify-theorem", "--primes", "7", "--generators", "all")
         assert [(r["p"], r["m"]) for r in report["rows"]] == [(7, 3), (7, 5)]
 
+    @pytest.mark.parametrize("primes", ["", "9..8", "8..10"])
+    def test_primes_selecting_nothing_exit_2(self, capsys, primes):
+        code, out, err = run(capsys, "verify-theorem", "--primes", primes)
+        assert code == 2
+        assert out == ""
+        assert "--primes" in err
+
+    def test_non_prime_only_is_skipped(self, capsys):
+        report = run_json(capsys, "verify-theorem", "--primes", "4")
+        assert report["rows"] == []
+        assert report["skipped"] == [{"p": 4, "reason": "not prime"}]
+
+    def test_out_in_missing_directory_exit_2_before_work(self, capsys, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the work ran before the report path was checked")
+
+        monkeypatch.setattr("koopman_dh.cli.minimal_lifting_dimension", fail)
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "verify-theorem", "--primes", "5..199", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"cannot write report {path}: [Errno 2] No such file or directory" in err
+        assert not path.parent.exists()
+
 
 class TestRecover:
     def test_example_c4(self, capsys):
@@ -259,6 +283,17 @@ class TestComplexity:
         report = run_json(capsys, "complexity", "--sequence", str(path))
         assert report["complexity_rational"] == 3
 
+    @pytest.mark.parametrize("field_prime", ["0", "4", "-7"])
+    def test_field_prime_not_prime_exit_2(self, capsys, tmp_path, field_prime):
+        path = tmp_path / "seq.csv"
+        path.write_text("0\n1\n2\n0\n1\n2\n")
+        code, out, err = run(
+            capsys, "complexity", "--sequence", str(path), "--field-prime", field_prime
+        )
+        assert code == 2
+        assert out == ""
+        assert "must be prime" in err
+
     def test_malformed_json_sequence_exit_3(self, capsys, tmp_path):
         path = tmp_path / "seq.json"
         path.write_text('{"not": "a list"}')
@@ -350,6 +385,14 @@ class TestSweep:
             {"primes": [5], "q_policy": "foo"},
             {"primes": [5], "generators": [None]},
             {"primes": [5], "exponent_sweep": {"sample": None}},
+            {"primes": [5.5]},
+            {"primes": ["7"]},
+            {"primes": ["x"]},
+            {"primes": [True]},
+            {"primes": []},
+            {"primes": [5], "seed": "abc"},
+            {"primes": [5], "seed": 2.9},
+            {"primes": [5], "seed": True},
         ],
     )
     def test_malformed_config_shape_exit_3(self, capsys, tmp_path, monkeypatch, config):
@@ -359,7 +402,8 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(path))
         assert code == 3
         assert str(path) in err
-        assert all(f"'{key}'" in err for key in config if key != "primes")
+        named = [key for key in config if key != "primes"] or ["primes"]
+        assert all(f"'{key}'" in err for key in named)
 
     def test_non_string_output_path_exit_3(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -368,7 +412,12 @@ class TestSweep:
         assert code == 3
         assert "'output.path'" in err
 
-    def test_output_path_in_missing_directory_exit_2(self, capsys, tmp_path):
+    def test_output_path_in_missing_directory_exit_2(self, capsys, tmp_path, monkeypatch):
+        def fail(cfg):
+            raise AssertionError("the sweep ran before the report path was checked")
+
+        monkeypatch.setattr("koopman_dh.cli.run_sweep", fail)
+        monkeypatch.delenv("KOOPMAN_DH_OUT_DIR", raising=False)
         cfg_path, _ = self.write_config(tmp_path)
         cfg = json.loads(cfg_path.read_text())
         cfg["output"]["path"] = str(tmp_path / "missing" / "report.json")
@@ -376,7 +425,14 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
         assert code == 2
         assert out == ""
-        assert cfg["output"]["path"] in err
+        assert f"cannot write report {cfg['output']['path']}: [Errno 2]" in err
+        assert not (tmp_path / "missing").exists()
+        # the same for a missing $KOOPMAN_DH_OUT_DIR
+        monkeypatch.setenv("KOOPMAN_DH_OUT_DIR", str(tmp_path / "gone"))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert str(tmp_path / "gone" / "report.json") in err
 
     def test_invalid_prime_exit_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

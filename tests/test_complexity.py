@@ -135,17 +135,17 @@ class TestAgainstFractionOracle:
         assert result.connection[-1] == 2
 
     def test_failed_recurrence_check_raises(self, monkeypatch):
-        monkeypatch.setattr(complexity, "_annihilates", lambda c, s, p: False)
+        monkeypatch.setattr(complexity, "annihilates", lambda c, s, p: False)
         with pytest.raises(RuntimeError, match="fails to regenerate"):
             berlekamp_massey(SequenceSample(terms=two_periods(7, 3)))
 
     def test_recurrence_check_rejects_a_wrong_register(self):
-        # C = (1, -1) says s_k = s_{k-1}
-        assert complexity._annihilates([1, -1], [5, 5, 5], None)
-        assert not complexity._annihilates([1, -1], [5, 5, 6], None)
-        assert not complexity._annihilates([1, -1], [5, 6, 6], None)  # k = L counts
-        assert complexity._annihilates([1, -1], [5, 5, 12], 7)
-        assert not complexity._annihilates([1, -1], [5, 5, 12], 5)
+        # C = (1, -1) says s_k = s_{k-1}; the check takes it oldest first
+        assert complexity.annihilates([-1, 1], [5, 5, 5], None)
+        assert not complexity.annihilates([-1, 1], [5, 5, 6], None)
+        assert not complexity.annihilates([-1, 1], [5, 6, 6], None)  # the first window counts
+        assert complexity.annihilates([-1, 1], [5, 5, 12], 7)
+        assert not complexity.annihilates([-1, 1], [5, 5, 12], 5)
 
 
 class TestLfsrGenerate:

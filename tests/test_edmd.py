@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edmd_oracle import prediction_prefix
 from field_oracle import pinv
 from koopman_dh.dynamics import DhParams, full_period_trajectory
 from koopman_dh.edmd import (
     EdmdDataset,
-    build_dataset,
     check_assumption,
-    compare_operators,
+    compare_on_values,
     dataset_from_values,
     edmd_fit,
-    edmd_underparameterized,
     operator_to_json,
+    underparameterized_from_values,
 )
 from koopman_dh.lifting import (
     CompanionSystem,
@@ -30,21 +30,25 @@ P5 = DhParams(5, 2)
 P7 = DhParams(7, 3)
 
 
+def orbit(traj, count):
+    return [traj.value_at(i) for i in range(count)]
+
+
 class TestDataset:
     def test_rank_examples(self):
         traj = full_period_trajectory(P7)
-        assert build_dataset(traj, 3, 7).rank_z == 4
-        assert build_dataset(traj, 3, 2).rank_z == 2
-        assert build_dataset(full_period_trajectory(P5), 4, 6).rank_z == 3
+        assert dataset_from_values(orbit(traj, 11), 3, 7).rank_z == 4
+        assert dataset_from_values(orbit(traj, 6), 3, 2).rank_z == 2
+        assert dataset_from_values(orbit(full_period_trajectory(P5), 11), 4, 6).rank_z == 3
 
     def test_shift_consistency(self):
-        ds = build_dataset(full_period_trajectory(P7), 3, 7)
+        ds = dataset_from_values(orbit(full_period_trajectory(P7), 11), 3, 7)
         for k in range(ds.n - 1):
             assert [row[k + 1] for row in ds.z] == [row[k] for row in ds.z_plus]
 
     def test_columns_are_lifts(self):
         traj = full_period_trajectory(P7)
-        ds = build_dataset(traj, 3, 7)
+        ds = dataset_from_values(orbit(traj, 11), 3, 7)
         for k in range(ds.n):
             assert tuple(row[k] for row in ds.z) == lift_shift(traj, 3, k)
             assert tuple(row[k] for row in ds.z_plus) == lift_shift(traj, 3, k + 1)
@@ -58,24 +62,24 @@ class TestDataset:
         params = DhParams.with_smallest_root(p)
         traj = full_period_trajectory(params)
         for q in range(0, p - 1):
-            ds = build_dataset(traj, q, p - 1)
+            ds = dataset_from_values(orbit(traj, p + q), q, p - 1)
             assert ds.rank_z <= params.q_tilde + 1
 
 
 class TestAssumption:
     def test_examples(self):
         traj = full_period_trajectory(P7)
-        ds = build_dataset(traj, 3, 7)
+        ds = dataset_from_values(orbit(traj, 11), 3, 7)
         assert check_assumption(ds, 7) is True
         assert ds.rank_z == 4
-        assert check_assumption(build_dataset(traj, 3, 3), 7) is False
-        assert check_assumption(build_dataset(traj, 2, 10), 7) is False
+        assert check_assumption(dataset_from_values(orbit(traj, 7), 3, 3), 7) is False
+        assert check_assumption(dataset_from_values(orbit(traj, 13), 2, 10), 7) is False
 
 
 class TestFit:
     def test_exact_fit_p7(self):
         traj = full_period_trajectory(P7)
-        fit = edmd_fit(build_dataset(traj, 3, 7))
+        fit = edmd_fit(dataset_from_values(orbit(traj, 11), 3, 7))
         assert fit.fit_kind == "unique"
         assert fit.residual_sq == 0
         assert [list(r) for r in fit.a_hat] == CompanionSystem(
@@ -83,7 +87,7 @@ class TestFit:
         ).matrix
 
     def test_exact_fit_p5(self):
-        fit = edmd_fit(build_dataset(full_period_trajectory(P5), 2, 4))
+        fit = edmd_fit(dataset_from_values(orbit(full_period_trajectory(P5), 7), 2, 4))
         assert fit.residual_sq == 0
         assert [list(r) for r in fit.a_hat] == CompanionSystem(
             q=2, alpha=canonical_alpha(5, 2)
@@ -98,7 +102,7 @@ class TestFit:
         # at q = p-2 the cyclic companion also solves exactly; the
         # minimum-norm solution must not exceed its Frobenius norm
         traj = full_period_trajectory(P7)
-        fit = edmd_fit(build_dataset(traj, 5, 7))
+        fit = edmd_fit(dataset_from_values(orbit(traj, 13), 5, 7))
         assert fit.fit_kind == "minimum-norm"
         assert fit.residual_sq == 0
         cyclic = full_period_system(P7).matrix
@@ -136,64 +140,111 @@ class TestFit:
 
 class TestCompare:
     def test_p7_flags(self):
-        traj = full_period_trajectory(P7)
-        fit = edmd_fit(build_dataset(traj, 3, 7))
+        values = orbit(full_period_trajectory(P7), 16)
+        fit = edmd_fit(dataset_from_values(values, 3, 7))
         canonical = CompanionSystem(q=3, alpha=canonical_alpha(7, 3))
-        comparison = compare_operators(fit, canonical, traj, horizon=12)
+        comparison = compare_on_values(fit, canonical, values, 12)
         assert comparison.entrywise_equal and comparison.prediction_equivalent
 
     def test_between_thresholds(self):
         # q_tilde < q < p-2: prediction equivalence holds; entrywise equality
         # is recorded as observed
-        traj = full_period_trajectory(P7)
-        fit = edmd_fit(build_dataset(traj, 4, 7))
+        values = orbit(full_period_trajectory(P7), 17)
+        fit = edmd_fit(dataset_from_values(values, 4, 7))
         canonical = CompanionSystem(q=4, alpha=canonical_alpha(7, 4))
-        comparison = compare_operators(fit, canonical, traj, horizon=12)
+        comparison = compare_on_values(fit, canonical, values, 12)
         assert comparison.prediction_equivalent
         assert isinstance(comparison.entrywise_equal, bool)
 
     def test_identical_inputs(self):
-        traj = full_period_trajectory(P5)
-        fit = edmd_fit(build_dataset(traj, 2, 4))
+        values = orbit(full_period_trajectory(P5), 11)
+        fit = edmd_fit(dataset_from_values(values, 2, 4))
         canonical = CompanionSystem(q=2, alpha=canonical_alpha(5, 2))
-        comparison = compare_operators(fit, canonical, traj, horizon=8)
+        comparison = compare_on_values(fit, canonical, values, 8)
         assert comparison.entrywise_equal and comparison.prediction_equivalent
 
     def test_dimension_mismatch(self):
-        traj = full_period_trajectory(P5)
-        fit = edmd_fit(build_dataset(traj, 2, 4))
+        values = orbit(full_period_trajectory(P5), 8)
+        fit = edmd_fit(dataset_from_values(values, 2, 4))
         with pytest.raises(ValueError):
-            compare_operators(fit, full_period_system(P5), traj, horizon=4)
+            compare_on_values(fit, full_period_system(P5), values, 4)
+
+    def test_insufficient_data(self):
+        values = orbit(full_period_trajectory(P5), 7)
+        fit = edmd_fit(dataset_from_values(values, 2, 4))
+        canonical = CompanionSystem(q=2, alpha=canonical_alpha(5, 2))
+        with pytest.raises(ValueError, match="cannot reach step 5"):
+            compare_on_values(fit, canonical, values, 5)
+
+
+class TestPredictionOracle:
+    """compare_on_values checks one-step integer identities on the data's
+    windows; the oracle iterates A^k z_0 in Fractions."""
+
+    @staticmethod
+    def fits(p):
+        # the unique fit at q = (p-1)/2 and the minimum-norm one at q = p-2,
+        # each from (p-1)/2 + 1 pairs, with data for two periods of predictions
+        params = DhParams.with_smallest_root(p)
+        top = 2 * (p - 1)
+        values = orbit(full_period_trajectory(params), top + p - 1)
+        for q in (params.q_tilde, p - 2):
+            fit = edmd_fit(dataset_from_values(values, q, params.q_tilde + 1))
+            analytic = CompanionSystem(q=q, alpha=canonical_alpha(p, q))
+            yield fit, analytic, values[: top + q + 1], top
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+    def test_orbit_fits_at_every_horizon(self, p):
+        for fit, analytic, values, top in self.fits(p):
+            prefix = prediction_prefix(fit.a_hat, values, top)
+            assert prefix == top
+            for horizon in range(top + 1):
+                comparison = compare_on_values(fit, analytic, values, horizon)
+                assert comparison.prediction_equivalent == (prefix >= horizon)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_one_altered_value_at_every_index(self, p):
+        # altering values[i], i > q, first breaks step i - q, so the first
+        # failing step runs through 1..top, the first and last window included
+        for fit, analytic, values, top in self.fits(p):
+            prefixes = set()
+            for i in range(len(values)):
+                altered = list(values)
+                altered[i] += 1
+                prefix = prediction_prefix(fit.a_hat, altered, top)
+                prefixes.add(prefix)
+                for horizon in range(top + 1):
+                    comparison = compare_on_values(fit, analytic, altered, horizon)
+                    assert comparison.prediction_equivalent == (prefix >= horizon), (i, horizon)
+            assert set(range(top)) <= prefixes
 
 
 class TestUnderparameterized:
+    # an orbit's error over one period, as the CLI reports it
     def test_p23_example(self):
-        traj = full_period_trajectory(DhParams(23, 5))
-        report = edmd_underparameterized(traj, 5, 22)
+        values = orbit(full_period_trajectory(DhParams(23, 5)), 28)
+        report = underparameterized_from_values(values, 5, 22, 22)
         assert report.operator.residual_sq > 0
         assert report.max_state_error > 0
 
     def test_p7_example(self):
-        report = edmd_underparameterized(full_period_trajectory(P7), 1, 6)
+        values = orbit(full_period_trajectory(P7), 8)
+        report = underparameterized_from_values(values, 1, 6, 6)
         assert report.operator.residual_sq > 0
-
-    def test_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            edmd_underparameterized(full_period_trajectory(P7), 3, 7)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
     def test_residual_positive_below_threshold(self, p):
         params = DhParams.with_smallest_root(p)
         traj = full_period_trajectory(params)
         for q in range(params.q_tilde):
-            report = edmd_underparameterized(traj, q, p - 1)
+            report = underparameterized_from_values(orbit(traj, p + q), q, p - 1, p - 1)
             assert report.operator.residual_sq > 0
 
     def test_optimality_spot_check(self):
         # perturbing any single entry of the fitted operator by 1/1000
         # in either direction cannot decrease the exact residual
         traj = full_period_trajectory(P7)
-        ds = build_dataset(traj, 1, 6)
+        ds = dataset_from_values(orbit(traj, 8), 1, 6)
         fit = edmd_fit(ds)
         z = [list(r) for r in ds.z]
         z_plus = [list(r) for r in ds.z_plus]

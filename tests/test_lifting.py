@@ -180,6 +180,31 @@ class TestVerifyClosing:
             alpha[j % (q + 1)] += delta
         assert verify_closing(traj, alpha) == verify_closing_fractions(traj, alpha)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        PERIODS,
+        st.integers(0, 14),
+        st.fractions(-2, 2, max_denominator=6),
+        st.lists(
+            st.tuples(st.integers(0, 14), st.fractions(-2, 2, max_denominator=6)), max_size=2
+        ),
+    )
+    def test_matches_fraction_loop_on_rational_closing_alpha(self, values, q, t, noise):
+        # for q + 1 >= N both the pure shift and the full-period Hankel
+        # solution close, so every affine combination of them does: a
+        # rational alpha that closes, unless noise breaks it
+        traj = periodic_trajectory(values)
+        n = len(values)
+        q = max(q, n - 1)
+        shift = [F(int(j == q + 1 - n)) for j in range(q + 1)]
+        solution = solve_alpha_exact(hankel_system(traj, q)).solution
+        alpha = [t * a + (1 - t) * b for a, b in zip(solution, shift)]
+        for j, delta in noise:
+            alpha[j % (q + 1)] += delta
+        if not noise:
+            assert verify_closing(traj, alpha)
+        assert verify_closing(traj, alpha) == verify_closing_fractions(traj, alpha)
+
     def test_short_trajectory_rejected(self):
         traj = full_period_trajectory(P7)
         short = type(traj)(params=P7, multiplier=3, x0=1, values=traj.values[:3])
