@@ -22,7 +22,7 @@ from koopman_dh import (
     full_period_system,
     full_period_trajectory,
 )
-from koopman_dh.edmd import compare_on_values, operator_to_json, underparameterized_from_values
+from koopman_dh.edmd import compare_on_values, max_state_error, operator_to_json
 
 params = DhParams(23, 5)
 p, q_tilde = params.p, params.q_tilde
@@ -55,9 +55,9 @@ print(f"\nq = p-2: fit kind {full.fit_kind}, residual^2 = {full.residual_sq}, "
       f"entrywise = {full_report.entrywise_equal}, prediction = {full_report.prediction_equivalent}")
 
 # Below the closing order the best exact fit still misses.
-under = underparameterized_from_values(values, 5, p - 1, horizon=p - 1)
-print(f"\nq = 5 < q~: residual^2 = {under.operator.residual_sq} > 0; "
-      f"worst one-period state error = {under.max_state_error}")
+under = edmd_fit(dataset_from_values(values, 5, p - 1))
+print(f"\nq = 5 < q~: residual^2 = {under.residual_sq} > 0; "
+      f"worst one-period state error = {max_state_error(under, values, p - 1)}")
 
 # Operators serialize losslessly (rationals as num/den string pairs).
 small = full_period_trajectory(DhParams(5, 2))

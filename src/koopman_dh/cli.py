@@ -48,8 +48,8 @@ from .edmd import (
     compare_on_values,
     dataset_from_values,
     edmd_fit,
+    max_state_error,
     operator_to_json,
-    underparameterized_from_values,
 )
 from .lifting import (
     CompanionSystem,
@@ -143,12 +143,10 @@ def _edmd_block(params: DhParams, q: int, n: int, values=None) -> tuple[dict, Fi
             raise
         block["assumption_holds"] = False
         block["note"] = f"{exc}; the data is not an orbit of x -> {params.m}x mod {params.p}"
+    fitted = edmd_fit(dataset)
     if q < params.q_tilde:
-        under = underparameterized_from_values(values, q, n, under_horizon)
-        fitted = under.operator
-        block["max_state_error"] = frac_json(under.max_state_error)
+        block["max_state_error"] = frac_json(max_state_error(fitted, values, under_horizon))
     else:
-        fitted = edmd_fit(dataset)
         analytic = CompanionSystem(q=q, alpha=canonical_alpha(params.p, q))
         comparison = compare_on_values(fitted, analytic, values, compare_horizon)
         block["entrywise_equal"] = comparison.entrywise_equal

@@ -10,7 +10,8 @@ minimum-Frobenius-norm one, Z_plus Z^+, otherwise.
 
 Data enters as a raw integer sequence, an orbit as its values. Predictions
 A^k z_0 = z_k are checked as one-step integer identities on the data's own
-windows; only the under-parameterized error iterates A, in Fractions.
+windows. Only the under-parameterized error, whose predictions leave the
+data, iterates A: on integer numerators over powers of its common denominator.
 """
 
 from __future__ import annotations
@@ -189,33 +190,40 @@ def compare_on_values(
         prediction = annihilates(coeffs, data)
         if not prediction:
             break
-    entrywise = [list(row) for row in fitted.a_hat] == analytic.matrix
+    # the companion matrix is the shift above the row alpha
+    shift = all(row.count(0) == q and row[i + 1] == 1 for i, row in enumerate(fitted.a_hat[:q]))
+    entrywise = shift and list(fitted.a_hat[q]) == list(analytic.alpha)
     return OperatorComparison(entrywise_equal=entrywise, prediction_equivalent=prediction)
 
 
-@dataclass(frozen=True)
-class UnderparameterizedFit:
-    """Least-squares fit below the closing order, with its prediction error."""
+def max_state_error(fitted: FittedOperator, values, horizon: int) -> Fraction:
+    """Largest |(A^k z_0)_0 - values[k]| over steps k = 1..horizon, z_0 = values[:q+1].
 
-    operator: FittedOperator
-    max_state_error: Fraction
-
-
-def underparameterized_from_values(values, q: int, n: int, horizon: int) -> UnderparameterizedFit:
-    """Fit n pairs of a raw integer sequence at order q, with its prediction error.
-
-    The error is the largest absolute deviation of the predicted first
-    component from values[k] over steps k = 1..horizon.
+    A = N / d over the lcm d of its denominators, so A^k z_0 = w_k / d^k with
+    w_0 = z_0 and w_{k+1} = N w_k, all in integers, and the error at step k is
+    |w_k[0] - d^k values[k]| / d^k. Zero entries of N are skipped: a fit whose
+    first q rows are the shift costs about 2q products a step.
     """
-    if len(values) <= horizon:
-        raise ValueError(f"insufficient data: {len(values)} values cannot reach step {horizon}")
-    fitted = edmd_fit(dataset_from_values(values, q, n))
-    z = [Fraction(v) for v in values[: q + 1]]
-    worst = Fraction(0)
+    dim = fitted.dimension
+    if len(values) <= max(horizon, dim - 1):
+        raise ValueError(
+            f"insufficient data: {len(values)} values cannot reach step {horizon} "
+            f"at order {dim - 1}"
+        )
+    d, flat = scale_to_integers([a for row in fitted.a_hat for a in row])
+    rows = [
+        [(j, c) for j, c in enumerate(flat[i : i + dim]) if c] for i in range(0, dim * dim, dim)
+    ]
+    w = list(values[:dim])
+    scale = 1
+    worst, worst_scale = 0, 1
     for k in range(1, horizon + 1):
-        z = [sum(a * v for a, v in zip(row, z)) for row in fitted.a_hat]
-        worst = max(worst, abs(z[0] - values[k]))
-    return UnderparameterizedFit(operator=fitted, max_state_error=worst)
+        w = [sum(c * w[j] for j, c in row) for row in rows]
+        scale *= d
+        err = abs(w[0] - scale * values[k])
+        if err * worst_scale > worst * scale:
+            worst, worst_scale = err, scale
+    return Fraction(worst, worst_scale)
 
 
 def operator_to_json(fitted: FittedOperator) -> dict:

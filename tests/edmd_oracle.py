@@ -1,9 +1,10 @@
-"""Test-only oracle for the edmd module: exact predictions by iterating the
-fitted operator in Fractions.
+"""Test-only oracle for the edmd module: predictions by iterating the fitted
+operator in Fractions.
 
 The library decides A^k z_0 = z_k through one-step integer identities on
-the data's windows; this oracle computes every power A^k z_0 itself and
-shares no step with that check.
+the data's windows, and computes the prediction error on integer numerators
+over powers of A's common denominator; this oracle computes every power
+A^k z_0 itself, in reduced Fractions, and shares no step with either.
 """
 
 from fractions import Fraction
@@ -22,3 +23,16 @@ def prediction_prefix(a_hat, values, horizon: int) -> int:
         if z != [Fraction(v) for v in values[k : k + dim]]:
             return k - 1
     return horizon
+
+
+def state_errors(a_hat, values, horizon: int) -> list[Fraction]:
+    """|(A^k z_0)_0 - values[k]| for k = 1..horizon, A^k z_0 iterated in Fractions.
+
+    The largest of the first h entries is the maximum state error at horizon h.
+    """
+    z = [Fraction(v) for v in values[: len(a_hat)]]
+    errors = []
+    for k in range(1, horizon + 1):
+        z = [sum(a * v for a, v in zip(row, z)) for row in a_hat]
+        errors.append(abs(z[0] - values[k]))
+    return errors

@@ -493,6 +493,33 @@ class TestSweep:
         assert record["edmd"]["under_parameterized"] is True
         assert record["edmd"]["residual_is_zero"] is False
 
+    def test_one_dataset_and_fit_per_edmd_block(self, capsys, tmp_path, monkeypatch):
+        # the under-parameterized error reuses the block's dataset and fit
+        from koopman_dh import edmd
+
+        calls = []
+
+        def counted(name, inner):
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+
+            return wrapper
+
+        for name in ("dataset_from_values", "edmd_fit"):
+            wrapped = counted(name, getattr(edmd, name))
+            monkeypatch.setattr(edmd, name, wrapped)
+            monkeypatch.setattr(f"koopman_dh.cli.{name}", wrapped)
+        report = run_json(capsys, "edmd", "--p", "7", "--m", "3", "--q", "1", "--n", "6")
+        assert report["under_parameterized"] is True
+        assert calls == ["dataset_from_values", "edmd_fit"]
+        calls.clear()
+        cfg_path, out_path = self.write_config(tmp_path, q_policy=1, primes=[7])
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 0
+        assert json.loads(out_path.read_text())["records"][0]["edmd"]["under_parameterized"]
+        assert calls == ["dataset_from_values", "edmd_fit"]
+
 
 class TestExitCode4:
     def test_report_is_written_before_exit_4(self, capsys, monkeypatch):

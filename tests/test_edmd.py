@@ -1,20 +1,22 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edmd_oracle import prediction_prefix
+from edmd_oracle import prediction_prefix, state_errors
 from field_oracle import pinv
 from koopman_dh.dynamics import DhParams, full_period_trajectory
 from koopman_dh.edmd import (
     EdmdDataset,
+    FittedOperator,
     check_assumption,
     compare_on_values,
     dataset_from_values,
     edmd_fit,
+    max_state_error,
     operator_to_json,
-    underparameterized_from_values,
 )
 from koopman_dh.lifting import (
     CompanionSystem,
@@ -176,6 +178,51 @@ class TestCompare:
         with pytest.raises(ValueError, match="cannot reach step 5"):
             compare_on_values(fit, canonical, values, 5)
 
+    def test_entrywise_flag_matches_matrix_comparison(self):
+        # the fits above, and a full-order one against the cyclic shift
+        cases = [(P7, 3, 16, 7), (P7, 4, 17, 7), (P5, 2, 11, 4), (P5, 3, 8, 3)]
+        flags = set()
+        for params, q, count, n in cases:
+            values = orbit(full_period_trajectory(params), count)
+            fit = edmd_fit(dataset_from_values(values, q, n))
+            analytic = CompanionSystem(q=q, alpha=canonical_alpha(params.p, q))
+            if q == params.p - 2:
+                analytic = full_period_system(params)
+            flag = compare_on_values(fit, analytic, values, 0).entrywise_equal
+            assert flag == ([list(row) for row in fit.a_hat] == analytic.matrix)
+            flags.add(flag)
+        assert flags == {True, False}
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_entrywise_flag_on_altered_data_fits(self, p):
+        # the orbit data (i = -1), then each value altered by one: altered
+        # data keeps the shift rows of the closing-order fit but moves alpha
+        params = DhParams.with_smallest_root(p)
+        n = params.q_tilde + 1
+        for q in (params.q_tilde, p - 2):
+            values = orbit(full_period_trajectory(params), n + q + 1)
+            analytic = CompanionSystem(q=q, alpha=canonical_alpha(p, q))
+            for i in range(-1, len(values)):
+                altered = list(values)
+                if i >= 0:
+                    altered[i] += 1
+                fit = edmd_fit(dataset_from_values(altered, q, n))
+                flag = compare_on_values(fit, analytic, altered, 0).entrywise_equal
+                assert flag == ([list(row) for row in fit.a_hat] == analytic.matrix), (q, i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_entrywise_flag_on_perturbed_companions(self, data):
+        q = data.draw(st.integers(0, 3))
+        small = st.builds(F, st.integers(-2, 2), st.integers(1, 2))
+        alpha = tuple(data.draw(st.lists(small, min_size=q + 1, max_size=q + 1)))
+        analytic = CompanionSystem(q=q, alpha=alpha)
+        rows = analytic.matrix
+        rows[data.draw(st.integers(0, q))][data.draw(st.integers(0, q))] += data.draw(small)
+        fit = FittedOperator(a_hat=tuple(map(tuple, rows)), residual_sq=F(0), fit_kind="unique")
+        flag = compare_on_values(fit, analytic, list(range(q + 1)), 0).entrywise_equal
+        assert flag == (rows == analytic.matrix)
+
 
 class TestPredictionOracle:
     """compare_on_values checks one-step integer identities on the data's
@@ -223,22 +270,25 @@ class TestUnderparameterized:
     # an orbit's error over one period, as the CLI reports it
     def test_p23_example(self):
         values = orbit(full_period_trajectory(DhParams(23, 5)), 28)
-        report = underparameterized_from_values(values, 5, 22, 22)
-        assert report.operator.residual_sq > 0
-        assert report.max_state_error > 0
+        fit = edmd_fit(dataset_from_values(values, 5, 22))
+        assert fit.residual_sq > 0
+        assert max_state_error(fit, values, 22) == F(
+            3746905360168635855986047, 318191741299674193671875
+        )
 
     def test_p7_example(self):
         values = orbit(full_period_trajectory(P7), 8)
-        report = underparameterized_from_values(values, 1, 6, 6)
-        assert report.operator.residual_sq > 0
+        fit = edmd_fit(dataset_from_values(values, 1, 6))
+        assert fit.residual_sq > 0
+        assert max_state_error(fit, values, 6) == F(17605, 4761)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
     def test_residual_positive_below_threshold(self, p):
         params = DhParams.with_smallest_root(p)
         traj = full_period_trajectory(params)
         for q in range(params.q_tilde):
-            report = underparameterized_from_values(orbit(traj, p + q), q, p - 1, p - 1)
-            assert report.operator.residual_sq > 0
+            fit = edmd_fit(dataset_from_values(orbit(traj, p + q), q, p - 1))
+            assert fit.residual_sq > 0
 
     def test_optimality_spot_check(self):
         # perturbing any single entry of the fitted operator by 1/1000
@@ -264,6 +314,78 @@ class TestUnderparameterized:
                     perturbed = [list(r) for r in fit.a_hat]
                     perturbed[i][j] += delta
                     assert residual_sq(perturbed) >= base
+
+
+class TestStateErrorOracle:
+    """max_state_error iterates A on integer numerators over powers of its
+    common denominator; the oracle iterates A^k z_0 in Fractions."""
+
+    @staticmethod
+    def check_every_horizon(fit, values, top):
+        errors = state_errors(fit.a_hat, values, top)
+        for horizon in range(top + 1):
+            assert max_state_error(fit, values, horizon) == max(errors[:horizon], default=0)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+    def test_orbit_fits_at_every_horizon(self, p):
+        params = DhParams.with_smallest_root(p)
+        top = 2 * (p - 1)
+        values = orbit(full_period_trajectory(params), top + 1)
+        for q in range(params.q_tilde):
+            fit = edmd_fit(dataset_from_values(values, q, p - 1))
+            self.check_every_horizon(fit, values, top)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_small_data(self, data):
+        values = data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=12))
+        q = data.draw(st.integers(0, min(3, len(values) - 2)))
+        n = data.draw(st.integers(1, len(values) - q - 1))
+        fit = edmd_fit(dataset_from_values(values, q, n))
+        self.check_every_horizon(fit, values, len(values) - 1)
+
+    @pytest.mark.parametrize(
+        "values, q",
+        [
+            ([0] * 6, 1),
+            ([1] * 8, 2),
+            ([2, -1, 2, -1, 2, -1, 2, 5], 3),
+            ([0, 0, 1, 0, 0, 1, 0, 0, 3], 3),
+        ],
+    )
+    def test_rank_deficient_fits(self, values, q):
+        fit = edmd_fit(dataset_from_values(values, q, len(values) - q - 2))
+        assert fit.fit_kind == "minimum-norm"
+        self.check_every_horizon(fit, values, len(values) - 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sets(st.builds(F, st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=3),
+        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=3, max_size=3),
+    )
+    def test_rational_recurrence_is_predicted_exactly(self, roots, weights):
+        # s_k = D^top * sum_i a_i r_i^k, D the lcm of the roots' denominators,
+        # is an integer sequence up to k = top that obeys the recurrence with
+        # the rational coefficients of prod_i (x - r_i); distinct roots give
+        # Z full row rank at order len(roots) - 1
+        roots = sorted(roots)
+        order = len(roots)
+        top = 2 * order + 4
+        scale = lcm(*[r.denominator for r in roots]) ** top
+        values = [
+            int(scale * sum(a * r**k for a, r in zip(weights, roots))) for k in range(top + 1)
+        ]
+        fit = edmd_fit(dataset_from_values(values, order - 1, top - order + 1))
+        assert fit.fit_kind == "unique" and fit.residual_sq == 0
+        assert state_errors(fit.a_hat, values, top) == [0] * top
+        assert max_state_error(fit, values, top) == 0
+
+    def test_insufficient_data(self):
+        fit = edmd_fit(dataset_from_values([1, 2, 4, 8, 16], 2, 2))
+        with pytest.raises(ValueError, match="cannot reach step 5"):
+            max_state_error(fit, [1, 2, 4, 8, 16], 5)
+        with pytest.raises(ValueError, match="cannot reach step 0 at order 2"):
+            max_state_error(fit, [1, 2], 0)
 
 
 class TestExternalInterfaces:
