@@ -318,9 +318,9 @@ def load_config(path: str) -> dict:
     exits 2. Explicit exponents must lie in [1, p-1] for every prime.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedDataError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedDataError(f"config {path} must be a JSON object")

@@ -2,69 +2,75 @@
 
 Snapshot matrices hold lifted states as columns with exact integer entries,
 so the Frobenius objective is a rational number and every claim (rank
-identities, operator equality, zero residual) is decided exactly. The fit
-is one integer solve on the package's elimination engine: with C a column
-basis of Z, A = Y C^T where (C^T Z)(C^T Z)^T Y^T = (C^T Z) Z_plus^T. That is
-the unique least-squares solution when Z has full row rank and the
-minimum-Frobenius-norm one, Z_plus Z^+, otherwise.
+identities, operator equality, zero residual) is decided exactly. A dataset
+holds the n+q+1 integers whose windows are the columns of Z and Z_plus, so
+the pair is shift-consistent by construction and every Gram entry is a
+sliding sum of those integers. The fit Z_plus Z^+ (unique under full row
+rank, of minimum Frobenius norm otherwise) is the shift above one last-row
+solve, or rows 1..q of the projector onto Z's column space above one; every
+solve runs on the package's elimination engine.
 
 Data enters as a raw integer sequence, an orbit as its values. Predictions
-A^k z_0 = z_k are checked as one-step integer identities on the data's own
-windows. Only the under-parameterized error, whose predictions leave the
-data, iterates A: on integer numerators over powers of its common denominator.
+A^k z_0 = z_k are checked as one-step integer identities on each distinct
+window of the data. Only the under-parameterized error, whose predictions
+leave the data, iterates A: on integer numerators over powers of its common
+denominator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .lifting import CompanionSystem
-from .linalg_exact import (
-    IntegerEchelon,
-    annihilates,
-    frobenius_sq,
-    matmul,
-    rank_int,
-    scale_to_integers,
-    transpose,
-)
+from .linalg_exact import IntegerEchelon, annihilates, scale_to_integers
 from .serialize import frac_json, frac_matrix_json
 
 
 @dataclass(frozen=True)
 class EdmdDataset:
-    """Shift-consistent snapshot pair: column k of z_plus lifts step k+1.
+    """n snapshot pairs at order q, windowed from the n+q+1 integers in values.
 
-    z and z_plus are (q+1) x n matrices stored as row tuples; entries are
-    exact integers taken from the source sequence.
+    Column k of Z is the window values[k..k+q] and column k of Z_plus is window
+    k+1, so rows 0..q-1 of Z_plus are rows 1..q of Z by construction. Z and
+    Z_plus are never stored: the fit works from sliding sums of the values.
     """
 
+    values: tuple[int, ...]
     q: int
-    n: int
-    z: tuple[tuple[int, ...], ...]
-    z_plus: tuple[tuple[int, ...], ...]
-    rank_z: int
+    # windows k < n independent of the windows before them: a column basis of Z
+    pivot_windows: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.q < 0:
+            raise ValueError(f"dictionary order must be nonnegative, got {self.q}")
+        if self.n < 1:
+            raise ValueError(f"need at least one snapshot pair, got n={self.n}")
+        dim, echelon, pivots = self.q + 1, IntegerEchelon(self.q + 1), []
+        for k in range(self.n):
+            if len(pivots) < dim and echelon.add_row(self.values[k : k + dim]) is not None:
+                pivots.append(k)
+        object.__setattr__(self, "pivot_windows", tuple(pivots))
+
+    @property
+    def n(self) -> int:
+        return len(self.values) - self.q - 1
+
+    @property
+    def rank_z(self) -> int:
+        return len(self.pivot_windows)
 
 
 def dataset_from_values(values, q: int, n: int) -> EdmdDataset:
-    """Build snapshot matrices from a raw integer sequence.
-
-    Column k of Z is the window (values[k], ..., values[k+q]); Z_plus shifts
-    every window one step. Needs n+q+1 values.
-    """
-    if q < 0:
-        raise ValueError(f"dictionary order must be nonnegative, got {q}")
+    """The dataset of the first n+q+1 values: n windows and their successors."""
     if n < 1:
         raise ValueError(f"need at least one snapshot pair, got n={n}")
     if len(values) < n + q + 1:
         raise ValueError(
             f"insufficient data: {len(values)} values cannot form {n} pairs at order {q}"
         )
-    cols = [tuple(values[k : k + q + 1]) for k in range(n + 1)]
-    z = tuple(zip(*cols[:n]))
-    z_plus = tuple(zip(*cols[1 : n + 1]))
-    return EdmdDataset(q=q, n=n, z=z, z_plus=z_plus, rank_z=rank_int(z))
+    return EdmdDataset(values=tuple(values[: n + q + 1]), q=q)
 
 
 class RankLawViolation(RuntimeError):
@@ -104,53 +110,86 @@ class FittedOperator:
         return len(self.a_hat)
 
 
-def edmd_fit(dataset: EdmdDataset) -> FittedOperator:
-    """Exact rational least squares for Z_plus ~ A Z, of minimum Frobenius norm.
+def _sliding_gram(v, size: int, length: int) -> list[list[int]]:
+    """G[i][l] = sum_{k < length} v[i+k] v[l+k] for i, l < size.
 
-    C is a column basis of Z: the identity under full row rank, otherwise
-    the columns of Z that an echelon of Z's columns takes as pivots. Y
-    solves the r x r integer system (C^T Z)(C^T Z)^T Y^T = (C^T Z) Z_plus^T
-    for all right-hand sides in one elimination, and A = Y C^T. The rows of
-    A lie in the column space of Z and, C^T C being invertible, A satisfies
-    the normal equations, so A is Z_plus Z^+; under full row rank that is
-    the unique solution Z_plus Z^T (Z Z^T)^-1.
+    The first row is summed directly and every other entry steps down its
+    diagonal, G[i+1][l+1] = G[i][l] - v[i] v[l] + v[i+length] v[l+length]:
+    O(size^2 + size * length) products instead of O(size^2 * length).
     """
-    if dataset.n < 1:
-        raise ValueError("empty dataset")
-    dim = dataset.q + 1
-    z = [list(r) for r in dataset.z]
-    z_plus = [list(r) for r in dataset.z_plus]
-    if dataset.rank_z == dim:
-        basis, cz = None, z
-        fit_kind = "unique"
-    else:
-        pivots = IntegerEchelon(dim)
-        basis = [col for col in transpose(z) if pivots.add_row(col) is not None]
-        cz = matmul(basis, z)
-        fit_kind = "minimum-norm"
-    r = len(cz)
-    solver = IntegerEchelon(r + dim)
-    for gram_row, rhs_row in zip(matmul(cz, transpose(cz)), matmul(cz, transpose(z_plus))):
-        solver.add_row(gram_row + rhs_row)
-    # Y^T = y_t / scale: A and its residual are built in integers
-    scale, y_t = solver.back_substitute(r)
-    if basis is None:
-        a_num = transpose(y_t)
-    else:
-        a_num = [
-            [sum(y[i] * c[j] for y, c in zip(y_t, basis)) for j in range(dim)]
-            for i in range(dim)
-        ]
-    diff = [
-        [scale * zp - az for zp, az in zip(zp_row, az_row)]
-        for zp_row, az_row in zip(z_plus, matmul(a_num, z))
-    ]
-    # rows from lists, not generators: see the free-list note in lifting.hankel_system
+    g = [[sum(map(mul, v[:length], v[l : l + length])) for l in range(size)]]
+    for i in range(1, size):
+        prev, out, enter = g[-1], v[i - 1], v[i - 1 + length]
+        g.append(
+            [g[l][i] for l in range(i)]
+            + [prev[l - 1] - out * v[l - 1] + enter * v[l - 1 + length] for l in range(i, size)]
+        )
+    return g
+
+
+def _fit_unique(dataset: EdmdDataset) -> FittedOperator:
+    # R holds the Gram sums of Z's rows and, last, Z_plus's last row s; rows
+    # 0..q-1 of the fit are the shift, and its last row a solves
+    # R[:q+1][:q+1] a = R[:q+1][q+1], which is row i of R read as [lhs | rhs]
+    q = dataset.q
+    r = _sliding_gram(dataset.values, q + 2, dataset.n)
+    solver = IntegerEchelon(q + 2)
+    for row in r[: q + 1]:
+        solver.add_row(row)
+    scale, x = solver.back_substitute(q + 1)
+    a = [num for (num,) in x]
+    zero, one = Fraction(0), Fraction(1)
+    shift = [tuple([one if j == i + 1 else zero for j in range(q + 1)]) for i in range(q)]
     return FittedOperator(
-        a_hat=tuple(tuple([Fraction(v, scale) for v in row]) for row in a_num),
-        residual_sq=frobenius_sq(diff) / (scale * scale),
-        fit_kind=fit_kind,
+        a_hat=(*shift, tuple([Fraction(num, scale) for num in a])),
+        residual_sq=Fraction(scale * r[q + 1][q + 1] - sum(map(mul, a, r[q + 1])), scale),
+        fit_kind="unique",
     )
+
+
+def _fit_minimum_norm(dataset: EdmdDataset) -> FittedOperator:
+    # C: the pivot windows, F = C^T Z their rows of the window Gram. Rows
+    # 0..q-1 of Z_plus Z^+ are rows 1..q of the projector C G_S^-1 C^T onto
+    # Z's column space (G_S = C^T C), with zero residual; the last row is
+    # y C^T where F F^T y^T = F s^T, s the last row of Z_plus
+    q, v, pivots = dataset.q, dataset.values, dataset.pivot_windows
+    dim, rank = q + 1, len(pivots)
+    gram = _sliding_gram(v, dataset.n, dim)
+    f = [gram[k] for k in pivots]
+    c = [[v[k + i] for k in pivots] for i in range(dim)]
+    solver = IntegerEchelon(rank + dim)
+    for k, row in zip(pivots, f):
+        solver.add_row([row[j] for j in pivots] + list(v[k : k + dim]))
+    d, x = solver.back_substitute(rank)
+    x_cols = [[row[l] for row in x] for l in range(dim)]
+    # the projector is symmetric: only its lower triangle is computed
+    lower = [
+        [Fraction(sum(map(mul, c[i], x_cols[l])), d) for l in range(i + 1)] for i in range(dim)
+    ]
+    shift = [tuple(lower[i] + [lower[l][i] for l in range(i + 1, dim)]) for i in range(1, dim)]
+    s = v[dim:]
+    fs = [sum(map(mul, row, s)) for row in f]
+    solver = IntegerEchelon(rank + 1)
+    for row, rhs in zip(f, fs):
+        solver.add_row([sum(map(mul, row, other)) for other in f] + [rhs])
+    e, y = solver.back_substitute(rank)
+    y = [num for (num,) in y]
+    return FittedOperator(
+        a_hat=(*shift, tuple([Fraction(sum(map(mul, y, c_row)), e) for c_row in c])),
+        residual_sq=Fraction(e * sum(map(mul, s, s)) - sum(map(mul, y, fs)), e),
+        fit_kind="minimum-norm",
+    )
+
+
+def edmd_fit(dataset: EdmdDataset) -> FittedOperator:
+    """Exact least squares for Z_plus ~ A Z: Z_plus Z^+, of minimum Frobenius norm.
+
+    Under full row rank that is the unique fit, the shift above one last-row
+    solve; otherwise rows 0..q-1 come from the projector onto Z's column space.
+    """
+    if dataset.rank_z == dataset.q + 1:
+        return _fit_unique(dataset)
+    return _fit_minimum_norm(dataset)
 
 
 @dataclass(frozen=True)
@@ -159,6 +198,17 @@ class OperatorComparison:
 
     entrywise_equal: bool
     prediction_equivalent: bool
+
+
+def _smallest_period(seq) -> int:
+    """Smallest P >= 1 with seq[k] == seq[k+P] wherever both exist (prefix function)."""
+    border = [0] * len(seq)
+    for i in range(1, len(seq)):
+        b = border[i - 1]
+        while b and seq[i] != seq[b]:
+            b = border[b - 1]
+        border[i] = b + (seq[i] == seq[b])
+    return len(seq) - (border[-1] if seq else 0)
 
 
 def compare_on_values(
@@ -171,7 +221,8 @@ def compare_on_values(
 
     z_k = (values[k], ..., values[k+q]). The predictions hold exactly when
     A z_k = z_{k+1} for every k < horizon (induction), so each row A_i = N_i / d_i
-    is checked as the integer identity N_i z_k = d_i z_{k+1,i} on all windows.
+    is checked as the integer identity N_i z_k = d_i z_{k+1,i} on every
+    distinct window: those before the smallest period of the checked values.
     """
     if fitted.dimension != analytic.dimension:
         raise ValueError(
@@ -183,6 +234,8 @@ def compare_on_values(
             f"insufficient data: {len(values)} values cannot reach step {horizon} at order {q}"
         )
     data = values[: horizon + q + 1]
+    # window k repeats window k - P, P the smallest period: the first P windows are all
+    data = data[: min(horizon, _smallest_period(data)) + q + 1]
     prediction = True
     for i, row in enumerate(fitted.a_hat):
         den, coeffs = scale_to_integers((*row, 0))

@@ -111,17 +111,6 @@ def annihilates(coeffs, seq, modulus: int | None = None) -> bool:
     return not any(acc if modulus is None else [a % modulus for a in acc])
 
 
-def rank_int(rows) -> int:
-    """Exact rank of an integer matrix."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    ech = IntegerEchelon(len(rows[0]))
-    for row in rows:
-        ech.add_row(row)
-    return ech.rank
-
-
 def solve_int_with_ranks(a_rows, b, early_abort: bool = False, modulus: int | None = None):
     """Solve the integer system A x = b exactly, over the rationals or GF(modulus).
 
@@ -149,16 +138,3 @@ def solve_int_with_ranks(a_rows, b, early_abort: bool = False, modulus: int | No
     d, x = ech.back_substitute(b_col)
     return [v if modulus else Fraction(v, d) for (v,) in x], rank_a, rank_aug
 
-
-def transpose(mat):
-    return [list(col) for col in zip(*mat)]
-
-
-def matmul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def frobenius_sq(mat) -> Fraction:
-    """Squared Frobenius norm, exact when entries are exact."""
-    return Fraction(sum(v * v for row in mat for v in row))

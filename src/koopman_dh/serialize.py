@@ -18,7 +18,7 @@ def read_integer_csv(path: str) -> list[int]:
     """Read a sequence file: one integer per line, no header."""
     values = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -29,7 +29,7 @@ def read_integer_csv(path: str) -> list[int]:
                     raise MalformedDataError(
                         f"{path}:{lineno}: expected one integer per line, got {line!r}"
                     ) from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedDataError(f"cannot read {path}: {exc}") from exc
     if not values:
         raise MalformedDataError(f"{path}: no data lines")
@@ -40,9 +40,9 @@ def read_integer_series(path: str) -> list[int]:
     """Read a sequence from CSV (one integer per line) or a JSON array."""
     if path.endswith(".json"):
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise MalformedDataError(f"cannot parse {path}: {exc}") from exc
         if not isinstance(data, list) or not data or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in data

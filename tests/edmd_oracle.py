@@ -1,13 +1,67 @@
-"""Test-only oracle for the edmd module: predictions by iterating the fitted
-operator in Fractions.
+"""Test-only oracles for the edmd module: the normal-equations fit on dense
+snapshot matrices, and predictions by iterating the fitted operator in
+Fractions.
 
-The library decides A^k z_0 = z_k through one-step integer identities on
-the data's windows, and computes the prediction error on integer numerators
-over powers of A's common denominator; this oracle computes every power
-A^k z_0 itself, in reduced Fractions, and shares no step with either.
+The library fits from sliding Gram sums of the data's windows, one last-row
+solve under full row rank and the projector onto Z's column space
+otherwise; `normal_equations_fit` builds Z and Z_plus, forms the dense Gram
+products and solves for every row at once. The library decides
+A^k z_0 = z_k through one-step integer identities on the data's windows,
+and computes the prediction error on integer numerators over powers of A's
+common denominator; `prediction_prefix` and `state_errors` compute every
+power A^k z_0 itself, in reduced Fractions, and share no step with either.
 """
 
 from fractions import Fraction
+
+from field_oracle import frobenius_sq, matmul, transpose
+from koopman_dh.edmd import FittedOperator
+from koopman_dh.linalg_exact import IntegerEchelon
+
+
+def snapshot_matrices(values, q: int, n: int):
+    """(Z, Z_plus) as (q+1) x n row lists: column k is values[k..k+q], resp. values[k+1..k+q+1]."""
+    z = [list(values[i : i + n]) for i in range(q + 1)]
+    z_plus = [list(values[i + 1 : i + 1 + n]) for i in range(q + 1)]
+    return z, z_plus
+
+
+def normal_equations_fit(z, z_plus) -> FittedOperator:
+    """Z_plus Z^+ for any snapshot pair, shift-consistent or not.
+
+    C is a column basis of Z: the identity under full row rank, otherwise
+    the columns of Z that an echelon of Z's columns takes as pivots. Y
+    solves the r x r integer system (C^T Z)(C^T Z)^T Y^T = (C^T Z) Z_plus^T
+    for all right-hand sides in one elimination, and A = Y C^T.
+    """
+    dim = len(z)
+    pivots = IntegerEchelon(dim)
+    basis = [col for col in transpose(z) if pivots.add_row(col) is not None]
+    if len(basis) == dim:
+        basis, cz, fit_kind = None, z, "unique"
+    else:
+        cz, fit_kind = matmul(basis, z), "minimum-norm"
+    r = len(cz)
+    solver = IntegerEchelon(r + dim)
+    for gram_row, rhs_row in zip(matmul(cz, transpose(cz)), matmul(cz, transpose(z_plus))):
+        solver.add_row(gram_row + rhs_row)
+    scale, y_t = solver.back_substitute(r)
+    if basis is None:
+        a_num = transpose(y_t)
+    else:
+        a_num = [
+            [sum(y[i] * c[j] for y, c in zip(y_t, basis)) for j in range(dim)]
+            for i in range(dim)
+        ]
+    diff = [
+        [scale * zp - az for zp, az in zip(zp_row, az_row)]
+        for zp_row, az_row in zip(z_plus, matmul(a_num, z))
+    ]
+    return FittedOperator(
+        a_hat=tuple(tuple(Fraction(v, scale) for v in row) for row in a_num),
+        residual_sq=frobenius_sq(diff) / (scale * scale),
+        fit_kind=fit_kind,
+    )
 
 
 def prediction_prefix(a_hat, values, horizon: int) -> int:

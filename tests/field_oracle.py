@@ -1,15 +1,27 @@
 """Test-only oracle: textbook Gauss-Jordan over Q or GF(p).
 
 A second route, independent of the package's fraction-free integer engine:
-reduced row echelon form with one division per pivot, the inverse by
-reducing [M | I], and the Moore-Penrose pseudo-inverse from the full-rank
-factorization A = C F (C the pivot columns of A, F the nonzero rows of its
-RREF), pinv(A) = F^T (F F^T)^-1 (C^T C)^-1 C^T.
+dense products, reduced row echelon form with one division per pivot, the
+inverse by reducing [M | I], and the Moore-Penrose pseudo-inverse from the
+full-rank factorization A = C F (C the pivot columns of A, F the nonzero
+rows of its RREF), pinv(A) = F^T (F F^T)^-1 (C^T C)^-1 C^T.
 """
 
 from fractions import Fraction
 
-from koopman_dh.linalg_exact import matmul, transpose
+
+def transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+def matmul(a, b):
+    bt = transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def frobenius_sq(mat) -> Fraction:
+    """Squared Frobenius norm, exact when entries are exact."""
+    return Fraction(sum(v * v for row in mat for v in row))
 
 
 def rref(mat, p=None):

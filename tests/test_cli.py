@@ -242,6 +242,15 @@ class TestEdmd:
         assert code == 3
         assert "integer" in err
 
+    def test_undecodable_data_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1\n\xff\n")
+        code, _, err = run(
+            capsys, "edmd", "--p", "7", "--m", "3", "--q", "3", "--data", str(path)
+        )
+        assert code == 3
+        assert str(path) in err
+
     def test_data_too_short_exit_3(self, capsys, tmp_path):
         # q + 1 = 4 values fill one window but leave no successor for it
         path = tmp_path / "short.csv"
@@ -299,6 +308,14 @@ class TestComplexity:
         path.write_text('{"not": "a list"}')
         code, _, _ = run(capsys, "complexity", "--sequence", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize("name", ["seq.csv", "seq.json"])
+    def test_undecodable_sequence_exit_3(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"[1, \xff]" if name.endswith(".json") else b"1\n\xff\n")
+        code, _, err = run(capsys, "complexity", "--sequence", str(path))
+        assert code == 3
+        assert str(path) in err
 
     def test_requires_one_source(self, capsys):
         code, _, _ = run(capsys, "complexity")
@@ -404,6 +421,13 @@ class TestSweep:
         assert str(path) in err
         named = [key for key in config if key != "primes"] or ["primes"]
         assert all(f"'{key}'" in err for key in named)
+
+    def test_undecodable_config_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"primes": [5], "seed": "\xff"}')
+        code, _, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 3
+        assert str(path) in err
 
     def test_non_string_output_path_exit_3(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edmd_oracle import prediction_prefix, state_errors
-from field_oracle import pinv
+from conftest import PRIMES_TO_61
+from edmd_oracle import (
+    normal_equations_fit,
+    prediction_prefix,
+    snapshot_matrices,
+    state_errors,
+)
+from field_oracle import frobenius_sq, matmul, pinv, rref
 from koopman_dh.dynamics import DhParams, full_period_trajectory
 from koopman_dh.edmd import (
     EdmdDataset,
     FittedOperator,
+    _sliding_gram,
+    _smallest_period,
     check_assumption,
     compare_on_values,
     dataset_from_values,
@@ -24,7 +32,6 @@ from koopman_dh.lifting import (
     full_period_system,
     lift_shift,
 )
-from koopman_dh.linalg_exact import frobenius_sq, matmul, rank_int
 from koopman_dh.serialize import MalformedDataError, read_integer_csv
 
 F = Fraction
@@ -44,16 +51,40 @@ class TestDataset:
         assert dataset_from_values(orbit(full_period_trajectory(P5), 11), 4, 6).rank_z == 3
 
     def test_shift_consistency(self):
-        ds = dataset_from_values(orbit(full_period_trajectory(P7), 11), 3, 7)
+        # the dataset holds the n+q+1 values it windows, so rows 0..q-1 of
+        # Z_plus are rows 1..q of Z
+        values = orbit(full_period_trajectory(P7), 16)
+        ds = dataset_from_values(values, 3, 7)
+        assert ds.values == tuple(values[:11]) and (ds.q, ds.n) == (3, 7)
+        z, z_plus = snapshot_matrices(ds.values, ds.q, ds.n)
+        assert z_plus[:-1] == z[1:]
         for k in range(ds.n - 1):
-            assert [row[k + 1] for row in ds.z] == [row[k] for row in ds.z_plus]
+            assert [row[k + 1] for row in z] == [row[k] for row in z_plus]
 
     def test_columns_are_lifts(self):
         traj = full_period_trajectory(P7)
         ds = dataset_from_values(orbit(traj, 11), 3, 7)
+        z, z_plus = snapshot_matrices(ds.values, ds.q, ds.n)
         for k in range(ds.n):
-            assert tuple(row[k] for row in ds.z) == lift_shift(traj, 3, k)
-            assert tuple(row[k] for row in ds.z_plus) == lift_shift(traj, 3, k + 1)
+            assert tuple(row[k] for row in z) == lift_shift(traj, 3, k)
+            assert tuple(row[k] for row in z_plus) == lift_shift(traj, 3, k + 1)
+
+    def test_pivot_windows_are_a_column_basis(self):
+        # windows (1, 2), (2, 4), (4, 8), (8, 3): the middle two are multiples of the first
+        ds = dataset_from_values([1, 2, 4, 8, 3, 6], 1, 4)
+        assert ds.pivot_windows == (0, 3) and ds.rank_z == 2
+        ds = dataset_from_values([0, 0, 1, 0, 0, 1, 0], 2, 4)
+        assert ds.pivot_windows == (0, 1, 2)
+        assert dataset_from_values([0] * 5, 1, 3).pivot_windows == ()
+        assert dataset_from_values([1, 1, 1, 2, 2], 1, 3).pivot_windows == (0, 2)
+
+    def test_refuses_what_it_cannot_window(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            EdmdDataset(values=(1, 2, 3), q=-1)
+        with pytest.raises(ValueError, match="at least one snapshot pair"):
+            EdmdDataset(values=(1, 2, 3), q=2)
+        with pytest.raises(ValueError, match="at least one snapshot pair"):
+            dataset_from_values([1, 2, 3, 4], 1, 0)
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError):
@@ -110,34 +141,90 @@ class TestFit:
         cyclic = full_period_system(P7).matrix
         assert frobenius_sq([list(r) for r in fit.a_hat]) <= frobenius_sq(cyclic)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=12), st.data())
+    def test_sliding_gram_is_the_direct_sum(self, values, data):
+        length = data.draw(st.integers(1, len(values)))
+        size = len(values) - length + 1
+        assert _sliding_gram(values, size, length) == [
+            [sum(values[i + k] * values[l + k] for k in range(length)) for l in range(size)]
+            for i in range(size)
+        ]
+
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(1, 4).flatmap(
-            lambda dim: st.integers(1, 5).flatmap(
-                lambda n: st.lists(
-                    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                    min_size=2 * dim,
-                    max_size=2 * dim,
+        st.integers(0, 3).flatmap(
+            lambda q: st.integers(1, 5).flatmap(
+                lambda n: st.tuples(
+                    st.lists(st.integers(-2, 2), min_size=n + q + 1, max_size=n + q + 1),
+                    st.just(q),
+                    st.just(n),
                 )
             )
         )
     )
-    def test_matches_pseudo_inverse_oracle(self, rows):
-        # dual route: one integer solve vs Z_plus pinv(Z) by Gauss-Jordan, on
-        # any data: full rank or not, consistent or not
-        dim = len(rows) // 2
-        z, z_plus = rows[:dim], rows[dim:]
-        ds = EdmdDataset(
-            q=dim - 1, n=len(z[0]), z=z, z_plus=z_plus, rank_z=rank_int(z)
-        )
-        fit = edmd_fit(ds)
-        want = matmul(z_plus, pinv(z))
-        assert [list(r) for r in fit.a_hat] == want
-        assert fit.fit_kind == ("unique" if ds.rank_z == dim else "minimum-norm")
-        residual = [
-            [zp - v for zp, v in zip(zr, ar)] for zr, ar in zip(z_plus, matmul(want, z))
+    def test_matches_pseudo_inverse_oracle(self, case):
+        # every snapshot pair windows one integer sequence: full rank or not,
+        # zero residual or not, both routes agree on it
+        check_against_oracles(*case)
+
+    @pytest.mark.parametrize(
+        "values, q, kind, exact",
+        [
+            ([1, 2, 4, 8, 16, 32], 0, "unique", True),
+            ([1, 3, 2, 6, 4, 5, 1, 3], 1, "unique", False),
+            ([1, 3, 2, 6, 4, 5, 1, 3, 2, 6], 5, "minimum-norm", True),
+            ([0, 0, 1, 0, 0, 1, 0, 0, 3], 3, "minimum-norm", False),
+            ([0, 0, 0, 0, 5], 1, "minimum-norm", False),
+            ([0] * 5, 1, "minimum-norm", True),
+        ],
+    )
+    def test_explicit_cases_of_both_kinds(self, values, q, kind, exact):
+        # the last two have Z = 0: the fit is 0 and the residual is |Z_plus|^2
+        fit = check_against_oracles(values, q, len(values) - q - 1)
+        assert fit.fit_kind == kind
+        assert (fit.residual_sq == 0) == exact
+
+
+def check_against_oracles(values, q, n, pseudo_inverse=True):
+    """edmd_fit against the normal equations on dense Z, Z_plus and, unless
+    told otherwise, against Z_plus pinv(Z) by Gauss-Jordan; returns the fit."""
+    fit = edmd_fit(dataset_from_values(values, q, n))
+    z, z_plus = snapshot_matrices(values, q, n)
+    assert fit == normal_equations_fit(z, z_plus)
+    if fit.fit_kind == "unique":
+        assert [list(row) for row in fit.a_hat[:q]] == [
+            [int(j == i + 1) for j in range(q + 1)] for i in range(q)
         ]
+    if pseudo_inverse:
+        want = matmul(z_plus, pinv(z))
+        assert [list(row) for row in fit.a_hat] == want
+        residual = [[zp - v for zp, v in zip(zr, ar)] for zr, ar in zip(z_plus, matmul(want, z))]
         assert fit.residual_sq == frobenius_sq(residual)
+        assert (fit.fit_kind == "unique") == (len(rref(z)[1]) == q + 1)
+    return fit
+
+
+class TestFitOracles:
+    """Orbit fits at the orders q~ - 1, q~, q~ + 2 and p - 2 (q~ = (p-1)/2),
+    each at the sweep's n and in the `edmd --data` shape, where the data is
+    exactly the n + q + 1 values it windows."""
+
+    @staticmethod
+    def shapes(p):
+        params = DhParams.with_smallest_root(p)
+        qt = params.q_tilde
+        values = orbit(full_period_trajectory(params), 3 * (p - 1))
+        for q in (qt - 1, qt, qt + 2, p - 2):
+            yield values, q, 2 * (p - 1) - q - 1 if q < qt else qt + 1
+            yield values[: p + q], q, p - 1
+
+    @pytest.mark.parametrize("p", PRIMES_TO_61)
+    def test_orbit_fits(self, p):
+        # Gauss-Jordan over Fractions takes seconds a prime above the sweep's
+        # largest prime, 37; the normal equations cover every prime
+        for values, q, n in self.shapes(p):
+            check_against_oracles(values, q, n, pseudo_inverse=p <= 37)
 
 
 class TestCompare:
@@ -265,6 +352,37 @@ class TestPredictionOracle:
                     assert comparison.prediction_equivalent == (prefix >= horizon), (i, horizon)
             assert set(range(top)) <= prefixes
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_periodic_aperiodic_and_altered_data(self, data):
+        # only the windows before the data's smallest period are checked; the
+        # oracle iterates every step
+        q = data.draw(st.integers(0, 3))
+        horizon = data.draw(st.integers(1, 16))
+        count = horizon + q + 1
+        mode = data.draw(st.sampled_from(["periodic", "aperiodic", "altered"]))
+        if mode == "aperiodic":
+            values = data.draw(st.lists(st.integers(-2, 2), min_size=count, max_size=count))
+        else:
+            period = data.draw(st.integers(1, 6))
+            base = data.draw(st.lists(st.integers(-2, 2), min_size=period, max_size=period))
+            values = [base[k % period] for k in range(count)]
+            if mode == "altered":
+                values[data.draw(st.integers(0, count - 1))] += data.draw(st.sampled_from([-1, 1]))
+        n = data.draw(st.integers(1, count - q - 1))
+        fit = edmd_fit(dataset_from_values(values, q, n))
+        analytic = CompanionSystem(q=q, alpha=(F(0),) * (q + 1))
+        comparison = compare_on_values(fit, analytic, values, horizon)
+        assert comparison.prediction_equivalent == (
+            prediction_prefix(fit.a_hat, values, horizon) >= horizon
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=14))
+    def test_smallest_period(self, seq):
+        periods = [p for p in range(1, len(seq) + 1) if seq[p:] == seq[: len(seq) - p]]
+        assert _smallest_period(seq) == periods[0]
+
 
 class TestUnderparameterized:
     # an orbit's error over one period, as the CLI reports it
@@ -294,10 +412,9 @@ class TestUnderparameterized:
         # perturbing any single entry of the fitted operator by 1/1000
         # in either direction cannot decrease the exact residual
         traj = full_period_trajectory(P7)
-        ds = dataset_from_values(orbit(traj, 8), 1, 6)
-        fit = edmd_fit(ds)
-        z = [list(r) for r in ds.z]
-        z_plus = [list(r) for r in ds.z_plus]
+        values = orbit(traj, 8)
+        fit = edmd_fit(dataset_from_values(values, 1, 6))
+        z, z_plus = snapshot_matrices(values, 1, 6)
 
         def residual_sq(a):
             az = matmul(a, z)
