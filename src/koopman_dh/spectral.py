@@ -14,24 +14,22 @@ and only the closing row needs the cyclotomic reduction.
 
 Set-up is O(q^3): every entry of V is one of the 2q roots of turn n/(2q),
 picked by the integer index r*(2k+1) mod 2q, and V is inverted once. A
-recovery query is then two O(q^2) products with Vinv (in numpy) plus O(q)
-scalar work: each eigencoordinate ratio is rounded to the nearest power of
-its eigenvalue by angle, and the per-eigenvalue residues are merged by the
-Chinese remainder theorem.
+recovery query is then two O(q^2) matrix-vector products with Vinv plus
+O(q) array matching in numpy: every eigencoordinate ratio is rounded at once
+to the nearest power of its eigenvalue by angle, and the Chinese remainder
+theorem merges one residue per distinct eigenvalue order (a divisor of 2q).
 """
 
 from __future__ import annotations
 
-from cmath import isfinite, phase
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, pi, sin
 
 import numpy as np
 
-from .cyclotomic import HALF, RootSum, turn_to_complex
+from .cyclotomic import RootSum, turn_to_complex
 from .dynamics import is_prime
-from .lifting import companion_matrix
 
 
 class RecoveryError(RuntimeError):
@@ -55,7 +53,9 @@ class SpectralDecomposition:
 
     turns[j] is the exact rational angle of eigenvalue j as a fraction of a
     full turn; eigenvalues/V/Vinv are the floating mirrors. Column j of V is
-    the Vandermonde eigenvector (1, l_j, ..., l_j^q).
+    the Vandermonde eigenvector (1, l_j, ..., l_j^q). turns[j] = index[j] / 2q
+    = n / order[j] in lowest terms, inverse[j] = 1/n mod order[j],
+    separation[j] = sin(pi / order[j]), and roots[n] has turn n / 2q.
     """
 
     q: int
@@ -63,6 +63,11 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     V: np.ndarray
     Vinv: np.ndarray
+    index: np.ndarray
+    order: np.ndarray
+    inverse: np.ndarray
+    separation: np.ndarray
+    roots: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -87,10 +92,14 @@ def eigen_canonical(p: int, q: int, alpha=None) -> SpectralDecomposition:
     # (r * index[j] mod 2q) / 2q: one of 2q roots, each converted once
     roots = np.array([turn_to_complex(Fraction(n, 2 * q)) for n in range(2 * q)])
     index = np.array([0] + [2 * k + 1 for k in range(q)])
-    eigenvalues = roots[index]
+    order = np.array([t.denominator for t in turns])
+    inverse = np.array([pow(t.numerator, -1, t.denominator) for t in turns])
+    sines = {d: sin(pi / d) for d in set(order.tolist())}
+    separation = np.array([sines[d] for d in order.tolist()])
     v = roots[np.outer(np.arange(q + 1), index) % (2 * q)]
-    vinv = np.linalg.inv(v)
-    return SpectralDecomposition(q=q, turns=turns, eigenvalues=eigenvalues, V=v, Vinv=vinv)
+    return SpectralDecomposition(
+        q, turns, roots[index], v, np.linalg.inv(v), index, order, inverse, separation, roots
+    )
 
 
 def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:
@@ -117,12 +126,6 @@ def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:
         if not RootSum(closing).is_zero():
             return False
     return True
-
-
-def eigenpair_residual_float(dec: SpectralDecomposition) -> float:
-    """Max-norm residual of A V - V diag(eigenvalues) in the floating mirror."""
-    a = np.array(companion_matrix(char_alpha(dec.q)), dtype=float)
-    return float(np.max(np.abs(a @ dec.V - dec.V * dec.eigenvalues[None, :])))
 
 
 @dataclass(frozen=True)
@@ -166,50 +169,46 @@ def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEs
     """
     zt0 = transform(z_0, dec).entries
     zte = transform(z_e, dec).entries
-    tol = _usable_tolerance(zt0)
-    residues: list[tuple[int, int, float]] = []
-    for j, turn in enumerate(dec.turns):
-        if turn == 0 or abs(zt0[j]) < tol:
-            continue
-        order = turn.denominator
-        ratio = zte[j] / zt0[j]
-        t = 0
-        if isfinite(ratio):
-            # l_j^t has turn numerator * t / order; invert that at the rounded angle
-            steps = round(order * phase(ratio) / (2 * pi)) % order
-            t = steps * pow(turn.numerator, -1, order) % order
-        dist = abs(ratio - 1.0) if t == 0 else abs(ratio - turn_to_complex((turn * t) % 1))
-        if not dist < sin(pi / order):
-            raise RecoveryError(
-                f"eigenvalue {j}: ratio {ratio:.6g} matches no power within separation"
-            )
-        residues.append((j, t, dist))
-    if not residues:
+    usable = np.array(list(map(abs, zt0.tolist()))) >= _usable_tolerance(zt0)
+    j = np.flatnonzero(usable[1:]) + 1  # eigenvalue 0 is l = 1
+    if not j.size:
         raise RecoveryError("no usable eigenvalues: initial eigencoordinates all vanish")
+    order = dec.order[j]
+    ratio = zte[j] / zt0[j]
+    # np.angle may differ from cmath.phase in the last ulp; that moves the rounding
+    # only at a half step, where the separation test rejects both nearest powers
+    steps = np.rint(np.where(np.isfinite(ratio), order * np.angle(ratio) / (2 * pi), 0.0))
+    # l_j^t has turn numerator * t / order; invert that at the rounded angle
+    t = steps.astype(np.int64) % order * dec.inverse[j] % order
+    # scalar abs, not np.abs: the two differ in the last ulp, and match errors are reported
+    dist = list(map(abs, (ratio - dec.roots[dec.index[j] * t % (2 * dec.q)]).tolist()))
+    unmatched = np.flatnonzero(~(np.array(dist) < dec.separation[j]))
+    if unmatched.size:
+        k = unmatched[0]
+        raise RecoveryError(
+            f"eigenvalue {j[k]}: ratio {ratio[k]:.6g} matches no power within separation"
+        )
     residue, modulus = 0, 1
-    for j, t, _ in residues:
-        merged = _crt(residue, modulus, t, dec.turns[j].denominator)
-        if merged is None:
-            raise RecoveryError("eigenvalue constraints are mutually inconsistent")
-        residue, modulus = merged
+    for d, r in dict(zip(order.tolist(), t.tolist())).items():
+        residue, modulus = _crt(residue, modulus, r, d)  # a conflict fails the check below
+    if np.any((residue - t) % order):
+        raise RecoveryError("eigenvalue constraints are mutually inconsistent")
     admissible = range(residue or modulus, p, modulus)
     if not admissible:
-        raise RecoveryError("eigenvalue constraints are mutually inconsistent")
+        raise RecoveryError("no exponent in [1, p-1] meets the eigenvalue constraints")
     if len(admissible) > 1:
         raise RecoveryError(f"constraints leave {len(admissible)} admissible exponents")
     return ExponentEstimate(
         e=admissible[0],
-        per_eigenvalue_residues=tuple(residues),
+        per_eigenvalue_residues=tuple(zip(j.tolist(), t.tolist(), dist)),
         parity=_parity_of(zte, zt0, dec),
     )
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
+def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     """(r, L) with L = lcm(m1, m2) such that x = r1 mod m1 and x = r2 mod m2
-    exactly when x = r mod L; None when no x satisfies both."""
+    exactly when x = r mod L, provided some x satisfies both."""
     g = gcd(m1, m2)
-    if (r2 - r1) % g:
-        return None
     step = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
     lcm = m1 // g * m2
     return (r1 + m1 * step) % lcm, lcm
@@ -225,10 +224,9 @@ def parity(z_e, z_0, dec: SpectralDecomposition) -> str:
 
 
 def _parity_of(zte: np.ndarray, zt0: np.ndarray, dec: SpectralDecomposition) -> str:
-    try:
-        j = dec.turns.index(HALF)
-    except ValueError:
+    if dec.q % 2 == 0:
         return "unavailable"
+    j = (dec.q + 1) // 2  # index[j] = 2j - 1 = q: the eigenvalue -1
     if abs(zt0[j]) < _usable_tolerance(zt0):
         raise RecoveryError("initial eigencoordinate at -1 vanishes; parity unreadable")
     ratio = zte[j] / zt0[j]

@@ -1,17 +1,23 @@
-"""Test-only exact references for the spectral module: RootSum ring
-arithmetic, the exact Lagrange rows of the eigenvector inverse, and the
-eigenpair check built entry by entry.
+"""Test-only references for the spectral module: RootSum ring arithmetic,
+the exact Lagrange rows of the eigenvector inverse, the eigenpair check built
+entry by entry, the floating eigenpair residual, and exponent recovery as a
+per-eigenvalue rounding loop over Fraction turns.
 
 The library keeps only the RootSum zero test; these references build whole
 RootSum expressions and zero-test them, so they share the test but none of
 the library's shortcuts (the float Vinv, the integer shift-row identities).
 """
 
+from cmath import isfinite, phase
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, pi, sin
+
+import numpy as np
 
 from koopman_dh.cyclotomic import RootSum, turn_to_complex
-from koopman_dh.spectral import char_alpha
+from koopman_dh.lifting import companion_matrix
+from koopman_dh.spectral import ExponentEstimate, RecoveryError, char_alpha, transform
 
 
 class ExactRootSum(RootSum):
@@ -124,3 +130,69 @@ def eigenpair_residuals_by_rootsum(dec) -> bool:
         if any(not (lhs - rhs).is_zero() for lhs, rhs in zip(av, shifted)):
             return False
     return True
+
+
+def eigenpair_residual_float(dec) -> float:
+    """Max-norm residual of A V - V diag(eigenvalues) in the floating mirror."""
+    a = np.array(companion_matrix(char_alpha(dec.q)), dtype=float)
+    return float(np.max(np.abs(a @ dec.V - dec.V * dec.eigenvalues[None, :])))
+
+
+def _crt(r1: int, m1: int, r2: int, m2: int):
+    """(r, lcm(m1, m2)) with x = r mod lcm exactly when x = r1 mod m1 and
+    x = r2 mod m2; None when no x satisfies both."""
+    g = gcd(m1, m2)
+    if (r2 - r1) % g:
+        return None
+    step = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
+    lcm = m1 // g * m2
+    return (r1 + m1 * step) % lcm, lcm
+
+
+def recover_by_rounding(z_e, z_0, dec, p):
+    """Reference recovery: one eigenvalue at a time over its Fraction turn.
+
+    Each ratio is rounded to the nearest power by cmath.phase, the power is
+    converted with turn_to_complex, and the residues are merged pairwise by
+    the Chinese remainder theorem. recover_exponent must agree with it
+    exactly, float match errors and error messages included.
+    """
+    zt0 = transform(z_0, dec).entries
+    zte = transform(z_e, dec).entries
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(zt0))))
+    residues = []
+    for j, turn in enumerate(dec.turns):
+        if turn == 0 or abs(zt0[j]) < tol:
+            continue
+        order = turn.denominator
+        ratio = zte[j] / zt0[j]
+        t = 0
+        if isfinite(ratio):
+            steps = round(order * phase(ratio) / (2 * pi)) % order
+            t = steps * pow(turn.numerator, -1, order) % order
+        dist = abs(ratio - 1.0) if t == 0 else abs(ratio - turn_to_complex((turn * t) % 1))
+        if not dist < sin(pi / order):
+            raise RecoveryError(
+                f"eigenvalue {j}: ratio {ratio:.6g} matches no power within separation"
+            )
+        residues.append((j, t, dist))
+    if not residues:
+        raise RecoveryError("no usable eigenvalues: initial eigencoordinates all vanish")
+    residue, modulus = 0, 1
+    for j, t, _ in residues:
+        merged = _crt(residue, modulus, t, dec.turns[j].denominator)
+        if merged is None:
+            raise RecoveryError("eigenvalue constraints are mutually inconsistent")
+        residue, modulus = merged
+    admissible = range(residue or modulus, p, modulus)
+    if not admissible:
+        raise RecoveryError("no exponent in [1, p-1] meets the eigenvalue constraints")
+    if len(admissible) > 1:
+        raise RecoveryError(f"constraints leave {len(admissible)} admissible exponents")
+    parity = "unavailable"
+    if Fraction(1, 2) in dec.turns:
+        j = dec.turns.index(Fraction(1, 2))
+        if abs(zt0[j]) < tol:
+            raise RecoveryError("initial eigencoordinate at -1 vanishes; parity unreadable")
+        parity = "even" if (zte[j] / zt0[j]).real > 0 else "odd"
+    return ExponentEstimate(e=admissible[0], per_eigenvalue_residues=tuple(residues), parity=parity)

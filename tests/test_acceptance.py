@@ -39,11 +39,11 @@ from koopman_dh.lifting import (
 )
 from koopman_dh.spectral import (
     eigen_canonical,
-    eigenpair_residual_float,
     eigenpair_residuals_exact_zero,
     parity,
     recover_exponent,
 )
+from spectral_oracle import eigenpair_residual_float
 
 F = Fraction
 

@@ -6,9 +6,11 @@ from math import pi, sin
 import numpy as np
 import pytest
 
+from conftest import PRIMES_TO_61
 from koopman_dh.cyclotomic import turn_to_complex
 from koopman_dh.dynamics import (
     DhParams,
+    all_primitive_roots,
     discrete_log_bruteforce,
     full_period_trajectory,
     mod_pow,
@@ -19,7 +21,6 @@ from koopman_dh.spectral import (
     RecoveryError,
     char_alpha,
     eigen_canonical,
-    eigenpair_residual_float,
     eigenpair_residuals_exact_zero,
     parity,
     recover_exponent,
@@ -27,7 +28,9 @@ from koopman_dh.spectral import (
 )
 from spectral_oracle import (
     ZERO,
+    eigenpair_residual_float,
     eigenpair_residuals_by_rootsum,
+    recover_by_rounding,
     transform_exact,
     vandermonde_exact,
     vinv_exact,
@@ -89,6 +92,15 @@ class TestEigenSetupReference:
         assert np.array_equal(dec.eigenvalues, np.array([turn_to_complex(t) for t in turns]))
         assert np.array_equal(dec.V, v)
         assert np.array_equal(dec.Vinv, np.linalg.inv(v))
+        # the integer turn data that recovery matches with
+        assert dec.index.tolist() == [t * 2 * q for t in turns]
+        assert dec.order.tolist() == [t.denominator for t in turns]
+        assert all(
+            t.numerator * inv % t.denominator == 1 % t.denominator
+            for t, inv in zip(turns, dec.inverse.tolist())
+        )
+        assert dec.separation.tolist() == [sin(pi / t.denominator) for t in turns]
+        assert dec.roots.tolist() == [turn_to_complex(F(n, 2 * q)) for n in range(2 * q)]
 
 
 def with_turns(dec, turns):
@@ -316,6 +328,9 @@ def recover_by_scan(z_e, z_0, dec, p):
         e for e in range(1, p) if all((e - t) % order == 0 for t, order in constraints)
     ]
     if not candidates:
+        # every order divides 2q, so consistent constraints have a solution below 2q
+        if any(all((e - t) % order == 0 for t, order in constraints) for e in range(2 * dec.q)):
+            raise RecoveryError("no exponent in [1, p-1] meets the eigenvalue constraints")
         raise RecoveryError("eigenvalue constraints are mutually inconsistent")
     if len(candidates) > 1:
         raise RecoveryError(f"constraints leave {len(candidates)} admissible exponents")
@@ -334,7 +349,8 @@ def outcome(recover, z_e, z_0, dec, p):
 
 
 def eigen_state(dec, coeffs, e=0):
-    """State V diag(l^e) c: eigencoordinates c rotated by e steps."""
+    """State V diag(l^e) c: eigencoordinates c rotated by e steps (one count,
+    or one count per coordinate)."""
     return dec.V @ (dec.eigenvalues**e * np.asarray(coeffs, dtype=complex))
 
 
@@ -389,3 +405,83 @@ class TestRecoverAgainstScan:
         for bad in (float("nan"), float("inf")):
             with np.errstate(invalid="ignore"), pytest.raises(RecoveryError, match="matches no power"):
                 recover_exponent([bad, 1.0, 2.0, 3.0], z0, dec, 7)
+
+    def test_constraints_inconsistent_or_outside_range(self):
+        # p = 7, q = 4: every nonzero turn has order 8 > p - 1, so e = 7 and 8
+        # give consistent residues 7 and 0 mod 8 that no exponent in [1, 6] meets
+        dec = eigen_canonical(7, 4)
+        coeffs = [0.5, 1.0, 2.0 - 1.0j, 0.75j, 1.5]
+        z0 = eigen_state(dec, coeffs)
+        for e in (7, 8):
+            ze = eigen_state(dec, coeffs, e)
+            got = outcome(recover_exponent, ze, z0, dec, 7)
+            assert got == "no exponent in [1, p-1] meets the eigenvalue constraints"
+            assert got == outcome(recover_by_scan, ze, z0, dec, 7)
+        # coordinate 1 turned one step, the others two: 1 and 2 mod 8 conflict
+        ze = eigen_state(dec, coeffs, np.array([0, 1, 2, 2, 2]))
+        got = outcome(recover_exponent, ze, z0, dec, 7)
+        assert got == "eigenvalue constraints are mutually inconsistent"
+        assert got == outcome(recover_by_scan, ze, z0, dec, 7)
+        # p = 13, q = 6: orders 12 and 4 turned 1 and 2 steps conflict mod gcd = 4
+        dec = eigen_canonical(13, 6)
+        steps = np.array([1 if t.denominator == 12 else 2 for t in dec.turns])
+        z0 = eigen_state(dec, np.ones(dec.dimension))
+        ze = eigen_state(dec, np.ones(dec.dimension), steps)
+        got = outcome(recover_exponent, ze, z0, dec, 13)
+        assert got == "eigenvalue constraints are mutually inconsistent"
+        assert got == outcome(recover_by_scan, ze, z0, dec, 13)
+
+
+def assert_same_as_rounding(z_e, z_0, dec, p):
+    """Equal estimates, with e, parity and every (j, t, match error) compared by
+    ==, or equal error messages."""
+    assert outcome(recover_exponent, z_e, z_0, dec, p) == outcome(
+        recover_by_rounding, z_e, z_0, dec, p
+    ), p
+
+
+class TestRecoverAgainstRounding:
+    """The array pass against the per-eigenvalue Fraction loop it replaced."""
+
+    @pytest.mark.parametrize("p", PRIMES_TO_61)
+    def test_every_exponent_of_every_generator(self, p):
+        q = (p - 1) // 2
+        dec = eigen_canonical(p, q)
+        for m in all_primitive_roots(p):
+            params = DhParams(p, m)
+            z0 = lift_shift(full_period_trajectory(params), q, 0)
+            for e in range(1, p):
+                ze = lift_ciphertext(mod_pow(m, e, p), params, q)
+                estimate = recover_exponent(ze, z0, dec, p)
+                assert estimate == recover_by_rounding(ze, z0, dec, p)
+                assert estimate.e == e
+
+    @pytest.mark.parametrize("p", [101, 127, 151, 199, 251, 307, 401, 1009])
+    def test_seeded_exponents_on_the_recover_ladder(self, p):
+        params, q, dec, traj, z0 = setup_case(p)
+        for e in random.Random(p).sample(range(1, p), 20):
+            assert_same_as_rounding(lift_ciphertext(mod_pow(params.m, e, p), params, q), z0, dec, p)
+
+    @pytest.mark.parametrize("p,count", [(5, 4), (7, 6), (11, 10), (23, 22), (61, 12), (101, 8)])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.02, 0.3])
+    def test_perturbed_states(self, p, count, scale):
+        params, q, dec, traj, z0 = setup_case(p)
+        rng = random.Random(p)
+        for e in rng.sample(range(1, p), count):
+            ze = lift_ciphertext(mod_pow(params.m, e, p), params, q)
+            assert_same_as_rounding([v + rng.gauss(0.0, scale * p) for v in ze], z0, dec, p)
+
+    @pytest.mark.parametrize("p,q", [(7, 4), (11, 4), (13, 6)])
+    def test_orders_not_matching_p(self, p, q):
+        # random eigencoordinates, some zeroed, each turned by one exponent
+        # or, for the last states, by two exponents that may conflict
+        dec = eigen_canonical(p, q)
+        rng = np.random.default_rng(p * q)
+        for _ in range(20):
+            coeffs = rng.standard_normal(dec.dimension) + 1j * rng.standard_normal(dec.dimension)
+            coeffs[rng.random(dec.dimension) < 0.3] = 0.0
+            z0 = eigen_state(dec, coeffs)
+            for e in range(1, 2 * q + 1):
+                assert_same_as_rounding(eigen_state(dec, coeffs, e), z0, dec, p)
+            steps = rng.integers(1, 2 * q + 1, size=2)[rng.integers(0, 2, size=dec.dimension)]
+            assert_same_as_rounding(eigen_state(dec, coeffs, steps), z0, dec, p)
