@@ -47,7 +47,7 @@ print(f"\nobserved ciphertext c = {c}")
 
 # The transformed magnitudes are conserved (unit-circle spectrum); only the
 # angles move, by e times each eigenvalue angle.
-zt0, zte = transform(z0, dec).entries, transform(ze, dec).entries
+zt0, zte = transform(z0, dec), transform(ze, dec)
 print(f"magnitude drift |z~_e| vs |z~_0|: {np.max(np.abs(np.abs(zte) - np.abs(zt0))):.2e}")
 
 estimate = recover_exponent(ze, z0, dec, p)

@@ -13,7 +13,6 @@ Run: python demos/04_operator_fitting_from_data.py
 """
 
 from koopman_dh import (
-    CompanionSystem,
     DhParams,
     canonical_alpha,
     check_assumption,
@@ -40,8 +39,7 @@ for q in (2, 5, q_tilde - 1, q_tilde, q_tilde + 3, p - 2):
 ds = dataset_from_values(values, q_tilde, q_tilde + 1)
 print(f"\ndata-richness condition holds: {check_assumption(ds, p)}")
 fitted = edmd_fit(ds)
-analytic = CompanionSystem(q=q_tilde, alpha=canonical_alpha(p, q_tilde))
-report = compare_on_values(fitted, analytic, values, 2 * (p - 1))
+report = compare_on_values(fitted, canonical_alpha(p, q_tilde), values, 2 * (p - 1))
 print(f"fit kind: {fitted.fit_kind}; residual^2 = {fitted.residual_sq}")
 print(f"equals analytic companion entrywise: {report.entrywise_equal}")
 print(f"prediction-equivalent over two periods: {report.prediction_equivalent}")
@@ -50,7 +48,7 @@ print(f"prediction-equivalent over two periods: {report.prediction_equivalent}")
 # minimum-norm solution is taken. It predicts the orbit exactly, though it
 # is not the cyclic shift matrix entry for entry.
 full = edmd_fit(dataset_from_values(values, p - 2, q_tilde + 1))
-full_report = compare_on_values(full, full_period_system(params), values, 2 * (p - 1))
+full_report = compare_on_values(full, full_period_system(params).alpha, values, 2 * (p - 1))
 print(f"\nq = p-2: fit kind {full.fit_kind}, residual^2 = {full.residual_sq}, "
       f"entrywise = {full_report.entrywise_equal}, prediction = {full_report.prediction_equivalent}")
 

@@ -52,7 +52,6 @@ from .edmd import (
     operator_to_json,
 )
 from .lifting import (
-    CompanionSystem,
     canonical_alpha,
     index_lookup_attack,
     lift_ciphertext,
@@ -84,14 +83,16 @@ SWEEP_CSV_FIELDS = (
 ).split()
 
 
-def _parse_primes(text: str) -> list[int]:
-    """Accept '5..61', a comma list '5,7,11', or a single prime '23'."""
+def _parse_primes(text: str) -> list[int] | None:
+    """Accept '5..61', a comma list '5,7,11', or a single prime '23'; None otherwise."""
     text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        return [p for p in range(lo, hi + 1) if is_prime(p)]
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ".." in text:
+            lo_s, hi_s = text.split("..", 1)
+            return [p for p in range(int(lo_s), int(hi_s) + 1) if is_prime(p)]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        return None
 
 
 def _generators(p: int, which) -> list[int]:
@@ -122,7 +123,7 @@ def _edmd_block(params: DhParams, q: int, n: int, values=None) -> tuple[dict, Fi
     The rank law is checked first: data that breaks it is reported with a
     note, an orbit that breaks it is an internal error. Below (p-1)/2 the
     fit is the under-parameterized one with its prediction error; from
-    there on it is compared with the canonical companion system. Returns
+    there on it is compared with the canonical closing row. Returns
     the report fields and the fitted operator.
     """
     external = values is not None
@@ -147,8 +148,8 @@ def _edmd_block(params: DhParams, q: int, n: int, values=None) -> tuple[dict, Fi
     if q < params.q_tilde:
         block["max_state_error"] = frac_json(max_state_error(fitted, values, under_horizon))
     else:
-        analytic = CompanionSystem(q=q, alpha=canonical_alpha(params.p, q))
-        comparison = compare_on_values(fitted, analytic, values, compare_horizon)
+        alpha = canonical_alpha(params.p, q)
+        comparison = compare_on_values(fitted, alpha, values, compare_horizon)
         block["entrywise_equal"] = comparison.entrywise_equal
         block["prediction_equivalent"] = comparison.prediction_equivalent
     block["residual_is_zero"] = fitted.residual_sq == 0
@@ -164,7 +165,10 @@ def cmd_simulate(args):
 
 
 def cmd_verify_theorem(args):
-    primes = sorted(set(_parse_primes(args.primes)))
+    primes = _parse_primes(args.primes)
+    if primes is None:
+        raise ValueError(f"--primes {args.primes!r} is not a range, a list or one number")
+    primes = sorted(set(primes))
     if not primes:
         raise ValueError(f"--primes {args.primes!r} selects no number")
     rows, skipped = [], []
@@ -328,6 +332,7 @@ def load_config(path: str) -> dict:
     if isinstance(primes, str):
         primes = _parse_primes(primes)
     output = raw.get("output", {})
+    fields = output if isinstance(output, dict) else {}  # a non-object fails 'output'
     seed = raw.get("seed", 0)
     generators = raw.get("generators", "smallest")
     q_policy = raw.get("q_policy", "q_tilde")
@@ -340,11 +345,8 @@ def load_config(path: str) -> dict:
         ),
         ("seed", _is_int(seed), "an integer"),
         ("output", isinstance(output, dict), "an object"),
-        (
-            "output.path",
-            not isinstance(output, dict) or isinstance(output.get("path", ""), str),
-            "a string",
-        ),
+        ("output.path", isinstance(fields.get("path", ""), str), "a string"),
+        ("output.format", isinstance(fields.get("format", ""), str), "a string"),
         (
             "generators",
             generators in ("smallest", "all")

@@ -167,9 +167,9 @@ def simulate(multiplier: int, params: DhParams, x0: int, steps: int) -> ModTraje
     return ModTrajectory(params=params, multiplier=multiplier, x0=x0, values=tuple(values))
 
 
-def full_period_trajectory(params: DhParams, extra_steps: int = 0) -> ModTrajectory:
-    """The canonical orbit from x0 = 1 covering one period plus extra steps."""
-    return simulate(params.m, params, 1, params.period + extra_steps)
+def full_period_trajectory(params: DhParams) -> ModTrajectory:
+    """The canonical orbit from x0 = 1 covering one period."""
+    return simulate(params.m, params, 1, params.period)
 
 
 def euler_criterion(m: int, p: int) -> int:

@@ -10,21 +10,23 @@ rank, of minimum Frobenius norm otherwise) is the shift above one last-row
 solve, or rows 1..q of the projector onto Z's column space above one; every
 solve runs on the package's elimination engine.
 
-Data enters as a raw integer sequence, an orbit as its values. Predictions
-A^k z_0 = z_k are checked as one-step integer identities on each distinct
-window of the data. Only the under-parameterized error, whose predictions
-leave the data, iterates A: on integer numerators over powers of its common
-denominator.
+A fitted operator is integer numerators over one positive denominator, in
+lowest terms, from the fit through every check; Fractions are built only
+for its JSON form. Data enters as a raw integer sequence, an orbit as its
+values. Predictions A^k z_0 = z_k are checked as one-step integer identities
+on each distinct window of the data, against the closing row alpha for
+entrywise equality. Only the under-parameterized error, whose predictions
+leave the data, iterates A: on its numerators over powers of its denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
-from .lifting import CompanionSystem
-from .linalg_exact import IntegerEchelon, annihilates, scale_to_integers
+from .linalg_exact import IntegerEchelon, annihilates
 from .serialize import frac_json, frac_matrix_json
 
 
@@ -94,20 +96,33 @@ def check_assumption(dataset: EdmdDataset, p: int) -> bool:
 
 @dataclass(frozen=True)
 class FittedOperator:
-    """Exact least-squares operator with its squared Frobenius residual.
+    """Exact least-squares operator A = rows / den with its squared Frobenius residual.
 
-    residual_sq is the exact squared Frobenius norm of Z_plus - A Z (the
-    norm itself is generally irrational; the squared form preserves the
+    rows holds integer numerators over one positive den. They are stored in
+    lowest terms, gcd(den, every entry) == 1, so equal operators compare
+    equal. residual_sq is the exact squared Frobenius norm of Z_plus - A Z
+    (the norm itself is generally irrational; the squared form preserves the
     comparisons that matter: == 0 and > 0).
     """
 
-    a_hat: tuple[tuple[Fraction, ...], ...]
+    den: int
+    rows: tuple[tuple[int, ...], ...]
     residual_sq: Fraction
     fit_kind: str
 
+    def __post_init__(self):
+        g = gcd(self.den, *[a for row in self.rows for a in row])
+        if g != 1:
+            object.__setattr__(self, "den", self.den // g)
+            object.__setattr__(self, "rows", tuple(tuple(a // g for a in r) for r in self.rows))
+
     @property
     def dimension(self) -> int:
-        return len(self.a_hat)
+        return len(self.rows)
+
+    @property
+    def a_hat(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(a, self.den) for a in row) for row in self.rows)
 
 
 def _sliding_gram(v, size: int, length: int) -> list[list[int]]:
@@ -136,12 +151,13 @@ def _fit_unique(dataset: EdmdDataset) -> FittedOperator:
     solver = IntegerEchelon(q + 2)
     for row in r[: q + 1]:
         solver.add_row(row)
+    # scale is the lcm of the reduced denominators of a: the rows are in lowest terms
     scale, x = solver.back_substitute(q + 1)
     a = [num for (num,) in x]
-    zero, one = Fraction(0), Fraction(1)
-    shift = [tuple([one if j == i + 1 else zero for j in range(q + 1)]) for i in range(q)]
+    shift = [tuple([scale if j == i + 1 else 0 for j in range(q + 1)]) for i in range(q)]
     return FittedOperator(
-        a_hat=(*shift, tuple([Fraction(num, scale) for num in a])),
+        den=scale,
+        rows=(*shift, tuple(a)),
         residual_sq=Fraction(scale * r[q + 1][q + 1] - sum(map(mul, a, r[q + 1])), scale),
         fit_kind="unique",
     )
@@ -151,7 +167,8 @@ def _fit_minimum_norm(dataset: EdmdDataset) -> FittedOperator:
     # C: the pivot windows, F = C^T Z their rows of the window Gram. Rows
     # 0..q-1 of Z_plus Z^+ are rows 1..q of the projector C G_S^-1 C^T onto
     # Z's column space (G_S = C^T C), with zero residual; the last row is
-    # y C^T where F F^T y^T = F s^T, s the last row of Z_plus
+    # y C^T where F F^T y^T = F s^T, s the last row of Z_plus. The projector
+    # rows are over d, the last row over e: both go over lcm(d, e)
     q, v, pivots = dataset.q, dataset.values, dataset.pivot_windows
     dim, rank = q + 1, len(pivots)
     gram = _sliding_gram(v, dataset.n, dim)
@@ -161,12 +178,6 @@ def _fit_minimum_norm(dataset: EdmdDataset) -> FittedOperator:
     for k, row in zip(pivots, f):
         solver.add_row([row[j] for j in pivots] + list(v[k : k + dim]))
     d, x = solver.back_substitute(rank)
-    x_cols = [[row[l] for row in x] for l in range(dim)]
-    # the projector is symmetric: only its lower triangle is computed
-    lower = [
-        [Fraction(sum(map(mul, c[i], x_cols[l])), d) for l in range(i + 1)] for i in range(dim)
-    ]
-    shift = [tuple(lower[i] + [lower[l][i] for l in range(i + 1, dim)]) for i in range(1, dim)]
     s = v[dim:]
     fs = [sum(map(mul, row, s)) for row in f]
     solver = IntegerEchelon(rank + 1)
@@ -174,8 +185,14 @@ def _fit_minimum_norm(dataset: EdmdDataset) -> FittedOperator:
         solver.add_row([sum(map(mul, row, other)) for other in f] + [rhs])
     e, y = solver.back_substitute(rank)
     y = [num for (num,) in y]
+    den = lcm(d, e)
+    x_cols = [[den // d * row[l] for row in x] for l in range(dim)]
+    # the projector is symmetric: only its lower triangle is computed
+    lower = [[sum(map(mul, c[i], x_cols[l])) for l in range(i + 1)] for i in range(dim)]
+    shift = [tuple(lower[i] + [lower[l][i] for l in range(i + 1, dim)]) for i in range(1, dim)]
     return FittedOperator(
-        a_hat=(*shift, tuple([Fraction(sum(map(mul, y, c_row)), e) for c_row in c])),
+        den=den,
+        rows=(*shift, tuple([den // e * sum(map(mul, y, c_row)) for c_row in c])),
         residual_sq=Fraction(e * sum(map(mul, s, s)) - sum(map(mul, y, fs)), e),
         fit_kind="minimum-norm",
     )
@@ -211,24 +228,18 @@ def _smallest_period(seq) -> int:
     return len(seq) - (border[-1] if seq else 0)
 
 
-def compare_on_values(
-    fitted: FittedOperator,
-    analytic: CompanionSystem,
-    values,
-    horizon: int,
-) -> OperatorComparison:
-    """Entrywise equality, and exact predictions A^k z_0 = z_k for k <= horizon.
+def compare_on_values(fitted: FittedOperator, alpha, values, horizon: int) -> OperatorComparison:
+    """Entrywise equality with the companion matrix of closing row alpha, and
+    exact predictions A^k z_0 = z_k for k <= horizon.
 
     z_k = (values[k], ..., values[k+q]). The predictions hold exactly when
-    A z_k = z_{k+1} for every k < horizon (induction), so each row A_i = N_i / d_i
-    is checked as the integer identity N_i z_k = d_i z_{k+1,i} on every
+    A z_k = z_{k+1} for every k < horizon (induction), so each row A_i = N_i / d
+    is checked as the integer identity N_i z_k = d z_{k+1,i} on every
     distinct window: those before the smallest period of the checked values.
     """
-    if fitted.dimension != analytic.dimension:
-        raise ValueError(
-            f"dimension mismatch: fitted {fitted.dimension}, analytic {analytic.dimension}"
-        )
-    q = analytic.q
+    if fitted.dimension != len(alpha):
+        raise ValueError(f"dimension mismatch: fitted {fitted.dimension}, analytic {len(alpha)}")
+    q, den = len(alpha) - 1, fitted.den
     if len(values) < horizon + q + 1:
         raise ValueError(
             f"insufficient data: {len(values)} values cannot reach step {horizon} at order {q}"
@@ -237,23 +248,23 @@ def compare_on_values(
     # window k repeats window k - P, P the smallest period: the first P windows are all
     data = data[: min(horizon, _smallest_period(data)) + q + 1]
     prediction = True
-    for i, row in enumerate(fitted.a_hat):
-        den, coeffs = scale_to_integers((*row, 0))
+    for i, row in enumerate(fitted.rows):
+        coeffs = [*row, 0]
         coeffs[i + 1] -= den
         prediction = annihilates(coeffs, data)
         if not prediction:
             break
     # the companion matrix is the shift above the row alpha
-    shift = all(row.count(0) == q and row[i + 1] == 1 for i, row in enumerate(fitted.a_hat[:q]))
-    entrywise = shift and list(fitted.a_hat[q]) == list(analytic.alpha)
+    shift = all(row.count(0) == q and row[i + 1] == den for i, row in enumerate(fitted.rows[:q]))
+    entrywise = shift and all(a * den == num for a, num in zip(alpha, fitted.rows[q]))
     return OperatorComparison(entrywise_equal=entrywise, prediction_equivalent=prediction)
 
 
 def max_state_error(fitted: FittedOperator, values, horizon: int) -> Fraction:
     """Largest |(A^k z_0)_0 - values[k]| over steps k = 1..horizon, z_0 = values[:q+1].
 
-    A = N / d over the lcm d of its denominators, so A^k z_0 = w_k / d^k with
-    w_0 = z_0 and w_{k+1} = N w_k, all in integers, and the error at step k is
+    A = N / d, so A^k z_0 = w_k / d^k with w_0 = z_0 and w_{k+1} = N w_k, all
+    in integers, and the error at step k is
     |w_k[0] - d^k values[k]| / d^k. Zero entries of N are skipped: a fit whose
     first q rows are the shift costs about 2q products a step.
     """
@@ -263,10 +274,8 @@ def max_state_error(fitted: FittedOperator, values, horizon: int) -> Fraction:
             f"insufficient data: {len(values)} values cannot reach step {horizon} "
             f"at order {dim - 1}"
         )
-    d, flat = scale_to_integers([a for row in fitted.a_hat for a in row])
-    rows = [
-        [(j, c) for j, c in enumerate(flat[i : i + dim]) if c] for i in range(0, dim * dim, dim)
-    ]
+    d = fitted.den
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in fitted.rows]
     w = list(values[:dim])
     scale = 1
     worst, worst_scale = 0, 1

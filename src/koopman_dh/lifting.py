@@ -78,19 +78,24 @@ def lift_ciphertext(c: int, params: DhParams, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def canonical_alpha(p: int, q: int) -> tuple[Fraction, ...]:
-    """The sparse closing coefficients at order q >= (p-1)/2.
+def char_alpha(q: int) -> tuple[Fraction, ...]:
+    """Companion last row whose characteristic polynomial is (x^q + 1)(x - 1)."""
+    if q < 1:
+        raise ValueError(f"order must be at least 1, got {q}")
+    alpha = [Fraction(0)] * (q + 1)
+    alpha[0] += 1
+    alpha[1] -= 1
+    alpha[q] += 1
+    return tuple(alpha)
 
-    Entry q - (p-1)/2 is 1, the next is -1, entry q is 1, the rest vanish.
-    """
+
+def canonical_alpha(p: int, q: int) -> tuple[Fraction, ...]:
+    """The sparse closing coefficients at order q >= (p-1)/2: q - (p-1)/2
+    zeros, then the row of (x^((p-1)/2) + 1)(x - 1)."""
     q_tilde = (p - 1) // 2
     if q < q_tilde:
         raise ValueError(f"q must be at least (p-1)/2 = {q_tilde}, got {q}")
-    alpha = [Fraction(0)] * (q + 1)
-    alpha[q - q_tilde] += 1
-    alpha[q - q_tilde + 1] -= 1
-    alpha[q] += 1
-    return tuple(alpha)
+    return (Fraction(0),) * (q - q_tilde) + char_alpha(q_tilde)
 
 
 def _one_period(traj: ModTrajectory) -> tuple[int, ...]:

@@ -30,21 +30,11 @@ import numpy as np
 
 from .cyclotomic import RootSum, turn_to_complex
 from .dynamics import is_prime
+from .lifting import char_alpha
 
 
 class RecoveryError(RuntimeError):
     """Recovery could not pin a unique exponent consistent with all eigenvalues."""
-
-
-def char_alpha(q: int) -> tuple[Fraction, ...]:
-    """Companion last row whose characteristic polynomial is (x^q + 1)(x - 1)."""
-    if q < 1:
-        raise ValueError(f"order must be at least 1, got {q}")
-    alpha = [Fraction(0)] * (q + 1)
-    alpha[0] += 1
-    alpha[1] -= 1
-    alpha[q] += 1
-    return tuple(alpha)
 
 
 @dataclass(frozen=True)
@@ -74,19 +64,16 @@ class SpectralDecomposition:
         return self.q + 1
 
 
-def eigen_canonical(p: int, q: int, alpha=None) -> SpectralDecomposition:
+def eigen_canonical(p: int, q: int) -> SpectralDecomposition:
     """Decomposition for the canonical companion system of order q.
 
-    Eigenvalues are 1 together with exp(i*pi*(2k+1)/q) for k = 0..q-1. If
-    alpha is supplied it must be the canonical sparse vector; general
-    companion spectra are out of scope here.
+    Its closing row is char_alpha(q), so the eigenvalues are 1 together with
+    exp(i*pi*(2k+1)/q) for k = 0..q-1.
     """
     if not is_prime(p) or p <= 3:
         raise ValueError(f"p must be a prime > 3, got {p}")
     if q < 1:
         raise ValueError(f"order must be at least 1, got {q}")
-    if alpha is not None and tuple(Fraction(a) for a in alpha) != char_alpha(q):
-        raise ValueError("only the canonical sparse closing coefficients are supported")
     turns = (Fraction(0),) + tuple(Fraction(2 * k + 1, 2 * q) for k in range(q))
     # eigenvalue j has turn index[j] / 2q, so entry (r, j) of V has turn
     # (r * index[j] mod 2q) / 2q: one of 2q roots, each converted once
@@ -128,18 +115,12 @@ def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TransformedState:
+def transform(z, dec: SpectralDecomposition) -> np.ndarray:
     """Eigencoordinates z~ = Vinv z (floating mirror)."""
-
-    entries: np.ndarray
-
-
-def transform(z, dec: SpectralDecomposition) -> TransformedState:
     z = np.asarray(z, dtype=complex)
     if z.shape != (dec.dimension,):
         raise ValueError(f"state has dimension {z.shape}, expected ({dec.dimension},)")
-    return TransformedState(entries=dec.Vinv @ z)
+    return dec.Vinv @ z
 
 
 @dataclass(frozen=True)
@@ -167,8 +148,8 @@ def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEs
     residue constraints on e. All usable eigenvalues must agree on a single
     exponent; anything less raises RecoveryError.
     """
-    zt0 = transform(z_0, dec).entries
-    zte = transform(z_e, dec).entries
+    zt0 = transform(z_0, dec)
+    zte = transform(z_e, dec)
     usable = np.array(list(map(abs, zt0.tolist()))) >= _usable_tolerance(zt0)
     j = np.flatnonzero(usable[1:]) + 1  # eigenvalue 0 is l = 1
     if not j.size:
@@ -220,7 +201,7 @@ def parity(z_e, z_0, dec: SpectralDecomposition) -> str:
     -1 is an eigenvalue exactly when q is odd; its eigencoordinate flips
     sign once per step, so the ratio is +1 for even e and -1 for odd e.
     """
-    return _parity_of(transform(z_e, dec).entries, transform(z_0, dec).entries, dec)
+    return _parity_of(transform(z_e, dec), transform(z_0, dec), dec)
 
 
 def _parity_of(zte: np.ndarray, zt0: np.ndarray, dec: SpectralDecomposition) -> str:

@@ -58,7 +58,8 @@ def normal_equations_fit(z, z_plus) -> FittedOperator:
         for zp_row, az_row in zip(z_plus, matmul(a_num, z))
     ]
     return FittedOperator(
-        a_hat=tuple(tuple(Fraction(v, scale) for v in row) for row in a_num),
+        den=scale,
+        rows=tuple(map(tuple, a_num)),
         residual_sq=frobenius_sq(diff) / (scale * scale),
         fit_kind=fit_kind,
     )

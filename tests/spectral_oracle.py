@@ -157,8 +157,8 @@ def recover_by_rounding(z_e, z_0, dec, p):
     the Chinese remainder theorem. recover_exponent must agree with it
     exactly, float match errors and error messages included.
     """
-    zt0 = transform(z_0, dec).entries
-    zte = transform(z_e, dec).entries
+    zt0 = transform(z_0, dec)
+    zte = transform(z_e, dec)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(zt0))))
     residues = []
     for j, turn in enumerate(dec.turns):

@@ -28,7 +28,6 @@ from koopman_dh.dynamics import (
 )
 from koopman_dh.edmd import compare_on_values, dataset_from_values, edmd_fit
 from koopman_dh.lifting import (
-    CompanionSystem,
     additive_complex_lift,
     affine_augment_system,
     canonical_alpha,
@@ -132,13 +131,12 @@ def test_criterion_5_edmd_exactness():
         values = [traj.value_at(i) for i in range(horizon + p - 1)]
         fitted = edmd_fit(dataset_from_values(values, qt, qt + 1))
         assert fitted.residual_sq == 0, p
-        analytic = CompanionSystem(q=qt, alpha=canonical_alpha(p, qt))
-        comparison = compare_on_values(fitted, analytic, values, horizon)
+        comparison = compare_on_values(fitted, canonical_alpha(p, qt), values, horizon)
         assert comparison.entrywise_equal and comparison.prediction_equivalent, p
 
         full = edmd_fit(dataset_from_values(values, p - 2, qt + 1))
         assert full.residual_sq == 0, p
-        comparison_full = compare_on_values(full, full_period_system(params), values, horizon)
+        comparison_full = compare_on_values(full, full_period_system(params).alpha, values, horizon)
         assert comparison_full.prediction_equivalent, p
         entrywise_at_full.append(comparison_full.entrywise_equal)
     observed = sum(entrywise_at_full)

@@ -76,7 +76,7 @@ class TestVerifyTheorem:
         report = run_json(capsys, "verify-theorem", "--primes", "7", "--generators", "all")
         assert [(r["p"], r["m"]) for r in report["rows"]] == [(7, 3), (7, 5)]
 
-    @pytest.mark.parametrize("primes", ["", "9..8", "8..10"])
+    @pytest.mark.parametrize("primes", ["", "9..8", "8..10", "5..x", "x", "5,y"])
     def test_primes_selecting_nothing_exit_2(self, capsys, primes):
         code, out, err = run(capsys, "verify-theorem", "--primes", primes)
         assert code == 2
@@ -410,6 +410,8 @@ class TestSweep:
             {"primes": [5], "seed": "abc"},
             {"primes": [5], "seed": 2.9},
             {"primes": [5], "seed": True},
+            {"primes": "5..x"},
+            {"primes": "x,7"},
         ],
     )
     def test_malformed_config_shape_exit_3(self, capsys, tmp_path, monkeypatch, config):
@@ -435,6 +437,16 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(path))
         assert code == 3
         assert "'output.path'" in err
+
+    @pytest.mark.parametrize("fmt", [7, ["json"], None])
+    def test_non_string_output_format_exit_3(self, capsys, tmp_path, monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"primes": [5], "output": {"format": fmt}}))
+        code, _, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 3
+        assert "'output.format'" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_output_path_in_missing_directory_exit_2(self, capsys, tmp_path, monkeypatch):
         def fail(cfg):

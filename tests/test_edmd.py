@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +126,16 @@ class TestFit:
             q=2, alpha=canonical_alpha(5, 2)
         ).matrix
 
+    def test_lowest_terms(self):
+        # numerators over one positive denominator, reduced on construction
+        fit = FittedOperator(den=4, rows=((2, 0), (6, -4)), residual_sq=F(0), fit_kind="unique")
+        assert (fit.den, fit.rows) == (2, ((1, 0), (3, -2)))
+        same = FittedOperator(den=2, rows=((1, 0), (3, -2)), residual_sq=F(0), fit_kind="unique")
+        assert fit == same
+        assert fit.a_hat == ((F(1, 2), 0), (F(3, 2), -1))
+        zero = FittedOperator(den=6, rows=((0,),), residual_sq=F(1), fit_kind="minimum-norm")
+        assert (zero.den, zero.rows) == (1, ((0,),))
+
     def test_scalar_linear_system(self):
         fit = edmd_fit(dataset_from_values([1, 2, 4, 8, 16, 32], 0, 4))
         assert fit.a_hat == ((2,),)
@@ -190,6 +200,7 @@ def check_against_oracles(values, q, n, pseudo_inverse=True):
     """edmd_fit against the normal equations on dense Z, Z_plus and, unless
     told otherwise, against Z_plus pinv(Z) by Gauss-Jordan; returns the fit."""
     fit = edmd_fit(dataset_from_values(values, q, n))
+    assert fit.den > 0 and gcd(fit.den, *[a for row in fit.rows for a in row]) == 1
     z, z_plus = snapshot_matrices(values, q, n)
     assert fit == normal_equations_fit(z, z_plus)
     if fit.fit_kind == "unique":
@@ -231,8 +242,7 @@ class TestCompare:
     def test_p7_flags(self):
         values = orbit(full_period_trajectory(P7), 16)
         fit = edmd_fit(dataset_from_values(values, 3, 7))
-        canonical = CompanionSystem(q=3, alpha=canonical_alpha(7, 3))
-        comparison = compare_on_values(fit, canonical, values, 12)
+        comparison = compare_on_values(fit, canonical_alpha(7, 3), values, 12)
         assert comparison.entrywise_equal and comparison.prediction_equivalent
 
     def test_between_thresholds(self):
@@ -240,30 +250,27 @@ class TestCompare:
         # is recorded as observed
         values = orbit(full_period_trajectory(P7), 17)
         fit = edmd_fit(dataset_from_values(values, 4, 7))
-        canonical = CompanionSystem(q=4, alpha=canonical_alpha(7, 4))
-        comparison = compare_on_values(fit, canonical, values, 12)
+        comparison = compare_on_values(fit, canonical_alpha(7, 4), values, 12)
         assert comparison.prediction_equivalent
         assert isinstance(comparison.entrywise_equal, bool)
 
     def test_identical_inputs(self):
         values = orbit(full_period_trajectory(P5), 11)
         fit = edmd_fit(dataset_from_values(values, 2, 4))
-        canonical = CompanionSystem(q=2, alpha=canonical_alpha(5, 2))
-        comparison = compare_on_values(fit, canonical, values, 8)
+        comparison = compare_on_values(fit, canonical_alpha(5, 2), values, 8)
         assert comparison.entrywise_equal and comparison.prediction_equivalent
 
     def test_dimension_mismatch(self):
         values = orbit(full_period_trajectory(P5), 8)
         fit = edmd_fit(dataset_from_values(values, 2, 4))
         with pytest.raises(ValueError):
-            compare_on_values(fit, full_period_system(P5), values, 4)
+            compare_on_values(fit, full_period_system(P5).alpha, values, 4)
 
     def test_insufficient_data(self):
         values = orbit(full_period_trajectory(P5), 7)
         fit = edmd_fit(dataset_from_values(values, 2, 4))
-        canonical = CompanionSystem(q=2, alpha=canonical_alpha(5, 2))
         with pytest.raises(ValueError, match="cannot reach step 5"):
-            compare_on_values(fit, canonical, values, 5)
+            compare_on_values(fit, canonical_alpha(5, 2), values, 5)
 
     def test_entrywise_flag_matches_matrix_comparison(self):
         # the fits above, and a full-order one against the cyclic shift
@@ -275,7 +282,7 @@ class TestCompare:
             analytic = CompanionSystem(q=q, alpha=canonical_alpha(params.p, q))
             if q == params.p - 2:
                 analytic = full_period_system(params)
-            flag = compare_on_values(fit, analytic, values, 0).entrywise_equal
+            flag = compare_on_values(fit, analytic.alpha, values, 0).entrywise_equal
             assert flag == ([list(row) for row in fit.a_hat] == analytic.matrix)
             flags.add(flag)
         assert flags == {True, False}
@@ -294,7 +301,7 @@ class TestCompare:
                 if i >= 0:
                     altered[i] += 1
                 fit = edmd_fit(dataset_from_values(altered, q, n))
-                flag = compare_on_values(fit, analytic, altered, 0).entrywise_equal
+                flag = compare_on_values(fit, analytic.alpha, altered, 0).entrywise_equal
                 assert flag == ([list(row) for row in fit.a_hat] == analytic.matrix), (q, i)
 
     @settings(max_examples=200, deadline=None)
@@ -306,8 +313,11 @@ class TestCompare:
         analytic = CompanionSystem(q=q, alpha=alpha)
         rows = analytic.matrix
         rows[data.draw(st.integers(0, q))][data.draw(st.integers(0, q))] += data.draw(small)
-        fit = FittedOperator(a_hat=tuple(map(tuple, rows)), residual_sq=F(0), fit_kind="unique")
-        flag = compare_on_values(fit, analytic, list(range(q + 1)), 0).entrywise_equal
+        den = lcm(*[a.denominator for row in rows for a in row])
+        nums = tuple(tuple(int(a * den) for a in row) for row in rows)
+        fit = FittedOperator(den=den, rows=nums, residual_sq=F(0), fit_kind="unique")
+        assert fit.a_hat == tuple(map(tuple, rows))
+        flag = compare_on_values(fit, analytic.alpha, list(range(q + 1)), 0).entrywise_equal
         assert flag == (rows == analytic.matrix)
 
 
@@ -333,7 +343,7 @@ class TestPredictionOracle:
             prefix = prediction_prefix(fit.a_hat, values, top)
             assert prefix == top
             for horizon in range(top + 1):
-                comparison = compare_on_values(fit, analytic, values, horizon)
+                comparison = compare_on_values(fit, analytic.alpha, values, horizon)
                 assert comparison.prediction_equivalent == (prefix >= horizon)
 
     @pytest.mark.parametrize("p", [5, 7, 11])
@@ -348,7 +358,7 @@ class TestPredictionOracle:
                 prefix = prediction_prefix(fit.a_hat, altered, top)
                 prefixes.add(prefix)
                 for horizon in range(top + 1):
-                    comparison = compare_on_values(fit, analytic, altered, horizon)
+                    comparison = compare_on_values(fit, analytic.alpha, altered, horizon)
                     assert comparison.prediction_equivalent == (prefix >= horizon), (i, horizon)
             assert set(range(top)) <= prefixes
 
@@ -371,8 +381,7 @@ class TestPredictionOracle:
                 values[data.draw(st.integers(0, count - 1))] += data.draw(st.sampled_from([-1, 1]))
         n = data.draw(st.integers(1, count - q - 1))
         fit = edmd_fit(dataset_from_values(values, q, n))
-        analytic = CompanionSystem(q=q, alpha=(F(0),) * (q + 1))
-        comparison = compare_on_values(fit, analytic, values, horizon)
+        comparison = compare_on_values(fit, (F(0),) * (q + 1), values, horizon)
         assert comparison.prediction_equivalent == (
             prediction_prefix(fit.a_hat, values, horizon) >= horizon
         )
