@@ -5,7 +5,8 @@ modular map into a companion-form linear system once the recurrence
 coefficients close over the integers. The minimal closing order is the
 linear complexity of one period, read off the cyclotomic factors of the
 period polynomial (closing_divisors); the closing coefficients are then
-solved once from the leading block of the periodic Hankel system and
+solved once from the leading block of the periodic Hankel system (at
+desk-scale primes by the word-size modular solve of linalg_exact) and
 certified by integer substitution (verify_closing). Also here: the
 auxiliary liftings (affine augmentation, additive rotation) and the
 table-lookup attack available at full dictionary length.
@@ -69,12 +70,12 @@ def lift_ciphertext(c: int, params: DhParams, q: int) -> tuple[int, ...]:
     Equals lift_shift at the (unknown) step e whenever c = x_e, because the
     next q orbit states after x_e are m*c, m^2*c, ... mod p.
     """
-    p = params.p
+    p, m = params.p, params.m
     if not 1 <= c <= p - 1:
         raise ValueError(f"c must lie in [1, p-1], got {c}")
     out = [c]
     for _ in range(q):
-        out.append((params.m * out[-1]) % p)
+        out.append(m * out[-1] % p)
     return tuple(out)
 
 
@@ -162,16 +163,13 @@ class AlphaSolveResult:
         return self.solution is not None
 
 
-def solve_alpha_exact(sys: HankelSystem, full_ranks: bool = True) -> AlphaSolveResult:
+def solve_alpha_exact(sys: HankelSystem) -> AlphaSolveResult:
     """Solve b = A alpha over the rationals, or certify rank(A) < rank(A|b).
 
-    Unsolvable is an informative outcome (Kronecker-Capelli failure). With
-    full_ranks=False the elimination stops at the first inconsistency and
-    the reported ranks are lower bounds; solvability is still exact.
+    Unsolvable is an informative outcome (Kronecker-Capelli failure). Both
+    ranks are exact.
     """
-    sol, rank_a, rank_aug = solve_int_with_ranks(
-        sys.a_rows, sys.b, early_abort=not full_ranks
-    )
+    sol, rank_a, rank_aug = solve_int_with_ranks(sys.a_rows, sys.b)
     solution = None if sol is None else tuple(sol)
     return AlphaSolveResult(solution=solution, rank_a=rank_a, rank_augmented=rank_aug)
 
@@ -206,7 +204,7 @@ def minimal_lifting_dimension(params: DhParams, traj: ModTrajectory | None = Non
         traj = full_period_trajectory(params)
     divisors = closing_divisors(_one_period(traj))
     q = max(sum(len(cyclotomic_poly(d)) - 1 for d in divisors), 1) - 1
-    result = solve_alpha_exact(hankel_system(traj, q, rows=q + 1), full_ranks=False)
+    result = solve_alpha_exact(hankel_system(traj, q, rows=q + 1))
     if not (result.solvable and verify_closing(traj, result.solution)):
         raise RuntimeError(
             f"the order-{q + 1} recurrence from the cyclotomic factors {divisors} "

@@ -1,0 +1,26 @@
+"""Test-only oracle: the rational solve on the fraction-free integer echelon.
+
+The package solved every rational system this way before its wide systems
+moved to the word-size modular solve; it stays here as the reference that
+the modular solve must match exactly: solution, rank(A) and rank(A|b).
+"""
+
+from fractions import Fraction
+
+from koopman_dh.linalg_exact import IntegerEchelon
+
+
+def echelon_solve(a_rows, b):
+    """(solution | None, rank(A), rank(A|b)) over Q, free variables pinned to zero."""
+    a_rows = [list(row) for row in a_rows]
+    if not a_rows:
+        return [], 0, 0
+    b_col = len(a_rows[0])
+    ech = IntegerEchelon(b_col + 1)
+    for row, rhs in zip(a_rows, b):
+        ech.add_row(row + [rhs])
+    rank_aug = ech.rank
+    if b_col in ech.pivot_rows:
+        return None, rank_aug - 1, rank_aug
+    d, x = ech.back_substitute(b_col)
+    return [Fraction(v, d) for (v,) in x], rank_aug, rank_aug

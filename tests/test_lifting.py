@@ -263,6 +263,11 @@ class TestMinimalDimension:
     def test_examples(self, p, m, expected):
         assert minimal_lifting_dimension(DhParams(p, m)) == expected
 
+    @pytest.mark.parametrize("p,m", [(401, 3), (1009, 11)])
+    def test_desk_scale_primes(self, p, m):
+        """The leading-block solve at 202 and 506 columns runs on the modular kernel."""
+        assert minimal_lifting_dimension(DhParams(p, m)) == (p - 1) // 2 + 1
+
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_independent_of_generator(self, p):
         for m in all_primitive_roots(p):

@@ -1,11 +1,21 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echelon_oracle import echelon_solve
 from field_oracle import frobenius_sq, inverse, matmul, pinv, rref, solve, transpose
-from koopman_dh.linalg_exact import IntegerEchelon, solve_int_with_ranks
+from koopman_dh import linalg_exact
+from koopman_dh.dynamics import is_prime
+from koopman_dh.linalg_exact import (
+    IntegerEchelon,
+    _MODULAR_COLUMNS,
+    _solve_multimodular,
+    _word_primes,
+    solve_int_with_ranks,
+)
 
 small_int = st.integers(-6, 6)
 
@@ -119,3 +129,111 @@ def test_matvec_and_frobenius():
     assert matmul([[1, 2], [3, 4]], [[5], [6]]) == [[17], [39]]
     assert frobenius_sq([[1, 2], [3, 4]]) == 30
     assert frobenius_sq([[Fraction(1, 2)]]) == Fraction(1, 4)
+
+
+def first_primes(count):
+    primes = _word_primes()
+    return [next(primes) for _ in range(count)]
+
+
+FIRST_PRIME = first_primes(1)[0]
+
+
+def primes_used(a_rows, b):
+    """The modular solve's answer and how many primes of the list it read."""
+    seen = []
+
+    def counting():
+        for prime in _word_primes():
+            seen.append(prime)
+            yield prime
+
+    with patch.object(linalg_exact, "_word_primes", counting):
+        got = _solve_multimodular(a_rows, b)
+    return got, len(seen)
+
+
+@st.composite
+def rational_systems(draw):
+    """A x = b with 1-6 rows and 1-6 unknowns (square, tall or wide).
+
+    Entries are small (so singular and inconsistent systems are common) or,
+    in half the draws, mixed with entries up to 2^80, whose solutions need
+    denominators of several primes. Up to two extra rows are integer
+    combinations of the others, their right-hand side kept or moved by 1.
+    """
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = small_int
+    if draw(st.booleans()):
+        entry = st.one_of(small_int, st.integers(-(2**80), 2**80))
+    rows = draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        row = [sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(n + 1)]
+        row[-1] += draw(st.sampled_from([0, 1]))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return [r[:-1] for r in rows], [r[-1] for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_modular_solve_matches_integer_echelon(system):
+    """The certified modular solve returns exactly the integer echelon's answer."""
+    a_rows, b = system
+    assert _solve_multimodular(a_rows, b) == echelon_solve(a_rows, b)
+
+
+def test_word_primes_are_the_primes_below_2_31():
+    primes = first_primes(6)
+    assert primes == sorted(primes, reverse=True) and primes[0] == 2**31 - 1
+    assert all(is_prime(v) for v in primes)
+    assert not any(is_prime(v) for v in range(primes[-1] + 1, primes[0]) if v not in primes)
+
+
+def test_denominators_beyond_one_prime():
+    big = 2**40 + 1  # 1/big needs a modulus above 2 * big^2: three primes
+    (got, used) = primes_used([[big]], [1])
+    assert got == echelon_solve([[big]], [1]) == ([Fraction(1, big)], 1, 1)
+    assert used == 3
+    a_rows = [[2**64 + 3, 2**70 - 1], [-(2**66), 5]]
+    got, used = primes_used(a_rows, [1, 2**65])
+    assert got == echelon_solve(a_rows, [1, 2**65]) and used > 2
+
+
+@pytest.mark.parametrize(
+    "a_rows,b",
+    [
+        ([[FIRST_PRIME]], [1]),
+        ([[FIRST_PRIME, 1], [0, 1]], [1, 1]),
+        ([[FIRST_PRIME, 1], [0, 1]], [0, 0]),
+        ([[1, 1], [1, FIRST_PRIME + 1]], [2, 3]),
+    ],
+)
+def test_unlucky_first_prime(a_rows, b):
+    """Entries that vanish mod the first prime drop the rank there; only the
+    integer substitution rejects that prime's answer, and the next is right."""
+    got, used = primes_used(a_rows, b)
+    assert got == echelon_solve(a_rows, b)
+    assert used > 1
+
+
+def test_unlucky_later_prime_is_skipped():
+    """x = 1/l2 for the second prime l2: l2 is unlucky and skipped, and the
+    first, third and fourth primes are merged."""
+    second = first_primes(2)[1]
+    got, used = primes_used([[second]], [1])
+    assert got == echelon_solve([[second]], [1]) == ([Fraction(1, second)], 1, 1)
+    assert used == 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_wide_systems_take_the_modular_path(data):
+    """solve_int_with_ranks at and above the crossover width, against the oracle."""
+    n = data.draw(st.integers(_MODULAR_COLUMNS - 1, _MODULAR_COLUMNS + 4))
+    m = data.draw(st.integers(1, n + 3))
+    rows = data.draw(st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = data.draw(st.lists(small_int, min_size=m, max_size=m))
+    with patch.object(linalg_exact, "_solve_multimodular", wraps=_solve_multimodular) as spy:
+        assert solve_int_with_ranks(rows, b) == echelon_solve(rows, b)
+    assert spy.called
