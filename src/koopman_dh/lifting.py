@@ -73,9 +73,10 @@ def lift_ciphertext(c: int, params: DhParams, q: int) -> tuple[int, ...]:
     p, m = params.p, params.m
     if not 1 <= c <= p - 1:
         raise ValueError(f"c must lie in [1, p-1], got {c}")
-    out = [c]
+    x, out = c, [c]
     for _ in range(q):
-        out.append(m * out[-1] % p)
+        x = x * m % p
+        out.append(x)
     return tuple(out)
 
 

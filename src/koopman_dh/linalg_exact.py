@@ -15,6 +15,7 @@ and identities are checked by annihilates.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -120,30 +121,49 @@ def annihilates(coeffs, seq, modulus: int | None = None) -> bool:
     return not any(acc if modulus is None else [a % modulus for a in acc])
 
 
+# The primes _word_primes has reached, largest first: filled only as solves
+# need them, and only appended to, under the lock, so no prime is repeated.
+_word_prime_list: list[int] = []
+_word_prime_lock = threading.Lock()
+
+
 def _word_primes():
     """Primes below 2^31, largest first: the fixed list the modular solve walks.
 
-    Miller-Rabin with the bases 2, 7 and 61 is exact below 4759123141; the
-    trial division of dynamics.is_prime would cost milliseconds a candidate.
+    Each prime is searched for once per process; later solves read it from
+    _word_prime_list. Miller-Rabin with the bases 2, 7 and 61 is exact below
+    4759123141; the trial division of dynamics.is_prime would cost
+    milliseconds a candidate.
     """
-    n = (1 << 31) - 1
+    primes, k = _word_prime_list, 0
     while True:
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        for a in (2, 7, 61):
-            x = pow(a, d, n)
-            if x in (1, n - 1):
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
+        if k == len(primes):
+            with _word_prime_lock:
+                if k == len(primes):
+                    n = primes[-1] - 2 if primes else (1 << 31) - 1
+                    while not _is_word_prime(n):
+                        n -= 2
+                    primes.append(n)
+        yield primes[k]
+        k += 1
+
+
+def _is_word_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 61 below 4759123141, with the bases 2, 7, 61."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
         else:
-            yield n
-        n -= 2
+            return False
+    return True
 
 
 def _rref_mod(a, prime: int) -> list[int]:

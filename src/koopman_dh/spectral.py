@@ -14,15 +14,17 @@ and only the closing row needs the cyclotomic reduction.
 
 Set-up is O(q^3): every entry of V is one of the 2q roots of turn n/(2q),
 picked by the integer index r*(2k+1) mod 2q, and V is inverted once. A
-recovery query is then two O(q^2) matrix-vector products with Vinv plus
-O(q) array matching in numpy: every eigencoordinate ratio is rounded at once
-to the nearest power of its eigenvalue by angle, and the Chinese remainder
+recovery query is then one O(q^2) matrix-vector product with Vinv plus O(q)
+array matching in numpy: every eigencoordinate ratio is rounded at once to
+the nearest power of its eigenvalue by angle, and the Chinese remainder
 theorem merges one residue per distinct eigenvalue order (a divisor of 2q).
+The decomposition keeps the eigencoordinates of the last start state it was
+asked about, so only a new start state costs a second product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, pi, sin
 
@@ -46,6 +48,8 @@ class SpectralDecomposition:
     the Vandermonde eigenvector (1, l_j, ..., l_j^q). turns[j] = index[j] / 2q
     = n / order[j] in lowest terms, inverse[j] = 1/n mod order[j],
     separation[j] = sin(pi / order[j]), and roots[n] has turn n / 2q.
+    _start holds (key, zt0, usable j, tolerance) for the last start state
+    that recovery was asked about (see _prepared_start).
     """
 
     q: int
@@ -58,6 +62,7 @@ class SpectralDecomposition:
     inverse: np.ndarray
     separation: np.ndarray
     roots: np.ndarray
+    _start: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -132,8 +137,31 @@ class ExponentEstimate:
     parity: str
 
 
-def _usable_tolerance(zt0: np.ndarray) -> float:
-    return 1e-9 * max(1.0, float(np.max(np.abs(zt0))))
+def _prepared_start(z_0, dec: SpectralDecomposition):
+    """(zt0, usable indices j, tolerance) of the start state z_0.
+
+    dec keeps them for the last start it was asked about, keyed by the
+    state's values: a repeated start costs one O(q) tuple comparison (by
+    identity for the same tuple) instead of an O(q^2) transform. The entry is
+    replaced in one assignment, so a concurrent reader never sees half of it.
+    """
+    try:  # an array's own tuple would hold its rows
+        key = tuple(z_0.tolist() if isinstance(z_0, np.ndarray) else z_0)
+    except TypeError:
+        key = None  # not a sequence; transform raises the dimension error
+    start = dec._start
+    if start is not None and key is not None and (
+        start[0] is key
+        # an array entry would equal a scalar by broadcasting: never a hit
+        or (not any(isinstance(v, np.ndarray) for v in key) and start[0] == key)
+    ):
+        return start[1:]
+    zt0 = transform(z_0, dec)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(zt0))))
+    usable = np.array(list(map(abs, zt0.tolist()))) >= tol
+    j = np.flatnonzero(usable[1:]) + 1  # eigenvalue 0 is l = 1
+    object.__setattr__(dec, "_start", (key, zt0, j, tol))
+    return zt0, j, tol
 
 
 def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEstimate:
@@ -148,10 +176,8 @@ def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEs
     residue constraints on e. All usable eigenvalues must agree on a single
     exponent; anything less raises RecoveryError.
     """
-    zt0 = transform(z_0, dec)
+    zt0, j, tol = _prepared_start(z_0, dec)
     zte = transform(z_e, dec)
-    usable = np.array(list(map(abs, zt0.tolist()))) >= _usable_tolerance(zt0)
-    j = np.flatnonzero(usable[1:]) + 1  # eigenvalue 0 is l = 1
     if not j.size:
         raise RecoveryError("no usable eigenvalues: initial eigencoordinates all vanish")
     order = dec.order[j]
@@ -182,7 +208,7 @@ def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEs
     return ExponentEstimate(
         e=admissible[0],
         per_eigenvalue_residues=tuple(zip(j.tolist(), t.tolist(), dist)),
-        parity=_parity_of(zte, zt0, dec),
+        parity=_parity_of(zte, zt0, tol, dec),
     )
 
 
@@ -201,14 +227,16 @@ def parity(z_e, z_0, dec: SpectralDecomposition) -> str:
     -1 is an eigenvalue exactly when q is odd; its eigencoordinate flips
     sign once per step, so the ratio is +1 for even e and -1 for odd e.
     """
-    return _parity_of(transform(z_e, dec), transform(z_0, dec), dec)
+    zte = transform(z_e, dec)
+    zt0, _, tol = _prepared_start(z_0, dec)
+    return _parity_of(zte, zt0, tol, dec)
 
 
-def _parity_of(zte: np.ndarray, zt0: np.ndarray, dec: SpectralDecomposition) -> str:
+def _parity_of(zte: np.ndarray, zt0: np.ndarray, tol: float, dec: SpectralDecomposition) -> str:
     if dec.q % 2 == 0:
         return "unavailable"
     j = (dec.q + 1) // 2  # index[j] = 2j - 1 = q: the eigenvalue -1
-    if abs(zt0[j]) < _usable_tolerance(zt0):
+    if abs(zt0[j]) < tol:
         raise RecoveryError("initial eigencoordinate at -1 vanishes; parity unreadable")
     ratio = zte[j] / zt0[j]
     return "even" if ratio.real > 0 else "odd"

@@ -1,4 +1,5 @@
-"""Test-only oracle: the rational solve on the fraction-free integer echelon.
+"""Test-only oracles: the rational solve on the fraction-free integer echelon,
+and the prime search that the modular solve walked on every call.
 
 The package solved every rational system this way before its wide systems
 moved to the word-size modular solve; it stays here as the reference that
@@ -24,3 +25,27 @@ def echelon_solve(a_rows, b):
         return None, rank_aug - 1, rank_aug
     d, x = ech.back_substitute(b_col)
     return [Fraction(v, d) for (v,) in x], rank_aug, rank_aug
+
+
+def word_primes_by_search(count):
+    """The first count primes below 2^31, largest first, by a fresh
+    Miller-Rabin search (bases 2, 7, 61) from 2^31 - 1 down."""
+    primes, n = [], (1 << 31) - 1
+    while len(primes) < count:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 7, 61):
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                break
+        else:
+            primes.append(n)
+        n -= 2
+    return primes

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from itertools import islice
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echelon_oracle import echelon_solve
+from echelon_oracle import echelon_solve, word_primes_by_search
 from field_oracle import frobenius_sq, inverse, matmul, pinv, rref, solve, transpose
 from koopman_dh import linalg_exact
 from koopman_dh.dynamics import is_prime
@@ -188,6 +193,62 @@ def test_word_primes_are_the_primes_below_2_31():
     assert primes == sorted(primes, reverse=True) and primes[0] == 2**31 - 1
     assert all(is_prime(v) for v in primes)
     assert not any(is_prime(v) for v in range(primes[-1] + 1, primes[0]) if v not in primes)
+
+
+def test_word_primes_walk_the_searched_sequence():
+    expected = word_primes_by_search(20)
+    assert first_primes(20) == expected
+    assert linalg_exact._word_prime_list[:20] == expected
+    assert all(is_prime(v) for v in expected)
+    # two walks at once read the same list, and a walk searches only past its end
+    a, b = _word_primes(), _word_primes()
+    assert [(next(a), next(b)) for _ in range(22)] == [(v, v) for v in first_primes(22)]
+    with patch.object(linalg_exact, "_is_word_prime", side_effect=AssertionError):
+        assert list(islice(_word_primes(), 22)) == first_primes(22)
+
+
+def test_concurrent_walks_share_one_list():
+    """Walks in many threads from an empty list each see the searched sequence,
+    and the list holds every prime once."""
+    expected = word_primes_by_search(40)
+    seen, threads = [], []
+    barrier = threading.Barrier(8, timeout=60)
+
+    def walk():
+        barrier.wait()
+        seen.append(first_primes(40))
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with patch.object(linalg_exact, "_word_prime_list", []):
+            for _ in range(8):
+                threads.append(threading.Thread(target=walk))
+                threads[-1].start()
+            for t in threads:
+                t.join(timeout=60)
+            assert linalg_exact._word_prime_list == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [expected] * 8
+
+
+def test_word_primes_are_found_on_demand():
+    """Importing finds no prime; a solve finds only the primes it walks."""
+    script = """
+from fractions import Fraction
+from koopman_dh import linalg_exact
+assert linalg_exact._word_prime_list == []
+assert linalg_exact._solve_multimodular([[3]], [1])[0] == [Fraction(1, 3)]
+assert len(linalg_exact._word_prime_list) == 1
+big = 2**40 + 1
+for _ in range(2):
+    assert linalg_exact._solve_multimodular([[big]], [1])[0] == [Fraction(1, big)]
+    assert len(linalg_exact._word_prime_list) == 3
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def test_denominators_beyond_one_prime():

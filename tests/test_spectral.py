@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from math import pi, sin
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import PRIMES_TO_61
+from koopman_dh import spectral
 from koopman_dh.cyclotomic import turn_to_complex
 from koopman_dh.dynamics import (
     DhParams,
@@ -287,6 +290,146 @@ class TestParity:
         for e in range(1, p):
             ze = lift_shift(traj, q, e)
             assert parity(ze, z0, dec) == ("even" if e % 2 == 0 else "odd")
+
+
+def warm(call, z_e, z_0, dec, *rest):
+    """call's result, or the type and message of the error it raises."""
+    try:
+        return call(z_e, z_0, dec, *rest)
+    except (RecoveryError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def cold(call, z_e, z_0, p, *rest):
+    """warm on a decomposition that has seen no start state, so the transform
+    of z_0 is computed: the answer without the start memo."""
+    return warm(call, z_e, z_0, eigen_canonical(p, (p - 1) // 2), *rest)
+
+
+class TestPreparedStart:
+    """The decomposition keeps the last start state's eigencoordinates."""
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 23, 101])
+    def test_hit_equals_cold_estimate(self, p):
+        params, q, dec, traj, z0 = setup_case(p)
+        recover_exponent(z0, z0, dec, p)
+        for e in range(1, p):
+            ze = lift_ciphertext(mod_pow(params.m, e, p), params, q)
+            hit = recover_exponent(ze, z0, dec, p)
+            assert dec._start[0] is z0
+            # dataclass == compares e, parity and every (j, t, match error)
+            assert hit == cold(recover_exponent, ze, z0, p, p)
+            assert repr(hit) == repr(cold(recover_exponent, ze, z0, p, p))
+
+    def test_alternating_starts_never_go_stale(self):
+        p = 23
+        params, q, dec, traj, z0 = setup_case(p)
+        other = DhParams(p, all_primitive_roots(p)[-1])
+        assert other.m != params.m
+        starts = [
+            z0,
+            lift_shift(full_period_trajectory(other), q, 0),
+            lift_shift(traj, q, 3),
+            [2.5 * v for v in z0],
+            [(0.75 - 1.5j) * v for v in z0],
+            list(z0),
+            np.array(z0),
+            np.array(z0, dtype=float) / 7,
+        ]
+        rng = random.Random(p)
+        for _ in range(60):
+            z_0 = rng.choice(starts)
+            ze = lift_ciphertext(mod_pow(params.m, rng.randrange(1, p), p), params, q)
+            assert warm(recover_exponent, ze, z_0, dec, p) == cold(recover_exponent, ze, z_0, p, p)
+            assert warm(parity, ze, z_0, dec) == cold(parity, ze, z_0, p)
+
+    def test_start_changed_in_place_is_a_new_start(self):
+        params, q, dec, traj, z0 = setup_case(11)
+        ze = lift_ciphertext(mod_pow(params.m, 4, 11), params, q)
+        for start in (list(z0), np.array(z0)):
+            assert recover_exponent(ze, start, dec, 11).e == 4
+            start[1], start[2] = start[2], start[1]
+            assert warm(recover_exponent, ze, start, dec, 11) == cold(
+                recover_exponent, ze, start, 11, 11
+            )
+            assert warm(recover_exponent, ze, start, dec, 11) != recover_exponent(ze, z0, dec, 11)
+
+    def test_unusable_start_raises_on_every_call(self):
+        params, q, dec, traj, z0 = setup_case(7)
+        ze = lift_ciphertext(4, params, q)
+        for _ in range(3):
+            with pytest.raises(RecoveryError, match="no usable eigenvalues"):
+                recover_exponent(ze, [0, 0, 0, 0], dec, 7)
+            with pytest.raises(RecoveryError, match="parity unreadable"):
+                parity(ze, (0.0, 0.0, 0.0, 0.0), dec)
+        assert recover_exponent(ze, z0, dec, 7).e == 4
+
+    def test_wrong_dimension_keeps_its_message(self):
+        params, q, dec, traj, z0 = setup_case(11)
+        ze = lift_ciphertext(mod_pow(params.m, 3, 11), params, q)
+        column = np.array(z0).reshape(-1, 1)
+        bad = [z0[:-1], list(z0) + [1], column, list(column), list(np.eye(6)), np.array(z0[0]), 5]
+        for z_0 in bad:
+            recover_exponent(ze, z0, dec, 11)  # the memo holds the good start
+            message = cold(recover_exponent, ze, z_0, 11, 11)
+            assert message[0] is ValueError and "state has dimension" in message[1]
+            assert warm(recover_exponent, ze, z_0, dec, 11) == message
+            assert warm(parity, ze, z_0, dec) == cold(parity, ze, z_0, 11) == message
+        assert dec._start[0] is z0
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 23])
+    def test_parity_agrees_with_estimate_on_hits_and_misses(self, p):
+        params, q, dec, traj, z0 = setup_case(p)
+        for e in range(1, p):
+            ze = lift_ciphertext(mod_pow(params.m, e, p), params, q)
+            fresh = eigen_canonical(p, q)
+            assert parity(ze, z0, fresh) == recover_exponent(ze, z0, dec, p).parity
+            assert parity(ze, z0, dec) == recover_exponent(ze, z0, fresh, p).parity
+
+    def test_concurrent_queries_with_alternating_starts(self):
+        p = 23
+        params, q, dec, traj, z0 = setup_case(p)
+        starts = [z0, lift_shift(traj, q, 5), [0.5 * v for v in z0]]
+        lifts = [lift_ciphertext(mod_pow(params.m, e, p), params, q) for e in range(1, p)]
+        queries = [(ze, z_0) for ze in lifts for z_0 in starts]
+        expected = [cold(recover_exponent, ze, z_0, p, p) for ze, z_0 in queries]
+        results, threads = {}, []
+
+        def run(seed):
+            order = random.Random(seed).sample(range(len(queries)), len(queries))
+            results[seed] = all(
+                warm(recover_exponent, *queries[i], dec, p) == expected[i] for i in order
+            )
+
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for seed in range(6):
+                threads.append(threading.Thread(target=run, args=(seed,)))
+                threads[-1].start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {seed: True for seed in range(6)}
+
+    def test_one_transform_per_query_after_the_first(self, monkeypatch):
+        calls = []
+        original = spectral.transform
+
+        def counting(z, dec):
+            calls.append(z)
+            return original(z, dec)
+
+        monkeypatch.setattr(spectral, "transform", counting)
+        params, q, dec, traj, z0 = setup_case(23)
+        k = 7
+        for e in range(1, k + 1):
+            recover_exponent(lift_ciphertext(mod_pow(params.m, e, 23), params, q), z0, dec, 23)
+        assert len(calls) == k + 1
+        parity(z0, list(z0), dec)
+        assert len(calls) == k + 2  # an equal list is the same start
 
 
 def recover_by_scan(z_e, z_0, dec, p):
