@@ -7,16 +7,19 @@ holds the n+q+1 integers whose windows are the columns of Z and Z_plus, so
 the pair is shift-consistent by construction and every Gram entry is a
 sliding sum of those integers. The fit Z_plus Z^+ (unique under full row
 rank, of minimum Frobenius norm otherwise) is the shift above one last-row
-solve, or rows 1..q of the projector onto Z's column space above one; every
-solve runs on the package's elimination engine.
+solve, or rows 1..q of the projector onto Z's column space above one. Every
+solve, and the snapshot rank, is the certified reduced echelon form of
+linalg_exact.reduced_echelon (word-size modular arithmetic above a size,
+proven over the integers); the Gram and projector products are int_dot's.
 
 A fitted operator is integer numerators over one positive denominator, in
 lowest terms, from the fit through every check; Fractions are built only
 for its JSON form. Data enters as a raw integer sequence, an orbit as its
 values. Predictions A^k z_0 = z_k are checked as one-step integer identities
-on each distinct window of the data, against the closing row alpha for
-entrywise equality. Only the under-parameterized error, whose predictions
-leave the data, iterates A: on its numerators over powers of its denominator.
+on each distinct window of the data, every row but the shift rows in one
+window product, against the closing row alpha for entrywise equality. Only
+the under-parameterized error, whose predictions leave the data, iterates
+A: on its numerators over powers of its denominator.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg_exact import IntegerEchelon, annihilates
+from .linalg_exact import annihilates_all, int_dot, reduced_echelon
 from .serialize import frac_json, frac_matrix_json
 
 
@@ -49,10 +52,9 @@ class EdmdDataset:
             raise ValueError(f"dictionary order must be nonnegative, got {self.q}")
         if self.n < 1:
             raise ValueError(f"need at least one snapshot pair, got n={self.n}")
-        dim, echelon, pivots = self.q + 1, IntegerEchelon(self.q + 1), []
-        for k in range(self.n):
-            if len(pivots) < dim and echelon.add_row(self.values[k : k + dim]) is not None:
-                pivots.append(k)
+        # the column rank profile of Z, whose row i is values[i..i+n-1]
+        n, v = self.n, self.values
+        pivots = reduced_echelon([v[i : i + n] for i in range(self.q + 1)], n)[0]
         object.__setattr__(self, "pivot_windows", tuple(pivots))
 
     @property
@@ -148,11 +150,8 @@ def _fit_unique(dataset: EdmdDataset) -> FittedOperator:
     # R[:q+1][:q+1] a = R[:q+1][q+1], which is row i of R read as [lhs | rhs]
     q = dataset.q
     r = _sliding_gram(dataset.values, q + 2, dataset.n)
-    solver = IntegerEchelon(q + 2)
-    for row in r[: q + 1]:
-        solver.add_row(row)
     # scale is the lcm of the reduced denominators of a: the rows are in lowest terms
-    scale, x = solver.back_substitute(q + 1)
+    _, scale, x = reduced_echelon(r[: q + 1], q + 1)
     a = [num for (num,) in x]
     shift = [tuple([scale if j == i + 1 else 0 for j in range(q + 1)]) for i in range(q)]
     return FittedOperator(
@@ -174,25 +173,22 @@ def _fit_minimum_norm(dataset: EdmdDataset) -> FittedOperator:
     gram = _sliding_gram(v, dataset.n, dim)
     f = [gram[k] for k in pivots]
     c = [[v[k + i] for k in pivots] for i in range(dim)]
-    solver = IntegerEchelon(rank + dim)
-    for k, row in zip(pivots, f):
-        solver.add_row([row[j] for j in pivots] + list(v[k : k + dim]))
-    d, x = solver.back_substitute(rank)
+    _, d, x = reduced_echelon(
+        [[row[j] for j in pivots] + list(v[k : k + dim]) for k, row in zip(pivots, f)], rank
+    )
     s = v[dim:]
     fs = [sum(map(mul, row, s)) for row in f]
-    solver = IntegerEchelon(rank + 1)
-    for row, rhs in zip(f, fs):
-        solver.add_row([sum(map(mul, row, other)) for other in f] + [rhs])
-    e, y = solver.back_substitute(rank)
+    _, e, y = reduced_echelon([g + [b] for g, b in zip(int_dot(f, f), fs)], rank)
     y = [num for (num,) in y]
     den = lcm(d, e)
-    x_cols = [[den // d * row[l] for row in x] for l in range(dim)]
-    # the projector is symmetric: only its lower triangle is computed
-    lower = [[sum(map(mul, c[i], x_cols[l])) for l in range(i + 1)] for i in range(dim)]
-    shift = [tuple(lower[i] + [lower[l][i] for l in range(i + 1, dim)]) for i in range(1, dim)]
+    projector = int_dot(c[1:], [[row[l] for row in x] for l in range(dim)])
+    last = int_dot([y], c)[0]
     return FittedOperator(
         den=den,
-        rows=(*shift, tuple([den // e * sum(map(mul, y, c_row)) for c_row in c])),
+        rows=(
+            *[tuple([den // d * a for a in row]) for row in projector],
+            tuple([den // e * a for a in last]),
+        ),
         residual_sq=Fraction(e * sum(map(mul, s, s)) - sum(map(mul, y, fs)), e),
         fit_kind="minimum-norm",
     )
@@ -247,16 +243,16 @@ def compare_on_values(fitted: FittedOperator, alpha, values, horizon: int) -> Op
     data = values[: horizon + q + 1]
     # window k repeats window k - P, P the smallest period: the first P windows are all
     data = data[: min(horizon, _smallest_period(data)) + q + 1]
-    prediction = True
+    # a shift row, den at column i+1 and 0 elsewhere, holds on windows of one sequence
+    shift = [row[i + 1] == den and row.count(0) == q for i, row in enumerate(fitted.rows[:q])]
+    checked = []
     for i, row in enumerate(fitted.rows):
-        coeffs = [*row, 0]
-        coeffs[i + 1] -= den
-        prediction = annihilates(coeffs, data)
-        if not prediction:
-            break
+        if i == q or not shift[i]:
+            checked.append([*row, 0])
+            checked[-1][i + 1] -= den
+    prediction = annihilates_all(checked, data)
     # the companion matrix is the shift above the row alpha
-    shift = all(row.count(0) == q and row[i + 1] == den for i, row in enumerate(fitted.rows[:q]))
-    entrywise = shift and all(a * den == num for a, num in zip(alpha, fitted.rows[q]))
+    entrywise = all(shift) and all(a * den == num for a, num in zip(alpha, fitted.rows[q]))
     return OperatorComparison(entrywise_equal=entrywise, prediction_equivalent=prediction)
 
 

@@ -185,7 +185,9 @@ def closing_divisors(values) -> tuple[int, ...]:
     and its linear complexity is the sum of their degrees phi(d) (Blahut's
     theorem). These factors are the certificate of a minimal dimension.
     """
-    n = len(values)
+    # a list, so the residue-class slices that fold S modulo x^d - 1 are lists:
+    # CPython keeps up to 2000 freed tuples of each size below 21 for reuse
+    values, n = list(values), len(values)
     return tuple(
         [d for d in range(1, n + 1) if n % d == 0 and any(cyclotomic_remainder(values, d))]
     )

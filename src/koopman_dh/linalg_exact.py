@@ -1,16 +1,22 @@
-"""Exact linear algebra: an integer echelon and a certified modular solve.
+"""Exact linear algebra: a certified reduced echelon form over Q, and an integer echelon.
 
-`IntegerEchelon` is an incremental fraction-free row echelon of integer rows
-(cross-multiplication with gcd-normalized pivot rows), or of rows over GF(p)
-when it is given a prime modulus. It takes every rank decision and solve
-over GF(p), the EDMD fits, and rational solves of narrow systems. Wider
-rational systems are solved by Gauss-Jordan modulo word-size primes in numpy
-int64, lifted to Q by CRT and rational reconstruction, and accepted only
-after an integer substitution proves the reduced echelon form. No floating
-point anywhere, so rank(...) == k is a theorem about the input, not a
-tolerance call. Solutions are exact Fractions over the rationals and
-residues over GF(p); rationals enter as integers through scale_to_integers,
-and identities are checked by annihilates.
+`reduced_echelon` is the one rational entry point: the reduced row echelon
+form of an integer matrix [A | B], as its pivot columns, one denominator and
+integer numerators for the right-hand sides. `solve_int_with_ranks` is its
+one-right-hand-side case; the EDMD fits solve on it, and the snapshot rank
+is its pivot profile. Systems that can hold at least _MODULAR_PIVOTS pivots
+are reduced by Gauss-Jordan modulo word-size primes in numpy int64, lifted
+to Q by CRT and rational reconstruction, and accepted only after an integer
+substitution proves the form. Smaller ones, and every system over GF(p),
+take `IntegerEchelon`, an incremental fraction-free row echelon
+(cross-multiplication with gcd-normalized pivot rows, or rows over GF(p)
+with a prime modulus). Integer products and window checks run as one numpy
+int64 product wherever a bound on their partial sums proves it exact, and
+in Python integers otherwise. No floating point anywhere, so rank(...) == k
+is a theorem about the input, not a tolerance call. Solutions are exact
+Fractions over the rationals and residues over GF(p); rationals enter as
+integers through scale_to_integers, and identities are checked by
+annihilates.
 """
 
 from __future__ import annotations
@@ -18,11 +24,17 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 import numpy as np
 
-# Rational systems with at least this many columns in [A|b] take the modular solve.
-_MODULAR_COLUMNS = 16
+# Rational systems that can hold this many pivots take the modular solve.
+_MODULAR_PIVOTS = 15
+# Sums of integers below this bound in absolute value cannot overflow int64.
+_WORD_BOUND = 1 << 62
+# Integer products with fewer multiplications than this stay in Python: a
+# numpy int64 product costs tens of microseconds before its first one.
+_NUMPY_PRODUCTS = 256
 
 
 class IntegerEchelon:
@@ -119,6 +131,25 @@ def annihilates(coeffs, seq, modulus: int | None = None) -> bool:
         if c:
             acc = [a + c * v for a, v in zip(acc, seq[j : j + windows])]
     return not any(acc if modulus is None else [a % modulus for a in acc])
+
+
+def annihilates_all(rows, seq) -> bool:
+    """Whether every integer row of coefficients annihilates seq (see annihilates).
+
+    The rows share one length. One int64 product of seq's sliding windows
+    against the rows when _bounded_int64 admits them; otherwise annihilates
+    row by row.
+    """
+    width = len(rows[0])
+    if len(seq) < width:
+        return True
+    pair = None
+    if len(rows) * width * len(seq) >= _NUMPY_PRODUCTS:
+        pair = _bounded_int64(rows, seq, width)
+    if pair is None:
+        return all(annihilates(r, seq) for r in rows)
+    rows64, seq64 = pair
+    return not (np.lib.stride_tricks.sliding_window_view(seq64, width) @ rows64.T).any()
 
 
 # The primes _word_primes has reached, largest first: filled only as solves
@@ -223,59 +254,176 @@ def _reconstruct(residues, modulus: int):
     return den, nums
 
 
-def _solve_multimodular(a_rows, b):
-    """solve_int_with_ranks over the rationals by Gauss-Jordan mod word-size primes.
+def _int64(rows):
+    """rows as a numpy int64 array, or None when an entry does not fit in 64 bits."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return None
 
-    The reduced echelon form E of M = [A|b] is found mod one prime after
-    another, merged by CRT and lifted to Q by rational reconstruction. A
-    candidate, pivot set P, is accepted only if d * M[:, c] == M[:, P] @ y_c
-    over the integers for every non-pivot column c (E[:, c] = y_c / d): every
-    other column then lies in the span of the pivot columns before it, and
-    those are independent over Q (their rank mod a prime is |P|), so E is the
-    reduced echelon form of M over Q, and the ranks and solution are exact.
-    A prime whose pivot set is worse (fewer pivots, or lexicographically
-    later) is unlucky and skipped; a better one restarts the merge.
+
+def _absmax(a) -> int:
+    """max |entry| of an int64 array as a Python int (0 when empty); exact at -2^63."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _bounded_int64(a, b, terms: int):
+    """(a, b) as numpy int64 arrays when both fit and max|a| * max|b| * terms
+    < 2^62, so a sum of terms products of their entries cannot overflow;
+    otherwise None. Callers take this path only for at least _NUMPY_PRODUCTS
+    multiplications: below that Python integers are faster."""
+    a64, b64 = _int64(a), _int64(b)
+    if a64 is None or b64 is None or _absmax(a64) * _absmax(b64) * terms >= _WORD_BOUND:
+        return None
+    return a64, b64
+
+
+def int_dot(a, b) -> list[list[int]]:
+    """[[a_i . b_j for each row b_j of b] for each row a_i of a]: a @ b^T, exact.
+
+    One int64 product when _bounded_int64 admits a and b; otherwise Python
+    integers.
     """
-    rows = [row + [rhs] for row, rhs in zip(a_rows, b)]
-    cols = list(zip(*rows))
+    width = len(a[0]) if a else 0
+    pair = None
+    if len(a) * len(b) * width >= _NUMPY_PRODUCTS:
+        pair = _bounded_int64(a, b, width)
+    if pair is None:
+        return [[sum(map(mul, ra, rb)) for rb in b] for ra in a]
+    return (pair[0] @ pair[1].T).tolist()
+
+
+def reduced_echelon(rows, nvars: int):
+    """The reduced row echelon form E of the integer matrix M = rows, exact over Q.
+
+    Columns from nvars on are right-hand sides. Returns (pivots, d, y): the
+    pivot columns of E, which are the column rank profile of M, and, when no
+    pivot falls among the right-hand sides, the integers y with
+    E[i, nvars + j] = y[i][j] / d, d > 0 the lcm of their reduced
+    denominators (y is None when a pivot does fall there: the system is
+    inconsistent). So row i of y / d solves the system for pivot variable
+    pivots[i] in every right-hand side at once, free variables at zero.
+
+    Systems whose echelon form can hold at least _MODULAR_PIVOTS pivots
+    (rows and columns both that many) take the certified modular solve,
+    whose numpy calls cost about 15 us a pivot; smaller ones take the
+    integer echelon, which is faster there.
+    """
+    if not rows:
+        return [], 1, []
+    if min(len(rows), len(rows[0])) >= _MODULAR_PIVOTS:
+        return _rref_multimodular(rows, nvars)
+    ncols = len(rows[0])
+    if nvars == ncols:
+        # the profile alone: each column that is independent of those before it
+        ech, pivots = IntegerEchelon(len(rows)), []
+        for c, col in enumerate(zip(*rows)):
+            if ech.add_row(col) is not None:
+                pivots.append(c)
+                if len(pivots) == len(rows):
+                    break  # full rank: every later column depends on these
+        return pivots, 1, [[] for _ in pivots]
+    ech = IntegerEchelon(ncols)
+    for row in rows:
+        if len(ech.pivot_rows) == ncols:
+            break  # every column holds a pivot: further rows change nothing
+        ech.add_row(row)
+    pivots = sorted(ech.pivot_rows)
+    if pivots and pivots[-1] >= nvars:
+        return pivots, 1, None
+    d, x = ech.back_substitute(nvars)
+    return pivots, d, [x[c] for c in pivots]
+
+
+def _rref_multimodular(rows, nvars: int):
+    """reduced_echelon by Gauss-Jordan mod word-size primes, certified over the integers.
+
+    E is found mod one prime after another, merged by CRT and lifted to Q by
+    rational reconstruction. A prime whose pivot set is worse (fewer pivots,
+    or lexicographically later) is unlucky and skipped; a better one
+    restarts the merge. The rank mod a prime is at most the rank over Q of
+    every leading block of columns, so pivots 0..r-1 with r = min(rows,
+    columns) are the profile over Q too; then only the right-hand sides
+    need values. Any other pivot set P is accepted only if
+    d * M[:, c] == M[:, P] @ y_c over the integers for every non-pivot
+    column c: every such column then lies in the span of the pivot columns
+    before it, and those are independent over Q (their rank mod a prime is
+    |P|). The values of the right-hand sides pass the same substitution.
+    """
+    m, ncols = len(rows), len(rows[0])
+    m64 = _int64(rows)
     best = None
     for prime in _word_primes():
-        a = np.array([[v % prime for v in row] for row in rows], dtype=np.int64)
+        if m64 is not None:
+            a = m64 % prime
+        else:
+            a = np.array([[v % prime for v in row] for row in rows], dtype=np.int64)
         pivots = _rref_mod(a, prime)
-        pivot_set = set(pivots)
-        free = [c for c in range(len(cols)) if c not in pivot_set]
-        residues = a[: len(pivots)][:, free].ravel().tolist()
         if best is None or (-len(pivots), pivots) < (-len(best), best):
-            best, merged, modulus = pivots, residues, prime
+            best = pivots
+            forced = pivots == list(range(min(m, ncols)))
+            if forced and pivots[-1] >= nvars:
+                return pivots, 1, None
+            pivot_set = set(pivots)
+            free = [c for c in range(nvars if forced else 0, ncols) if c not in pivot_set]
+            if not free:  # every column is a pivot, or forced with no right-hand side
+                return pivots, 1, [[] for _ in pivots]
+            merged, modulus = a[: len(pivots)][:, free].ravel().tolist(), prime
+            count = attempt = 1
         elif pivots == best:
+            residues = a[: len(pivots)][:, free].ravel().tolist()
             step = pow(modulus, -1, prime)
             merged = [x + modulus * ((r - x) * step % prime) for x, r in zip(merged, residues)]
             modulus *= prime
+            count += 1
         else:
             continue
+        # a failed reconstruction runs Euclid on the whole modulus, which costs
+        # more than a prime once many are merged: past 4 primes, it is tried
+        # again only when the count has grown by a quarter
+        if count < attempt:
+            continue
+        attempt = count + 1 + count // 4
         candidate = _reconstruct(merged, modulus)
         if candidate is None:
             continue
         d, nums = candidate
         k = len(free)
-        if all(_spans(cols, pivots, d, cols[c], nums[j::k]) for j, c in enumerate(free)):
+        y = [nums[i * k : (i + 1) * k] for i in range(len(pivots))]
+        if _spans(rows, m64, pivots, free, d, y):
             break
-    rank_aug, b_col = len(pivots), len(cols) - 1
-    if pivots[-1:] == [b_col]:
-        return None, rank_aug - 1, rank_aug
-    x = [Fraction(0)] * b_col
-    for p, v in zip(pivots, nums[k - 1 :: k]):
-        x[p] = Fraction(v, d)
-    return x, rank_aug, rank_aug
+    if pivots and pivots[-1] >= nvars:
+        return pivots, 1, None
+    # the right-hand sides are the last free columns; d covers every free column
+    rhs = ncols - nvars
+    y = [row[k - rhs :] if rhs else [] for row in y]
+    g = gcd(d, *[v for row in y for v in row])
+    return pivots, d // g, [[v // g for v in row] for row in y]
 
 
-def _spans(cols, pivots, d, col, y) -> bool:
-    """Whether d * col == sum_i y_i * cols[pivots[i]] over the integers."""
-    acc = [d * v for v in col]
-    for p, coef in zip(pivots, y):
-        if coef:
-            acc = [a - coef * v for a, v in zip(acc, cols[p])]
-    return not any(acc)
+def _spans(rows, m64, pivots, free, d, y) -> bool:
+    """Whether d * M[:, free] == M[:, pivots] @ y over the integers, M = rows.
+
+    m64 is M in int64, or None. One int64 product when max|M| * max(|y|, d)
+    * (|pivots| + 1) < 2^62 bounds every partial sum and the Python loop,
+    which skips zeros of y, would take at least _NUMPY_PRODUCTS
+    multiplications; otherwise column by column in Python integers.
+    """
+    flat = [v for row in y for v in row]
+    if m64 is not None and len(rows) * (len(flat) - flat.count(0)) >= _NUMPY_PRODUCTS:
+        y_max = max(map(abs, flat), default=0)
+        if _absmax(m64) * max(y_max, d) * (len(pivots) + 1) < _WORD_BOUND:
+            y64 = np.array(y, dtype=np.int64).reshape(len(pivots), len(free))
+            return np.array_equal(d * m64[:, free], m64[:, pivots] @ y64)
+    cols = list(zip(*rows))
+    for j, c in enumerate(free):
+        acc = [d * v for v in cols[c]]
+        for p, row in zip(pivots, y):
+            if row[j]:
+                acc = [a - row[j] * v for a, v in zip(acc, cols[p])]
+        if any(acc):
+            return False
+    return True
 
 
 def solve_int_with_ranks(a_rows, b, modulus: int | None = None):
@@ -284,27 +432,30 @@ def solve_int_with_ranks(a_rows, b, modulus: int | None = None):
     Returns (solution | None, rank(A), rank(A|b)), the ranks exact. The
     solution is a particular one with free variables pinned to zero:
     Fractions over the rationals, residues in [0, modulus) over GF(modulus).
-    Over GF(modulus), and over the rationals when [A|b] has fewer than
-    _MODULAR_COLUMNS columns, the integer echelon solves it. Wider rational
-    systems take the certified modular solve: its numpy calls cost about
-    15 us a pivot, which the integer echelon's row growth overtakes near 16
-    columns (leading Hankel blocks, 2 cores: 0.30 ms against 0.34 ms at 13
-    columns, even at 16, 1.1 ms against 1.8-2.2 ms at 32 and 8 ms against
-    100 ms at 101).
+    Over the rationals it is the one-right-hand-side case of reduced_echelon;
+    over GF(modulus) the integer echelon solves it.
     """
     a_rows = [list(r) for r in a_rows]
     if not a_rows:
         return [], 0, 0
     b_col = len(a_rows[0])
-    if modulus is None and b_col + 1 >= _MODULAR_COLUMNS:
-        return _solve_multimodular(a_rows, b)
+    rows = [row + [rhs] for row, rhs in zip(a_rows, b)]
+    if modulus is None:
+        pivots, d, y = reduced_echelon(rows, b_col)
+        rank_aug = len(pivots)
+        if y is None:
+            return None, rank_aug - 1, rank_aug
+        x = [Fraction(0)] * b_col
+        for p, (v,) in zip(pivots, y):
+            x[p] = Fraction(v, d)
+        return x, rank_aug, rank_aug
     ech = IntegerEchelon(b_col + 1, modulus)
-    for row, rhs in zip(a_rows, b):
+    for row in rows:
         if ech.rank > b_col:
             break  # every column holds a pivot: further rows change nothing
-        ech.add_row(row + [rhs])
+        ech.add_row(row)
     rank_aug = ech.rank
     if b_col in ech.pivot_rows:
         return None, rank_aug - 1, rank_aug
-    d, x = ech.back_substitute(b_col)
-    return [v if modulus else Fraction(v, d) for (v,) in x], rank_aug, rank_aug
+    _, x = ech.back_substitute(b_col)
+    return [v for (v,) in x], rank_aug, rank_aug

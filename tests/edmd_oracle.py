@@ -1,6 +1,11 @@
-"""Test-only oracles for the edmd module: the normal-equations fit on dense
-snapshot matrices, and predictions by iterating the fitted operator in
-Fractions.
+"""Test-only oracles for the edmd module: the fits on the integer echelon,
+the normal-equations fit on dense snapshot matrices, and predictions by
+iterating the fitted operator in Fractions.
+
+`echelon_fit` is the library's fit as it was before its solves moved to the
+certified modular solve: the same Gram sums, each solve on the fraction-free
+integer echelon, and every product in Python integers. The library fit must
+equal it exactly: den, rows, residual_sq and fit_kind.
 
 The library fits from sliding Gram sums of the data's windows, one last-row
 solve under full row rank and the projector onto Z's column space
@@ -13,10 +18,65 @@ power A^k z_0 itself, in reduced Fractions, and share no step with either.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from field_oracle import frobenius_sq, matmul, transpose
-from koopman_dh.edmd import FittedOperator
+from koopman_dh.edmd import EdmdDataset, FittedOperator, _sliding_gram
 from koopman_dh.linalg_exact import IntegerEchelon
+
+
+def echelon_fit(dataset: EdmdDataset) -> FittedOperator:
+    """edmd_fit with every solve on the integer echelon."""
+    if dataset.rank_z == dataset.q + 1:
+        return _echelon_fit_unique(dataset)
+    return _echelon_fit_minimum_norm(dataset)
+
+
+def _echelon_fit_unique(dataset):
+    q = dataset.q
+    r = _sliding_gram(dataset.values, q + 2, dataset.n)
+    solver = IntegerEchelon(q + 2)
+    for row in r[: q + 1]:
+        solver.add_row(row)
+    scale, x = solver.back_substitute(q + 1)
+    a = [num for (num,) in x]
+    shift = [tuple([scale if j == i + 1 else 0 for j in range(q + 1)]) for i in range(q)]
+    return FittedOperator(
+        den=scale,
+        rows=(*shift, tuple(a)),
+        residual_sq=Fraction(scale * r[q + 1][q + 1] - sum(map(mul, a, r[q + 1])), scale),
+        fit_kind="unique",
+    )
+
+
+def _echelon_fit_minimum_norm(dataset):
+    q, v, pivots = dataset.q, dataset.values, dataset.pivot_windows
+    dim, rank = q + 1, len(pivots)
+    gram = _sliding_gram(v, dataset.n, dim)
+    f = [gram[k] for k in pivots]
+    c = [[v[k + i] for k in pivots] for i in range(dim)]
+    solver = IntegerEchelon(rank + dim)
+    for k, row in zip(pivots, f):
+        solver.add_row([row[j] for j in pivots] + list(v[k : k + dim]))
+    d, x = solver.back_substitute(rank)
+    s = v[dim:]
+    fs = [sum(map(mul, row, s)) for row in f]
+    solver = IntegerEchelon(rank + 1)
+    for row, rhs in zip(f, fs):
+        solver.add_row([sum(map(mul, row, other)) for other in f] + [rhs])
+    e, y = solver.back_substitute(rank)
+    y = [num for (num,) in y]
+    den = lcm(d, e)
+    x_cols = [[den // d * row[l] for row in x] for l in range(dim)]
+    lower = [[sum(map(mul, c[i], x_cols[l])) for l in range(i + 1)] for i in range(dim)]
+    shift = [tuple(lower[i] + [lower[l][i] for l in range(i + 1, dim)]) for i in range(1, dim)]
+    return FittedOperator(
+        den=den,
+        rows=(*shift, tuple([den // e * sum(map(mul, y, c_row)) for c_row in c])),
+        residual_sq=Fraction(e * sum(map(mul, s, s)) - sum(map(mul, y, fs)), e),
+        fit_kind="minimum-norm",
+    )
 
 
 def snapshot_matrices(values, q: int, n: int):

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_61
+from echelon_oracle import window_profile
 from edmd_oracle import (
+    echelon_fit,
     normal_equations_fit,
     prediction_prefix,
     snapshot_matrices,
     state_errors,
 )
 from field_oracle import frobenius_sq, matmul, pinv, rref
-from koopman_dh.dynamics import DhParams, full_period_trajectory
+from koopman_dh.dynamics import DhParams, all_primitive_roots, full_period_trajectory
 from koopman_dh.edmd import (
     EdmdDataset,
     FittedOperator,
@@ -238,6 +240,80 @@ class TestFitOracles:
             check_against_oracles(values, q, n, pseudo_inverse=p <= 37)
 
 
+def check_against_echelon(ds):
+    """The fit on the certified solve equals the fit on the integer echelon:
+    den, rows, residual_sq and fit_kind; the snapshot rank profile equals
+    the windows the echelon took. Returns the fit."""
+    assert ds.pivot_windows == tuple(window_profile(ds.values, ds.q, ds.n))
+    fit, want = edmd_fit(ds), echelon_fit(ds)
+    assert (fit.den, fit.rows, fit.residual_sq, fit.fit_kind) == (
+        want.den,
+        want.rows,
+        want.residual_sq,
+        want.fit_kind,
+    )
+    return fit
+
+
+class TestEchelonOracle:
+    """Orbit fits at the sweep's orders q~ - 1, q~ and p - 2 (q~ = (p-1)/2),
+    each at the sweep's n, and fits of external data, against the fits on
+    the integer echelon."""
+
+    @staticmethod
+    def orbit_dataset(params, q):
+        p, qt = params.p, params.q_tilde
+        n = 2 * (p - 1) - q - 1 if q < qt else qt + 1
+        return dataset_from_values(orbit(full_period_trajectory(params), n + q + 1), q, n)
+
+    @pytest.mark.parametrize("p", [p for p in PRIMES_TO_61 if p <= 37])
+    def test_every_generator(self, p):
+        for m in all_primitive_roots(p):
+            params = DhParams(p, m)
+            for q in (params.q_tilde - 1, params.q_tilde, p - 2):
+                check_against_echelon(self.orbit_dataset(params, q))
+
+    @pytest.mark.parametrize("p", [61, 101])
+    def test_smallest_generator(self, p):
+        params = DhParams.with_smallest_root(p)
+        for q in (params.q_tilde - 1, params.q_tilde, p - 2):
+            check_against_echelon(self.orbit_dataset(params, q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_small_data(self, data):
+        q, n = data.draw(st.integers(0, 20)), data.draw(st.integers(1, 24))
+        values = data.draw(st.lists(st.integers(-3, 3), min_size=n + q + 1, max_size=n + q + 1))
+        check_against_echelon(dataset_from_values(values, q, n))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_values_of_thirty_digits(self, data):
+        # Gram sums past 2^200: every product and substitution takes Python integers
+        q = data.draw(st.sampled_from([2, 15, 17]))
+        n = data.draw(st.sampled_from([q - 1, q + 3])) if q > 2 else 4
+        big = st.integers(-(10**30), 10**30)
+        values = data.draw(st.lists(big, min_size=n + q + 1, max_size=n + q + 1))
+        check_against_echelon(dataset_from_values(values, q, n))
+
+    @pytest.mark.parametrize("q, n", [(1, 3), (16, 20), (20, 16)])
+    def test_all_zeros(self, q, n):
+        fit = check_against_echelon(dataset_from_values([0] * (n + q + 1), q, n))
+        assert fit.fit_kind == "minimum-norm" and fit.rows == ((0,) * (q + 1),) * (q + 1)
+
+    @pytest.mark.parametrize("period", [1, 2, 5, 12])
+    @pytest.mark.parametrize("q, n", [(3, 9), (16, 20), (30, 18)])
+    def test_rank_deficient_data(self, period, q, n):
+        base = [(-1) ** k * (k * k + 3) for k in range(period)]
+        values = [base[k % period] for k in range(n + q + 1)]
+        values[-1] += 1  # only the last successor leaves the period
+        ds = dataset_from_values(values, q, n)
+        assert ds.rank_z <= period
+        fit = check_against_echelon(ds)
+        assert fit.fit_kind == ("minimum-norm" if ds.rank_z <= q else "unique")
+        assert period > 2 or fit.fit_kind == "minimum-norm"
+
+
 class TestCompare:
     def test_p7_flags(self):
         values = orbit(full_period_trajectory(P7), 16)
@@ -361,6 +437,24 @@ class TestPredictionOracle:
                     comparison = compare_on_values(fit, analytic.alpha, altered, horizon)
                     assert comparison.prediction_equivalent == (prefix >= horizon), (i, horizon)
             assert set(range(top)) <= prefixes
+
+    @pytest.mark.parametrize("p", [5, 11, 23, 37])
+    def test_one_moved_entry_breaks_predictions(self, p):
+        # every entry of the fit, shift rows included, moved by one: the
+        # orbit's values are all nonzero, so the moved row fails on a window
+        for fit, analytic, values, top in self.fits(p):
+            assert compare_on_values(fit, analytic.alpha, values, top).prediction_equivalent
+            entries = [(i, j) for i in range(len(fit.rows)) for j in range(len(fit.rows))]
+            if p == 37:
+                entries = entries[:: len(fit.rows) + 1] + entries[7::97]
+            for i, j in entries:
+                rows = [list(row) for row in fit.rows]
+                rows[i][j] += 1
+                moved = FittedOperator(
+                    fit.den, tuple(map(tuple, rows)), fit.residual_sq, fit.fit_kind
+                )
+                comparison = compare_on_values(moved, analytic.alpha, values, top)
+                assert not comparison.prediction_equivalent, (i, j)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

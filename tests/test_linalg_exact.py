@@ -4,21 +4,28 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echelon_oracle import echelon_solve, word_primes_by_search
+from echelon_oracle import echelon_rref, echelon_solve, window_profile, word_primes_by_search
 from field_oracle import frobenius_sq, inverse, matmul, pinv, rref, solve, transpose
 from koopman_dh import linalg_exact
 from koopman_dh.dynamics import is_prime
 from koopman_dh.linalg_exact import (
     IntegerEchelon,
-    _MODULAR_COLUMNS,
-    _solve_multimodular,
+    _MODULAR_PIVOTS,
+    _int64,
+    _spans,
     _word_primes,
+    annihilates,
+    annihilates_all,
+    int_dot,
+    reduced_echelon,
     solve_int_with_ranks,
 )
 
@@ -144,6 +151,12 @@ def first_primes(count):
 FIRST_PRIME = first_primes(1)[0]
 
 
+def modular_solve(a_rows, b):
+    """solve_int_with_ranks with every rational system sent to the modular solve."""
+    with patch.object(linalg_exact, "_MODULAR_PIVOTS", 1):
+        return solve_int_with_ranks(a_rows, b)
+
+
 def primes_used(a_rows, b):
     """The modular solve's answer and how many primes of the list it read."""
     seen = []
@@ -154,7 +167,7 @@ def primes_used(a_rows, b):
             yield prime
 
     with patch.object(linalg_exact, "_word_primes", counting):
-        got = _solve_multimodular(a_rows, b)
+        got = modular_solve(a_rows, b)
     return got, len(seen)
 
 
@@ -185,7 +198,7 @@ def rational_systems(draw):
 def test_modular_solve_matches_integer_echelon(system):
     """The certified modular solve returns exactly the integer echelon's answer."""
     a_rows, b = system
-    assert _solve_multimodular(a_rows, b) == echelon_solve(a_rows, b)
+    assert modular_solve(a_rows, b) == echelon_solve(a_rows, b)
 
 
 def test_word_primes_are_the_primes_below_2_31():
@@ -240,11 +253,11 @@ def test_word_primes_are_found_on_demand():
 from fractions import Fraction
 from koopman_dh import linalg_exact
 assert linalg_exact._word_prime_list == []
-assert linalg_exact._solve_multimodular([[3]], [1])[0] == [Fraction(1, 3)]
+assert linalg_exact._rref_multimodular([[3, 1]], 1) == ([0], 3, [[1]])
 assert len(linalg_exact._word_prime_list) == 1
 big = 2**40 + 1
 for _ in range(2):
-    assert linalg_exact._solve_multimodular([[big]], [1])[0] == [Fraction(1, big)]
+    assert linalg_exact._rref_multimodular([[big, 1]], 1) == ([0], big, [[1]])
     assert len(linalg_exact._word_prime_list) == 3
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -290,11 +303,215 @@ def test_unlucky_later_prime_is_skipped():
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_wide_systems_take_the_modular_path(data):
-    """solve_int_with_ranks at and above the crossover width, against the oracle."""
-    n = data.draw(st.integers(_MODULAR_COLUMNS - 1, _MODULAR_COLUMNS + 4))
-    m = data.draw(st.integers(1, n + 3))
+    """solve_int_with_ranks around the crossover, against the oracle: the
+    modular solve runs exactly when rows and columns of [A|b] both reach
+    _MODULAR_PIVOTS."""
+    n = data.draw(st.integers(_MODULAR_PIVOTS - 2, _MODULAR_PIVOTS + 4))
+    m = data.draw(st.integers(_MODULAR_PIVOTS - 2, n + 3))
     rows = data.draw(st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=m, max_size=m))
     b = data.draw(st.lists(small_int, min_size=m, max_size=m))
-    with patch.object(linalg_exact, "_solve_multimodular", wraps=_solve_multimodular) as spy:
+    modular = linalg_exact._rref_multimodular
+    with patch.object(linalg_exact, "_rref_multimodular", wraps=modular) as spy:
         assert solve_int_with_ranks(rows, b) == echelon_solve(rows, b)
-    assert spy.called
+    assert spy.called == (min(m, n + 1) >= _MODULAR_PIVOTS)
+
+
+def modular_rref(rows, nvars):
+    """reduced_echelon with every system sent to the modular solve."""
+    with patch.object(linalg_exact, "_MODULAR_PIVOTS", 1):
+        return reduced_echelon(rows, nvars)
+
+
+def check_rref(rows, nvars):
+    """Both engines of reduced_echelon against the integer echelon, and the
+    answer against Gauss-Jordan over Fractions; returns the answer."""
+    want = echelon_rref(rows, nvars)
+    assert modular_rref(rows, nvars) == want
+    with patch.object(linalg_exact, "_MODULAR_PIVOTS", 10**9):
+        assert reduced_echelon(rows, nvars) == want
+    assert reduced_echelon(rows, nvars) == want
+    pivots, d, y = want
+    reduced, field_pivots = rref(rows)
+    assert pivots == field_pivots
+    if y is not None:
+        assert d > 0 and gcd(d, *[v for row in y for v in row]) == 1
+        assert [[Fraction(v, d) for v in row] for row in y] == [
+            row[nvars:] for row in reduced[: len(pivots)]
+        ]
+    return want
+
+
+@st.composite
+def echelon_systems(draw):
+    """[A | B] with 1-7 rows, 1-7 unknowns and 1-40 right-hand sides.
+
+    A is square, tall or wide. Entries are small (singular and inconsistent
+    systems are common), mixed with entries up to 2^80 (whose solutions need
+    several primes and the Python substitution), or near 2^31 (whose
+    substitution products straddle the int64 bound). Up to two extra rows are
+    integer combinations of the others, their right-hand sides kept or moved
+    by 1.
+    """
+    m, nvars, rhs = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["small", "huge", "word"]))
+    entry = {
+        "small": small_int,
+        "huge": st.one_of(small_int, st.integers(-(2**80), 2**80)),
+        "word": st.one_of(small_int, st.integers(2**29, 2**33).map(lambda v: v * (-1) ** v)),
+    }[kind]
+    width = nvars + rhs
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        row = [sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(width)]
+        row[-1] += draw(st.sampled_from([0, 1]))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows, nvars
+
+
+@settings(max_examples=250, deadline=None)
+@given(echelon_systems())
+def test_reduced_echelon_matches_integer_echelon(system):
+    """Pivots, denominator and numerators of the certified reduced echelon
+    form equal the integer echelon's, on either engine."""
+    check_rref(*system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(48, 62), st.data())
+def test_known_solutions_across_the_int64_bound(size, bits, data):
+    """[A | A Y] for a nonsingular A with entries near 2^bits and a small Y:
+    max|M| * max(|Y|, d) * (|P| + 1) falls on either side of 2^62, and the
+    largest entries pass 2^63, so every substitution path runs."""
+    scale = 2**bits
+    a = [[int(i == j) * scale + data.draw(small_int) for j in range(size)] for i in range(size)]
+    row = st.lists(st.integers(-4, 4), min_size=3, max_size=3)
+    y = data.draw(st.lists(row, min_size=size, max_size=size))
+    b = matmul(a, y)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    pivots, d, got = check_rref(rows, size)
+    assert pivots == list(range(size)) and (d, got) == (1, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.sampled_from([1, 3, 1031]),
+    st.integers(-3, 3),
+    st.data(),
+)
+def test_span_proof_agrees_across_the_int64_bound(size, y_bits, d, slack, data):
+    """_spans in int64, where its bound holds, and in Python integers agree,
+    on the true reduced echelon form and on one entry of it moved by one.
+
+    M = [A | A Y] with A near 2^bits times the identity: its reduced echelon
+    form is [I | Y], which is d Y / d, and bits is chosen so that the bound
+    max|M| * max(|d Y|, d) * (|P| + 1) lies within a factor 2^4 of 2^62."""
+    bits = max(1, 62 - 2 * y_bits - d.bit_length() - 2 * size.bit_length() + slack)
+    a = [[int(i == j) * 2**bits + data.draw(small_int) for j in range(size)] for i in range(size)]
+    entry = st.integers(-(2**y_bits), 2**y_bits)
+    y = data.draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=size, max_size=size))
+    rows = [ra + rb for ra, rb in zip(a, matmul(a, y))]
+    free, pivots = [size, size + 1], list(range(size))
+    scaled = [[d * v for v in row] for row in y]
+    holds = data.draw(st.booleans())
+    if not holds:
+        scaled[data.draw(st.integers(0, size - 1))][data.draw(st.integers(0, 1))] += 1
+    with patch.object(linalg_exact, "_NUMPY_PRODUCTS", 1):
+        assert _spans(rows, _int64(rows), pivots, free, d, scaled) is holds
+    assert _spans(rows, None, pivots, free, d, scaled) is holds
+
+
+def test_span_proof_takes_both_paths():
+    """The int64 product runs when the bound holds, the Python loop otherwise."""
+    rows = [[2**30, 3 * 2**30], [1, 3]]
+    m64 = _int64(rows)
+    spy = patch.object(linalg_exact.np, "array_equal", wraps=np.array_equal)
+    with patch.object(linalg_exact, "_NUMPY_PRODUCTS", 1), spy as array_equal:
+        assert _spans(rows, m64, [0], [1], 1, [[3]])
+        assert array_equal.call_count == 1
+        assert _spans(rows, m64, [0], [1], 2**31, [[3 * 2**31]])
+        assert array_equal.call_count == 1
+    with spy as array_equal:
+        assert _spans(rows, m64, [0], [1], 1, [[3]])  # two multiplications stay in Python
+        assert array_equal.call_count == 0
+
+
+@pytest.mark.parametrize(
+    "rows,nvars",
+    [
+        ([[FIRST_PRIME, 1]], 1),
+        ([[FIRST_PRIME, 1, 1], [0, 1, 1]], 2),
+        ([[1, 1, 2, 7], [1, FIRST_PRIME + 1, 3, 7]], 2),
+        ([[2**40 + 1, 1, 5]], 1),
+    ],
+)
+def test_unlucky_and_many_prime_echelons(rows, nvars):
+    """A first prime that drops the rank, and denominators beyond two primes,
+    with several right-hand sides."""
+    check_rref(rows, nvars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_window_rank_profile(data):
+    """The pivot columns of Z (row i: values[i..i+n-1]) are the windows the
+    integer echelon took as independent of those before them."""
+    q, n = data.draw(st.integers(0, 20)), data.draw(st.integers(1, 24))
+    kind = data.draw(st.sampled_from(["small", "periodic", "huge"]))
+    count = n + q
+    if kind == "periodic":
+        base = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+        values = [base[k % len(base)] for k in range(count)]
+    else:
+        bound = 2**80 if kind == "huge" else 2
+        values = data.draw(st.lists(st.integers(-bound, bound), min_size=count, max_size=count))
+    z = [values[i : i + n] for i in range(q + 1)]
+    want = window_profile(values, q, n)
+    for pivots in (4, 10**9):
+        with patch.object(linalg_exact, "_MODULAR_PIVOTS", pivots):
+            assert reduced_echelon(z, n) == (want, 1, [[] for _ in want])
+    assert modular_rref(z, n)[0] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(40, 62), st.data())
+def test_window_product_agrees_with_annihilates(period, extra, bits, data):
+    """annihilates_all in int64 and annihilates agree on rows whose bound
+    max|row| * max|seq| * len(row) lies near 2^62, on either side.
+
+    c x_k - c x_{k+period} vanishes on every window of a period-periodic
+    sequence; a moved coefficient or a moved value breaks it."""
+    seq_bits = data.draw(st.integers(1, bits - 8))
+    entry = st.integers(-(2**seq_bits), 2**seq_bits)
+    base = data.draw(st.lists(entry, min_size=period, max_size=period))
+    seq = [base[k % period] for k in range(period + extra + 8)]
+    width = period + 1 + extra
+    c = data.draw(st.integers(1, 2 ** (bits - seq_bits)))
+    row = [0] * width
+    row[0], row[period] = c, -c
+    if data.draw(st.booleans()):
+        row[data.draw(st.integers(0, width - 1))] += data.draw(st.sampled_from([-1, 1]))
+    if data.draw(st.booleans()):
+        seq[data.draw(st.integers(0, len(seq) - 1))] += 1
+    rows = [row, [0] * width]
+    want = all(annihilates(r, seq) for r in rows)
+    with patch.object(linalg_exact, "_NUMPY_PRODUCTS", 1):
+        assert annihilates_all(rows, seq) is want
+    assert annihilates_all(rows, seq) is want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_int_dot_is_the_integer_product(data):
+    """int_dot in int64 near the bound, and in Python integers past it."""
+    m, n, k = (data.draw(st.integers(0, 5)) for _ in range(3))
+    bits = data.draw(st.integers(1, 40))
+    entry = st.integers(-(2**bits), 2**bits)
+    a = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    want = [[sum(x * y for x, y in zip(ra, rb)) for rb in b] for ra in a]
+    with patch.object(linalg_exact, "_NUMPY_PRODUCTS", 1):
+        assert int_dot(a, b) == want
+    assert int_dot(a, b) == want
