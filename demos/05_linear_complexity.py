@@ -18,7 +18,6 @@ from koopman_dh import (
     additive_complex_lift,
     affine_augment_system,
     berlekamp_massey,
-    bruteforce_min_lfsr,
     compare_koopman_vs_lfsr,
     lfsr_generate,
 )
@@ -37,8 +36,10 @@ rotation = (0, 1, 2, 0, 1, 2, 0, 1, 2)
 rational = berlekamp_massey(SequenceSample(terms=rotation))
 mod3 = berlekamp_massey(SequenceSample(terms=rotation, field=3))
 print(f"\nrotation sequence: complexity {rational.length} over Q, {mod3.length} over GF(3)")
-oracle = bruteforce_min_lfsr(SequenceSample(terms=rotation), 5)
-print(f"exhaustive oracle agrees: {oracle.length}")
+regenerated = [int(v) for v in lfsr_generate(rational.connection, rotation[: rational.length], 9)]
+print(f"its register {tuple(int(c) for c in rational.connection)} regenerates it: "
+      f"{regenerated}")
+assert regenerated == list(rotation)
 scalar = additive_complex_lift(3, 0)
 print(f"unit-circle lifting regenerates it with dimension {scalar.dimension}: "
       f"{scalar.generate(9)}")

@@ -15,7 +15,6 @@ from .complexity import (
     LinearComplexityResult,
     SequenceSample,
     berlekamp_massey,
-    bruteforce_min_lfsr,
     compare_koopman_vs_lfsr,
     lfsr_generate,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "KoopmanLfsrComparison",
     "berlekamp_massey",
     "lfsr_generate",
-    "bruteforce_min_lfsr",
     "compare_koopman_vs_lfsr",
     "RootSum",
     "turn_to_complex",

@@ -571,6 +571,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Data files and reports may hold integers past CPython's 4300-digit
+    # int-string limit, so it is lifted for this call and restored after it
+    # (sweeps and tests call main in-process); builds without the limit skip this.
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     # looked up per call, so a rebound cmd_* (a test double, a tracer) is the one that runs
     command = globals()["cmd_" + args.subcommand.replace("-", "_")]

@@ -1,6 +1,5 @@
 """Linear complexity over exact fields: Berlekamp-Massey, LFSR generation,
-an exhaustive small-order oracle, and the comparison against the minimal
-lifted dimension.
+and the comparison against the minimal lifted dimension.
 
 The default field is the rationals: the lifted linear systems live over the
 reals, and several small-modulus sequences have strictly lower complexity
@@ -22,7 +21,7 @@ from math import gcd
 
 from .dynamics import DhParams, is_prime, simulate
 from .lifting import minimal_lifting_dimension
-from .linalg_exact import annihilates, scale_to_integers, solve_int_with_ranks
+from .linalg_exact import annihilates, scale_to_integers
 
 RATIONAL = "rational"
 
@@ -161,40 +160,6 @@ def lfsr_generate(connection, seed, n: int, field=RATIONAL) -> list:
             nxt = nxt + ci * out[-1 - i]
         out.append(nxt if p is None else nxt % p)
     return out
-
-
-def bruteforce_min_lfsr(sample: SequenceSample, max_order: int) -> LinearComplexityResult | None:
-    """Smallest register length by exhaustive exact solves, or None above the bound.
-
-    Independent of the Berlekamp-Massey path: for each order L it solves the
-    full linear system of recurrence constraints and accepts the first L
-    whose exact fit has zero residual across the whole sequence.
-    """
-    if max_order > 12:
-        raise ValueError(f"exhaustive oracle capped at order 12, got {max_order}")
-    p = _modulus(sample.field)
-    s = sample.terms
-    n_terms = len(s)
-    for order in range(0, max_order + 1):
-        if order == 0:
-            if all(v == 0 for v in s):
-                return LinearComplexityResult(length=0, connection=(), field=sample.field)
-            continue
-        rows = [[s[k - i] for i in range(1, order + 1)] + [s[k]] for k in range(order, n_terms)]
-        if not rows:
-            connection = tuple(_elements([0] * order, p))
-            return LinearComplexityResult(
-                length=order, connection=connection, field=sample.field
-            )
-        rows = [scale_to_integers(row)[1] for row in rows]  # residues pass unchanged
-        solution, _, _ = solve_int_with_ranks(
-            [row[:-1] for row in rows], [row[-1] for row in rows], modulus=p
-        )
-        if solution is not None:
-            return LinearComplexityResult(
-                length=order, connection=tuple(solution), field=sample.field
-            )
-    return None
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ sliding sum of those integers. The fit Z_plus Z^+ (unique under full row
 rank, of minimum Frobenius norm otherwise) is the shift above one last-row
 solve, or rows 1..q of the projector onto Z's column space above one. Every
 solve, and the snapshot rank, is the certified reduced echelon form of
-linalg_exact.reduced_echelon (word-size modular arithmetic above a size,
-proven over the integers); the Gram and projector products are int_dot's.
+linalg_exact.reduced_echelon (word-size modular arithmetic, proven over the
+integers); the Gram and projector products are int_dot's.
 
 A fitted operator is integer numerators over one positive denominator, in
 lowest terms, from the fit through every check; Fractions are built only

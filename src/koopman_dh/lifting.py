@@ -5,9 +5,9 @@ modular map into a companion-form linear system once the recurrence
 coefficients close over the integers. The minimal closing order is the
 linear complexity of one period, read off the cyclotomic factors of the
 period polynomial (closing_divisors); the closing coefficients are then
-solved once from the leading block of the periodic Hankel system (at
-desk-scale primes by the word-size modular solve of linalg_exact) and
-certified by integer substitution (verify_closing). Also here: the
+solved once from the leading block of the periodic Hankel system (by the
+certified word-size modular solve of linalg_exact) and certified by
+integer substitution (verify_closing). Also here: the
 auxiliary liftings (affine augmentation, additive rotation) and the
 table-lookup attack available at full dictionary length.
 """

@@ -1,22 +1,17 @@
-"""Exact linear algebra: a certified reduced echelon form over Q, and an integer echelon.
+"""Exact linear algebra: one certified reduced echelon form over Q.
 
-`reduced_echelon` is the one rational entry point: the reduced row echelon
+`reduced_echelon` is the one elimination engine: the reduced row echelon
 form of an integer matrix [A | B], as its pivot columns, one denominator and
 integer numerators for the right-hand sides. `solve_int_with_ranks` is its
 one-right-hand-side case; the EDMD fits solve on it, and the snapshot rank
-is its pivot profile. Systems that can hold at least _MODULAR_PIVOTS pivots
-are reduced by Gauss-Jordan modulo word-size primes in numpy int64, lifted
-to Q by CRT and rational reconstruction, and accepted only after an integer
-substitution proves the form. Smaller ones, and every system over GF(p),
-take `IntegerEchelon`, an incremental fraction-free row echelon
-(cross-multiplication with gcd-normalized pivot rows, or rows over GF(p)
-with a prime modulus). Integer products and window checks run as one numpy
-int64 product wherever a bound on their partial sums proves it exact, and
-in Python integers otherwise. No floating point anywhere, so rank(...) == k
-is a theorem about the input, not a tolerance call. Solutions are exact
-Fractions over the rationals and residues over GF(p); rationals enter as
-integers through scale_to_integers, and identities are checked by
-annihilates.
+is its pivot profile. Every system is reduced by Gauss-Jordan modulo
+word-size primes in numpy int64, lifted to Q by CRT and rational
+reconstruction, and accepted only after an integer substitution proves the
+form. Integer products and window checks run as one numpy int64 product
+wherever a bound on their partial sums proves it exact, and in Python
+integers otherwise. No floating point anywhere, so rank(...) == k is a
+theorem about the input, not a tolerance call. Rationals enter as integers
+through scale_to_integers, and identities are checked by annihilates.
 """
 
 from __future__ import annotations
@@ -28,90 +23,11 @@ from operator import mul
 
 import numpy as np
 
-# Rational systems that can hold this many pivots take the modular solve.
-_MODULAR_PIVOTS = 15
 # Sums of integers below this bound in absolute value cannot overflow int64.
 _WORD_BOUND = 1 << 62
 # Integer products with fewer multiplications than this stay in Python: a
 # numpy int64 product costs tens of microseconds before its first one.
 _NUMPY_PRODUCTS = 256
-
-
-class IntegerEchelon:
-    """Incremental fraction-free row echelon of an integer matrix.
-
-    With a prime modulus the rows live in GF(p): entries are reduced mod p
-    and pivot rows are kept as they are, without gcd or sign normalization.
-    """
-
-    def __init__(self, ncols: int, modulus: int | None = None):
-        self.ncols = ncols
-        self.modulus = modulus
-        self.pivot_rows: dict[int, list[int]] = {}
-
-    def add_row(self, row) -> int | None:
-        """Reduce a row against current pivots; returns its pivot column or None."""
-        p = self.modulus
-        row = list(row) if p is None else [a % p for a in row]
-        for col in range(self.ncols):
-            v = row[col]
-            if v == 0:
-                continue
-            piv = self.pivot_rows.get(col)
-            if piv is None:
-                if p is None:
-                    g = 0
-                    for a in row:
-                        g = gcd(g, a)
-                    if g > 1:
-                        row = [a // g for a in row]
-                    if row[col] < 0:
-                        row = [-a for a in row]
-                self.pivot_rows[col] = row
-                return col
-            pv = piv[col]
-            g = gcd(v, pv)
-            f_row, f_piv = pv // g, v // g
-            # the modulus test stays outside the per-entry loops: this is the
-            # hot path of the EDMD fits and the narrow Hankel solves
-            if p is None:
-                row = [f_row * a - f_piv * b for a, b in zip(row, piv)]
-            else:
-                row = [(f_row * a - f_piv * b) % p for a, b in zip(row, piv)]
-        return None
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def back_substitute(self, nvars: int) -> tuple[int, list[list[int]]]:
-        """Solve for the first nvars columns, the rest being right-hand sides.
-
-        Returns (d, x) with x integer: row j of x / d holds variable j's value
-        in each right-hand side, free variables pinned to zero. Over GF(p), d
-        is 1 and x holds residues. The systems must be consistent: no pivot
-        may sit in a right-hand-side column.
-        """
-        p = self.modulus
-        dens = [1] * nvars  # variable j is nums[j] / dens[j]
-        nums = [[0] * (self.ncols - nvars) for _ in range(nvars)]
-        for col in sorted(self.pivot_rows, reverse=True):
-            prow = self.pivot_rows[col]
-            known = [c2 for c2 in range(col + 1, nvars) if prow[c2]]
-            scale = lcm(*[dens[c2] for c2 in known])
-            acc = [a * scale for a in prow[nvars:]]
-            for c2 in known:
-                f = prow[c2] * (scale // dens[c2])
-                acc = [a - f * v for a, v in zip(acc, nums[c2])]
-            den = prow[col] * scale  # positive: pivots are normalized positive
-            if p is None:
-                g = gcd(den, *acc)
-                dens[col], nums[col] = den // g, [a // g for a in acc]
-            else:
-                inv = pow(den, -1, p)
-                nums[col] = [a * inv % p for a in acc]
-        d = lcm(*dens)
-        return d, [[a * (d // dj) for a in row] for row, dj in zip(nums, dens)]
 
 
 def scale_to_integers(values) -> tuple[int, list[int]]:
@@ -304,52 +220,21 @@ def reduced_echelon(rows, nvars: int):
     inconsistent). So row i of y / d solves the system for pivot variable
     pivots[i] in every right-hand side at once, free variables at zero.
 
-    Systems whose echelon form can hold at least _MODULAR_PIVOTS pivots
-    (rows and columns both that many) take the certified modular solve,
-    whose numpy calls cost about 15 us a pivot; smaller ones take the
-    integer echelon, which is faster there.
+    E is found by Gauss-Jordan mod one word-size prime after another, merged
+    by CRT and lifted to Q by rational reconstruction. A prime whose pivot
+    set is worse (fewer pivots, or lexicographically later) is unlucky and
+    skipped; a better one restarts the merge. The rank mod a prime is at
+    most the rank over Q of every leading block of columns, so pivots
+    0..r-1 with r = min(rows, columns) are the profile over Q too; then
+    only the right-hand sides need values. Any other pivot set P is
+    accepted only if d * M[:, c] == M[:, P] @ y_c over the integers for
+    every non-pivot column c: every such column then lies in the span of
+    the pivot columns before it, and those are independent over Q (their
+    rank mod a prime is |P|). The values of the right-hand sides pass the
+    same substitution.
     """
-    if not rows:
+    if not rows or not rows[0]:
         return [], 1, []
-    if min(len(rows), len(rows[0])) >= _MODULAR_PIVOTS:
-        return _rref_multimodular(rows, nvars)
-    ncols = len(rows[0])
-    if nvars == ncols:
-        # the profile alone: each column that is independent of those before it
-        ech, pivots = IntegerEchelon(len(rows)), []
-        for c, col in enumerate(zip(*rows)):
-            if ech.add_row(col) is not None:
-                pivots.append(c)
-                if len(pivots) == len(rows):
-                    break  # full rank: every later column depends on these
-        return pivots, 1, [[] for _ in pivots]
-    ech = IntegerEchelon(ncols)
-    for row in rows:
-        if len(ech.pivot_rows) == ncols:
-            break  # every column holds a pivot: further rows change nothing
-        ech.add_row(row)
-    pivots = sorted(ech.pivot_rows)
-    if pivots and pivots[-1] >= nvars:
-        return pivots, 1, None
-    d, x = ech.back_substitute(nvars)
-    return pivots, d, [x[c] for c in pivots]
-
-
-def _rref_multimodular(rows, nvars: int):
-    """reduced_echelon by Gauss-Jordan mod word-size primes, certified over the integers.
-
-    E is found mod one prime after another, merged by CRT and lifted to Q by
-    rational reconstruction. A prime whose pivot set is worse (fewer pivots,
-    or lexicographically later) is unlucky and skipped; a better one
-    restarts the merge. The rank mod a prime is at most the rank over Q of
-    every leading block of columns, so pivots 0..r-1 with r = min(rows,
-    columns) are the profile over Q too; then only the right-hand sides
-    need values. Any other pivot set P is accepted only if
-    d * M[:, c] == M[:, P] @ y_c over the integers for every non-pivot
-    column c: every such column then lies in the span of the pivot columns
-    before it, and those are independent over Q (their rank mod a prime is
-    |P|). The values of the right-hand sides pass the same substitution.
-    """
     m, ncols = len(rows), len(rows[0])
     m64 = _int64(rows)
     best = None
@@ -426,36 +311,22 @@ def _spans(rows, m64, pivots, free, d, y) -> bool:
     return True
 
 
-def solve_int_with_ranks(a_rows, b, modulus: int | None = None):
-    """Solve the integer system A x = b exactly, over the rationals or GF(modulus).
+def solve_int_with_ranks(a_rows, b):
+    """Solve the integer system A x = b exactly over the rationals.
 
     Returns (solution | None, rank(A), rank(A|b)), the ranks exact. The
-    solution is a particular one with free variables pinned to zero:
-    Fractions over the rationals, residues in [0, modulus) over GF(modulus).
-    Over the rationals it is the one-right-hand-side case of reduced_echelon;
-    over GF(modulus) the integer echelon solves it.
+    solution is a particular one in Fractions, free variables pinned to
+    zero: the one-right-hand-side case of reduced_echelon.
     """
     a_rows = [list(r) for r in a_rows]
     if not a_rows:
         return [], 0, 0
     b_col = len(a_rows[0])
-    rows = [row + [rhs] for row, rhs in zip(a_rows, b)]
-    if modulus is None:
-        pivots, d, y = reduced_echelon(rows, b_col)
-        rank_aug = len(pivots)
-        if y is None:
-            return None, rank_aug - 1, rank_aug
-        x = [Fraction(0)] * b_col
-        for p, (v,) in zip(pivots, y):
-            x[p] = Fraction(v, d)
-        return x, rank_aug, rank_aug
-    ech = IntegerEchelon(b_col + 1, modulus)
-    for row in rows:
-        if ech.rank > b_col:
-            break  # every column holds a pivot: further rows change nothing
-        ech.add_row(row)
-    rank_aug = ech.rank
-    if b_col in ech.pivot_rows:
+    pivots, d, y = reduced_echelon([row + [rhs] for row, rhs in zip(a_rows, b)], b_col)
+    rank_aug = len(pivots)
+    if y is None:
         return None, rank_aug - 1, rank_aug
-    _, x = ech.back_substitute(b_col)
-    return [v for (v,) in x], rank_aug, rank_aug
+    x = [Fraction(0)] * b_col
+    for p, (v,) in zip(pivots, y):
+        x[p] = Fraction(v, d)
+    return x, rank_aug, rank_aug

@@ -1,13 +1,17 @@
-"""Test-only oracle: textbook Berlekamp-Massey in field arithmetic.
+"""Test-only oracles: textbook Berlekamp-Massey in field arithmetic, and the
+smallest register by exhaustive solves.
 
 The package's register synthesis is fraction-free (integer multiples of the
 connection polynomial, no division in the loop). This is the classical
 division form over Q (Fractions) or GF(p) (residues), with the register
 checked by regenerating the input, so the two share no arithmetic step.
+The exhaustive oracle solves each order's recurrence constraints by
+textbook Gauss-Jordan (field_oracle), not the package's elimination.
 """
 
 from fractions import Fraction
 
+from field_oracle import solve
 from koopman_dh.complexity import (
     RATIONAL,
     LinearComplexityResult,
@@ -55,3 +59,30 @@ def berlekamp_massey_fractions(sample) -> LinearComplexityResult:
     if tuple(lfsr_generate(connection, s[:length], len(s), sample.field)) != s:
         raise RuntimeError("oracle register fails to regenerate input")
     return LinearComplexityResult(length=length, connection=connection, field=sample.field)
+
+
+def bruteforce_min_lfsr(sample, max_order: int) -> LinearComplexityResult | None:
+    """Smallest register length by exhaustive exact solves, or None above the bound.
+
+    Independent of the Berlekamp-Massey path: for each order L it solves the
+    full linear system of recurrence constraints and accepts the first L
+    whose exact fit has zero residual across the whole sequence.
+    """
+    if max_order > 12:
+        raise ValueError(f"exhaustive oracle capped at order 12, got {max_order}")
+    p = None if sample.field == RATIONAL else int(sample.field)
+    zero = Fraction(0) if p is None else 0
+    s = sample.terms
+    if all(v == 0 for v in s):
+        return LinearComplexityResult(length=0, connection=(), field=sample.field)
+    for order in range(1, max_order + 1):
+        rows = [[s[k - i] for i in range(1, order + 1)] for k in range(order, len(s))]
+        if not rows:
+            solution = [zero] * order
+        else:
+            solution = solve(rows, s[order:], p)[0]
+        if solution is not None:
+            return LinearComplexityResult(
+                length=order, connection=tuple(solution), field=sample.field
+            )
+    return None

@@ -1,17 +1,73 @@
-"""Test-only oracles: the rational solve and the reduced echelon form on the
-fraction-free integer echelon, the window rank profile as the snapshot
+"""Test-only oracles: the fraction-free integer echelon, the rational solve
+and the reduced echelon form on it, the window rank profile as the snapshot
 dataset took it, and the prime search that the modular solve walked on
 every call.
 
 The package solved every rational system, and took every snapshot rank,
-this way before its larger systems moved to the word-size modular solve;
-they stay here as the reference that the modular solve must match exactly:
-solution, rank(A) and rank(A|b), pivots, denominator and numerators.
+this way before its solves moved to the word-size modular solve; they stay
+here as the reference that the modular solve must match exactly: solution,
+rank(A) and rank(A|b), pivots, denominator and numerators.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from koopman_dh.linalg_exact import IntegerEchelon
+
+class IntegerEchelon:
+    """Incremental fraction-free row echelon of an integer matrix over Q:
+    cross-multiplication with gcd-normalized, positive pivot rows."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivot_rows: dict[int, list[int]] = {}
+
+    def add_row(self, row) -> int | None:
+        """Reduce a row against current pivots; returns its pivot column or None."""
+        row = list(row)
+        for col in range(self.ncols):
+            v = row[col]
+            if v == 0:
+                continue
+            piv = self.pivot_rows.get(col)
+            if piv is None:
+                g = gcd(*row)
+                if g > 1:
+                    row = [a // g for a in row]
+                if row[col] < 0:
+                    row = [-a for a in row]
+                self.pivot_rows[col] = row
+                return col
+            g = gcd(v, piv[col])
+            f_row, f_piv = piv[col] // g, v // g
+            row = [f_row * a - f_piv * b for a, b in zip(row, piv)]
+        return None
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def back_substitute(self, nvars: int) -> tuple[int, list[list[int]]]:
+        """Solve for the first nvars columns, the rest being right-hand sides.
+
+        Returns (d, x) with x integer: row j of x / d holds variable j's value
+        in each right-hand side, free variables pinned to zero. The systems
+        must be consistent: no pivot may sit in a right-hand-side column.
+        """
+        dens = [1] * nvars  # variable j is nums[j] / dens[j]
+        nums = [[0] * (self.ncols - nvars) for _ in range(nvars)]
+        for col in sorted(self.pivot_rows, reverse=True):
+            prow = self.pivot_rows[col]
+            known = [c2 for c2 in range(col + 1, nvars) if prow[c2]]
+            scale = lcm(*[dens[c2] for c2 in known])
+            acc = [a * scale for a in prow[nvars:]]
+            for c2 in known:
+                f = prow[c2] * (scale // dens[c2])
+                acc = [a - f * v for a, v in zip(acc, nums[c2])]
+            den = prow[col] * scale  # positive: pivots are normalized positive
+            g = gcd(den, *acc)
+            dens[col], nums[col] = den // g, [a // g for a in acc]
+        d = lcm(*dens)
+        return d, [[a * (d // dj) for a in row] for row, dj in zip(nums, dens)]
 
 
 def echelon_solve(a_rows, b):

@@ -21,9 +21,9 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
+from echelon_oracle import IntegerEchelon
 from field_oracle import frobenius_sq, matmul, transpose
 from koopman_dh.edmd import EdmdDataset, FittedOperator, _sliding_gram
-from koopman_dh.linalg_exact import IntegerEchelon
 
 
 def echelon_fit(dataset: EdmdDataset) -> FittedOperator:

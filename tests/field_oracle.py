@@ -1,8 +1,9 @@
 """Test-only oracle: textbook Gauss-Jordan over Q or GF(p).
 
-A second route, independent of the package's fraction-free integer engine:
-dense products, reduced row echelon form with one division per pivot, the
-inverse by reducing [M | I], and the Moore-Penrose pseudo-inverse from the
+A second route, independent of the package's modular elimination and of
+the fraction-free integer echelon in echelon_oracle: dense products,
+reduced row echelon form with one division per pivot, the inverse by
+reducing [M | I], and the Moore-Penrose pseudo-inverse from the
 full-rank factorization A = C F (C the pivot columns of A, F the nonzero
 rows of its RREF), pinv(A) = F^T (F F^T)^-1 (C^T C)^-1 C^T.
 """

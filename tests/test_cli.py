@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
 import json
+import random
 import re
+import sys
 
 import pytest
 
 from koopman_dh.cli import main
+from koopman_dh.edmd import dataset_from_values, edmd_fit, max_state_error
 
 
 def run(capsys, *argv):
@@ -260,6 +264,56 @@ class TestEdmd:
         )
         assert code == 3
         assert str(path) in err
+
+
+def int_str_limit():
+    """CPython's int-string digit limit, or None on builds without one."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@contextlib.contextmanager
+def no_int_str_limit():
+    """The int-string digit limit lifted for the block, then restored."""
+    limit = int_str_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestIntegersPastTheStringLimit:
+    """Data and reports with integers of more than 4300 digits."""
+
+    def test_large_data_reports_its_state_error(self, capsys, tmp_path):
+        # the under-parameterized error of 60 values in +-10^30 has a
+        # numerator of over 10^4 digits
+        rng = random.Random(30)
+        values = [rng.randint(-(10**30), 10**30) for _ in range(60)]
+        path = tmp_path / "large.csv"
+        path.write_text("".join(f"{v}\n" for v in values))
+        limit = int_str_limit()
+        report = run_json(
+            capsys, "edmd", "--p", "37", "--m", "2", "--q", "3", "--n", "9", "--data", str(path)
+        )
+        assert int_str_limit() == limit  # main restores the limit
+        assert report["under_parameterized"] is True
+        want = max_state_error(edmd_fit(dataset_from_values(values, 3, 9)), values, 59)
+        got = report["max_state_error"]
+        assert len(got["num"]) > 4300
+        with no_int_str_limit():
+            assert (got["num"], got["den"]) == (str(want.numerator), str(want.denominator))
+
+    def test_value_past_the_limit_is_read(self, capsys, tmp_path):
+        # a ramp on a 5000-digit offset obeys x_{k+2} = 2 x_{k+1} - x_k
+        path = tmp_path / "ramp.csv"
+        with no_int_str_limit():
+            path.write_text("".join(f"{10**5000 + k}\n" for k in range(10)))
+        report = run_json(capsys, "edmd", "--p", "7", "--m", "3", "--q", "1", "--data", str(path))
+        assert report["residual_is_zero"] is True
+        assert report["max_state_error"] == {"num": "0", "den": "1"}
 
 
 class TestComplexity:

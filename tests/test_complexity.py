@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexity_oracle import berlekamp_massey_fractions
+from complexity_oracle import berlekamp_massey_fractions, bruteforce_min_lfsr
 from conftest import PRIMES_TO_61
 from koopman_dh import complexity
 from koopman_dh.complexity import (
     RATIONAL,
     SequenceSample,
     berlekamp_massey,
-    bruteforce_min_lfsr,
     compare_koopman_vs_lfsr,
     lfsr_generate,
 )

@@ -17,8 +17,6 @@ from field_oracle import frobenius_sq, inverse, matmul, pinv, rref, solve, trans
 from koopman_dh import linalg_exact
 from koopman_dh.dynamics import is_prime
 from koopman_dh.linalg_exact import (
-    IntegerEchelon,
-    _MODULAR_PIVOTS,
     _int64,
     _spans,
     _word_primes,
@@ -44,10 +42,7 @@ def small_matrix(max_dim=4):
 
 def test_rank_examples():
     def rank(rows):
-        echelon = IntegerEchelon(len(rows[0]))
-        for row in rows:
-            echelon.add_row(row)
-        return echelon.rank
+        return len(reduced_echelon(rows, len(rows[0]))[0])
 
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 2], [2, 4], [4, 3]]) == 2
@@ -76,17 +71,14 @@ def test_solve_underdetermined_pins_free_vars():
 @settings(max_examples=80, deadline=None)
 @given(small_matrix(), st.data())
 def test_int_solve_agrees_with_field_solve(mat, data):
-    """Dual route: fraction-free integer echelon vs textbook Gauss-Jordan,
-    over the rationals and over a prime field."""
+    """Dual route: the certified modular solve vs textbook Gauss-Jordan over
+    the rationals."""
     b = data.draw(st.lists(small_int, min_size=len(mat), max_size=len(mat)))
-    p = data.draw(st.sampled_from([2, 3, 5, 7]))
-    for modulus in (None, p):
-        got = solve_int_with_ranks(mat, b, modulus=modulus)
-        assert got == solve(mat, b, modulus)
-        if got[0] is not None:
-            for row, rhs in zip(mat, b):
-                residual = sum(c * v for c, v in zip(row, got[0])) - rhs
-                assert residual == 0 if modulus is None else residual % modulus == 0
+    got = solve_int_with_ranks(mat, b)
+    assert got == solve(mat, b)
+    if got[0] is not None:
+        for row, rhs in zip(mat, b):
+            assert sum(c * v for c, v in zip(row, got[0])) == rhs
 
 
 def test_rref_identity_pivot():
@@ -124,16 +116,17 @@ def test_pinv_inverse_when_square_nonsingular():
 
 
 def test_solve_over_prime_field():
+    """The oracle's GF(p) solve, which the exhaustive register oracle uses."""
     p = 7
     a = [[2, 3], [1, 4]]
     b = [1, 4]
-    sol, ra, raug = solve_int_with_ranks(a, b, modulus=p)
+    sol, ra, raug = solve(a, b, p)
     assert ra == raug == 2
     assert all(0 <= v < p for v in sol)
     for row, rhs in zip(a, b):
         assert sum(c * v for c, v in zip(row, sol)) % p == rhs
     # rows independent over Q become dependent mod 7 (13 = 6 mod 7)
-    assert solve_int_with_ranks([[1, 2], [3, 13]], [1, 2], modulus=p)[1:] == (1, 2)
+    assert solve([[1, 2], [3, 13]], [1, 2], p)[1:] == (1, 2)
     assert solve_int_with_ranks([[1, 2], [3, 13]], [1, 2])[1:] == (2, 2)
 
 
@@ -151,12 +144,6 @@ def first_primes(count):
 FIRST_PRIME = first_primes(1)[0]
 
 
-def modular_solve(a_rows, b):
-    """solve_int_with_ranks with every rational system sent to the modular solve."""
-    with patch.object(linalg_exact, "_MODULAR_PIVOTS", 1):
-        return solve_int_with_ranks(a_rows, b)
-
-
 def primes_used(a_rows, b):
     """The modular solve's answer and how many primes of the list it read."""
     seen = []
@@ -167,7 +154,7 @@ def primes_used(a_rows, b):
             yield prime
 
     with patch.object(linalg_exact, "_word_primes", counting):
-        got = modular_solve(a_rows, b)
+        got = solve_int_with_ranks(a_rows, b)
     return got, len(seen)
 
 
@@ -198,7 +185,7 @@ def rational_systems(draw):
 def test_modular_solve_matches_integer_echelon(system):
     """The certified modular solve returns exactly the integer echelon's answer."""
     a_rows, b = system
-    assert modular_solve(a_rows, b) == echelon_solve(a_rows, b)
+    assert solve_int_with_ranks(a_rows, b) == echelon_solve(a_rows, b)
 
 
 def test_word_primes_are_the_primes_below_2_31():
@@ -253,11 +240,11 @@ def test_word_primes_are_found_on_demand():
 from fractions import Fraction
 from koopman_dh import linalg_exact
 assert linalg_exact._word_prime_list == []
-assert linalg_exact._rref_multimodular([[3, 1]], 1) == ([0], 3, [[1]])
+assert linalg_exact.reduced_echelon([[3, 1]], 1) == ([0], 3, [[1]])
 assert len(linalg_exact._word_prime_list) == 1
 big = 2**40 + 1
 for _ in range(2):
-    assert linalg_exact._rref_multimodular([[big, 1]], 1) == ([0], big, [[1]])
+    assert linalg_exact.reduced_echelon([[big, 1]], 1) == ([0], big, [[1]])
     assert len(linalg_exact._word_prime_list) == 3
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -303,32 +290,19 @@ def test_unlucky_later_prime_is_skipped():
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_wide_systems_take_the_modular_path(data):
-    """solve_int_with_ranks around the crossover, against the oracle: the
-    modular solve runs exactly when rows and columns of [A|b] both reach
-    _MODULAR_PIVOTS."""
-    n = data.draw(st.integers(_MODULAR_PIVOTS - 2, _MODULAR_PIVOTS + 4))
-    m = data.draw(st.integers(_MODULAR_PIVOTS - 2, n + 3))
+    """solve_int_with_ranks on 13 to 19 unknowns and 13 to 22 equations,
+    against the oracle."""
+    n = data.draw(st.integers(13, 19))
+    m = data.draw(st.integers(13, n + 3))
     rows = data.draw(st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=m, max_size=m))
     b = data.draw(st.lists(small_int, min_size=m, max_size=m))
-    modular = linalg_exact._rref_multimodular
-    with patch.object(linalg_exact, "_rref_multimodular", wraps=modular) as spy:
-        assert solve_int_with_ranks(rows, b) == echelon_solve(rows, b)
-    assert spy.called == (min(m, n + 1) >= _MODULAR_PIVOTS)
-
-
-def modular_rref(rows, nvars):
-    """reduced_echelon with every system sent to the modular solve."""
-    with patch.object(linalg_exact, "_MODULAR_PIVOTS", 1):
-        return reduced_echelon(rows, nvars)
+    assert solve_int_with_ranks(rows, b) == echelon_solve(rows, b)
 
 
 def check_rref(rows, nvars):
-    """Both engines of reduced_echelon against the integer echelon, and the
-    answer against Gauss-Jordan over Fractions; returns the answer."""
+    """reduced_echelon against the integer echelon, and the answer against
+    Gauss-Jordan over Fractions; returns the answer."""
     want = echelon_rref(rows, nvars)
-    assert modular_rref(rows, nvars) == want
-    with patch.object(linalg_exact, "_MODULAR_PIVOTS", 10**9):
-        assert reduced_echelon(rows, nvars) == want
     assert reduced_echelon(rows, nvars) == want
     pivots, d, y = want
     reduced, field_pivots = rref(rows)
@@ -373,7 +347,7 @@ def echelon_systems(draw):
 @given(echelon_systems())
 def test_reduced_echelon_matches_integer_echelon(system):
     """Pivots, denominator and numerators of the certified reduced echelon
-    form equal the integer echelon's, on either engine."""
+    form equal the integer echelon's."""
     check_rref(*system)
 
 
@@ -453,6 +427,33 @@ def test_unlucky_and_many_prime_echelons(rows, nvars):
     check_rref(rows, nvars)
 
 
+@pytest.mark.parametrize(
+    "rows,nvars",
+    [
+        ([[]], 0),
+        ([[], []], 0),
+        ([[3, 1]], 1),
+        ([[0, 4, 6]], 1),
+        ([[0, 0], [0, 0]], 1),
+        ([[1, 1, 2], [0, 0, 0]], 2),
+        ([[0, 0, 0]], 3),
+        ([[2, 4, 6]], 3),
+        ([[1, 2], [2, 4], [0, 0]], 2),
+        ([[0, 5]], 1),
+        ([[5]], 0),
+    ],
+)
+def test_degenerate_shapes(rows, nvars):
+    """Zero columns, one row, all-zero rows, no right-hand side (the rank
+    profile alone) and inconsistent systems, against the integer echelon;
+    with one right-hand side, solve_int_with_ranks too ([[5]] with no
+    unknowns is the system 0 = 5)."""
+    assert reduced_echelon(rows, nvars) == echelon_rref(rows, nvars)
+    if len(rows[0]) == nvars + 1:
+        a_rows, b = [r[:nvars] for r in rows], [r[nvars] for r in rows]
+        assert solve_int_with_ranks(a_rows, b) == echelon_solve(a_rows, b)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_window_rank_profile(data):
@@ -469,10 +470,7 @@ def test_window_rank_profile(data):
         values = data.draw(st.lists(st.integers(-bound, bound), min_size=count, max_size=count))
     z = [values[i : i + n] for i in range(q + 1)]
     want = window_profile(values, q, n)
-    for pivots in (4, 10**9):
-        with patch.object(linalg_exact, "_MODULAR_PIVOTS", pivots):
-            assert reduced_echelon(z, n) == (want, 1, [[] for _ in want])
-    assert modular_rref(z, n)[0] == want
+    assert reduced_echelon(z, n) == (want, 1, [[] for _ in want])
 
 
 @settings(max_examples=200, deadline=None)
