@@ -4,7 +4,11 @@ complexity reports, and config-driven experiment runs.
 All reports are JSON with a schema_version field, deterministic key order,
 exact rationals as num/den string pairs, and floats at 15 significant
 digits. Exit codes: 0 success, 2 invalid parameters, 3 malformed input
-data, 4 internal consistency failure.
+data, 4 internal consistency failure: a false all_match (verify-theorem),
+oracle_match (recover), verified (shared-secret) or equal (complexity
+--p/--m), a sweep record's false dimension_match, complexity.equal or
+recovery_all_match, or a library RuntimeError. Flags about user data never
+exit 4.
 
 Each cmd_* returns (report, failure): a dict for a JSON report or the text
 itself, and None or the reason for exit 4. main alone writes the report,
@@ -117,6 +121,23 @@ def _parity_name(n: int) -> str:
     return "even" if n % 2 == 0 else "odd"
 
 
+def _dimension_head(params: DhParams, dim: int) -> dict:
+    """The dimension-law fields of a verify-theorem row and of a sweep record."""
+    expected = params.q_tilde + 1
+    return {"p": params.p, "m": params.m, "minimal_dimension": dim, "expected_dimension": expected}
+
+
+def _register_block(comparison) -> dict:
+    """Register length against lifted dimension, for complexity --p/--m and a sweep record."""
+    return {k: getattr(comparison, k) for k in ("lfsr_length", "koopman_dimension", "equal")}
+
+
+def _spectral_start(params: DhParams):
+    """The canonical decomposition at q = (p-1)/2 and the orbit's lifted start state."""
+    q = params.q_tilde
+    return eigen_canonical(params.p, q), lift_shift(full_period_trajectory(params), q, 0)
+
+
 def _edmd_block(params: DhParams, q: int, n: int, values=None) -> tuple[dict, FittedOperator]:
     """EDMD on n snapshot pairs at order q, of the orbit or of the given values.
 
@@ -177,17 +198,9 @@ def cmd_verify_theorem(args):
             skipped.append({"p": p, "reason": "requires p > 3" if is_prime(p) else "not prime"})
             continue
         for m in _generators(p, args.generators):
-            dim = minimal_lifting_dimension(DhParams(p, m))
-            expected = (p - 1) // 2 + 1
-            rows.append(
-                {
-                    "p": p,
-                    "m": m,
-                    "minimal_dimension": dim,
-                    "expected_dimension": expected,
-                    "match": dim == expected,
-                }
-            )
+            params = DhParams(p, m)
+            row = _dimension_head(params, minimal_lifting_dimension(params))
+            rows.append({**row, "match": row["minimal_dimension"] == row["expected_dimension"]})
     all_match = all(r["match"] for r in rows)
     failure = None if all_match else "a minimal dimension deviated from (p-1)/2 + 1"
     return {"rows": rows, "skipped": skipped, "all_match": all_match}, failure
@@ -201,8 +214,7 @@ def cmd_recover(args):
         raise ValueError(f"--e must lie in [1, p-1] = [1, {params.p - 1}], got {args.e}")
     c = args.c if args.c is not None else mod_pow(params.m, args.e, params.p)
     q = params.q_tilde
-    dec = eigen_canonical(params.p, q)
-    z0 = lift_shift(full_period_trajectory(params), q, 0)
+    dec, z0 = _spectral_start(params)
     ze = lift_ciphertext(c, params, q)
     report = {"p": params.p, "m": params.m, "c": c, "q": q}
     if args.parity_only:
@@ -274,16 +286,10 @@ def cmd_complexity(args):
             raise ValueError("--p requires --m")
         comparison = compare_koopman_vs_lfsr(DhParams(args.p, args.m))
         connection = [frac_json(c) for c in comparison.connection]
-        report = {
-            "p": args.p,
-            "m": args.m,
-            "lfsr_length": comparison.lfsr_length,
-            "koopman_dimension": comparison.koopman_dimension,
-            "equal": comparison.equal,
-            "connection": connection,
-            "companion_last_row": connection[::-1],
-        }
-        return report, None
+        report = {"p": args.p, "m": args.m, **_register_block(comparison)}
+        report.update(connection=connection, companion_last_row=connection[::-1])
+        failure = None if comparison.equal else "register length differs from lifted dimension"
+        return report, failure
     terms = read_integer_series(args.sequence)
     rational = berlekamp_massey(SequenceSample(terms=tuple(terms), field=RATIONAL))
     report = {
@@ -328,25 +334,29 @@ def load_config(path: str) -> dict:
         raise MalformedDataError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedDataError(f"config {path} must be a JSON object")
-    primes = raw.get("primes")
-    if isinstance(primes, str):
-        primes = _parse_primes(primes)
     output = raw.get("output", {})
-    fields = output if isinstance(output, dict) else {}  # a non-object fails 'output'
-    seed = raw.get("seed", 0)
-    generators = raw.get("generators", "smallest")
-    q_policy = raw.get("q_policy", "q_tilde")
-    exponents = raw.get("exponent_sweep", "all")
+    given = output if isinstance(output, dict) else {}  # a non-object fails 'output'
+    cfg = {
+        "primes": raw.get("primes"),
+        "generators": raw.get("generators", "smallest"),
+        "q_policy": raw.get("q_policy", "q_tilde"),
+        "exponent_sweep": raw.get("exponent_sweep", "all"),
+        "output": {"path": given.get("path", "report.json"), "format": given.get("format", "json")},
+        "seed": raw.get("seed", 0),
+    }
+    if isinstance(cfg["primes"], str):
+        cfg["primes"] = _parse_primes(cfg["primes"])
+    primes, generators, exponents = cfg["primes"], cfg["generators"], cfg["exponent_sweep"]
     for key, ok, shape in (
         (
             "primes",
             isinstance(primes, list) and primes and all(map(_is_int, primes)),
             "a nonempty list of integers or a range string",
         ),
-        ("seed", _is_int(seed), "an integer"),
+        ("seed", _is_int(cfg["seed"]), "an integer"),
         ("output", isinstance(output, dict), "an object"),
-        ("output.path", isinstance(fields.get("path", ""), str), "a string"),
-        ("output.format", isinstance(fields.get("format", ""), str), "a string"),
+        ("output.path", isinstance(cfg["output"]["path"], str), "a string"),
+        ("output.format", isinstance(cfg["output"]["format"], str), "a string"),
         (
             "generators",
             generators in ("smallest", "all")
@@ -362,28 +372,17 @@ def load_config(path: str) -> dict:
         ),
         (
             "q_policy",
-            q_policy in ("q_tilde", "p_minus_2") or _is_int(q_policy),
+            cfg["q_policy"] in ("q_tilde", "p_minus_2") or _is_int(cfg["q_policy"]),
             '"q_tilde", "p_minus_2" or an integer',
         ),
     ):
         if not ok:
             raise MalformedDataError(f"config {path}: '{key}' must be {shape}")
-    cfg = {
-        "primes": primes,
-        "generators": generators,
-        "q_policy": q_policy,
-        "exponent_sweep": exponents,
-        "output": {
-            "path": output.get("path", "report.json"),
-            "format": output.get("format", "json"),
-        },
-        "seed": seed,
-    }
-    for p in cfg["primes"]:
+    for p in primes:
         if not is_prime(p) or p <= 3 or p % 2 == 0:
             raise ValueError(f"config primes must be odd primes > 3, got {p}")
-        if isinstance(q_policy, int) and not 0 <= q_policy <= p - 2:
-            raise ValueError(f"q={q_policy} outside [0, p-2] for p={p}")
+        if _is_int(cfg["q_policy"]) and not 0 <= cfg["q_policy"] <= p - 2:
+            raise ValueError(f"q={cfg['q_policy']} outside [0, p-2] for p={p}")
         for e in exponents if isinstance(exponents, list) else []:
             if not 1 <= e <= p - 1:
                 raise ValueError(f"exponent {e} outside [1, p-1] for p={p}")
@@ -400,35 +399,22 @@ def _sweep_case(params: DhParams, q: int, exponents: list[int]) -> dict:
     p, m, q_tilde = params.p, params.m, params.q_tilde
     lfsr = compare_koopman_vs_lfsr(params)
     dim = lfsr.koopman_dimension
-    record = {
-        "p": p,
-        "m": m,
-        "q": q,
-        "minimal_dimension": dim,
-        "expected_dimension": q_tilde + 1,
-        "dimension_match": dim == q_tilde + 1,
-        "complexity": {
-            "lfsr_length": lfsr.lfsr_length,
-            "koopman_dimension": dim,
-            "equal": lfsr.equal,
-        },
-    }
-    if q < q_tilde:
-        edmd, _ = _edmd_block(params, q, 2 * params.period - q - 1)
-        keys = ("under_parameterized", "residual_is_zero", "max_state_error")
-        record["edmd"] = {k: edmd[k] for k in keys}
+    record = {**_dimension_head(params, dim), "q": q, "dimension_match": dim == q_tilde + 1}
+    record["complexity"] = _register_block(lfsr)
+    under = q < q_tilde
+    edmd, fitted = _edmd_block(params, q, 2 * params.period - q - 1 if under else q_tilde + 1)
+    # an under-parameterized record reports the prediction error, not the rank law
+    drop = ("rank_z", "assumption_holds") if under else ("under_parameterized",)
+    record["edmd"] = {k: v for k, v in edmd.items() if k not in drop}
+    if under:
         return record
-    edmd, fitted = _edmd_block(params, q, q_tilde + 1)
-    keys = ("rank_z", "assumption_holds", "residual_is_zero")
-    record["edmd"] = {k: edmd[k] for k in keys + ("entrywise_equal", "prediction_equivalent")}
     record["edmd"]["fit_kind"] = fitted.fit_kind
     record["alpha"] = [frac_json(a) for a in canonical_alpha(p, q)]
     if q == q_tilde:
         # the analytic spectrum matches the dynamics exactly at the threshold
         # order; recover through it
-        dec = eigen_canonical(p, q)
+        dec, z0 = _spectral_start(params)
         record["eigenvalue_turns"] = [frac_json(t) for t in dec.turns]
-        z0 = lift_shift(full_period_trajectory(params), q, 0)
     recoveries = []
     for e in exponents:
         c = mod_pow(m, e, p)
@@ -506,8 +492,12 @@ def cmd_sweep(args):
     report = run_sweep(cfg)
     records = report["records"]
     args.summary = f"wrote {args.out} with {len(records)} records\n"
-    bad = sum(not r["dimension_match"] for r in records)
-    failure = f"{bad} cases deviated from the dimension law" if bad else None
+    bad = sum(
+        not (r["dimension_match"] and r["complexity"]["equal"])
+        or r.get("recovery_all_match") is False
+        for r in records
+    )
+    failure = f"{bad} cases broke the dimension law, register length or recovery" if bad else None
     return (_sweep_csv(records) if cfg["output"]["format"] == "csv" else report), failure
 
 

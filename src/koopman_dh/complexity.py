@@ -178,10 +178,9 @@ def compare_koopman_vs_lfsr(params: DhParams) -> KoopmanLfsrComparison:
     Two full periods certify the recurrence across the wraparound; one
     period would under-determine periodic registers.
     """
-    period = params.period
-    values = simulate(params.m, params, 1, 2 * period - 1).values
-    result = berlekamp_massey(SequenceSample(terms=values, field=RATIONAL))
-    dimension = minimal_lifting_dimension(params)
+    traj = simulate(params.m, params, 1, 2 * params.period - 1)
+    result = berlekamp_massey(SequenceSample(terms=traj.values, field=RATIONAL))
+    dimension = minimal_lifting_dimension(params, traj)
     return KoopmanLfsrComparison(
         lfsr_length=result.length,
         koopman_dimension=dimension,

@@ -48,19 +48,12 @@ def prime_factors(n: int) -> set[int]:
 
 
 def mod_pow(base: int, exp: int, p: int) -> int:
-    """base**exp mod p by square-and-multiply, O(log exp) multiplications."""
+    """base**exp mod p, by the built-in three-argument pow."""
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
     if exp < 0:
         raise ValueError(f"exponent must be nonnegative, got {exp}")
-    result = 1
-    acc = base % p
-    while exp:
-        if exp & 1:
-            result = (result * acc) % p
-        acc = (acc * acc) % p
-        exp >>= 1
-    return result
+    return pow(base, exp, p)
 
 
 def is_primitive_root(m: int, p: int) -> bool:

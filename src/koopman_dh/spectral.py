@@ -8,9 +8,9 @@ Eigenvalue angles are exact rational turns; the eigenvector matrix and its
 inverse are floating mirrors used for recovery, where matching is
 separation-based and therefore tolerance-free.
 
-The exact eigenpair check costs O(q) integer operations and one RootSum zero
-test per eigenvalue: the shift rows of A v = l v are identities of turns,
-and only the closing row needs the cyclotomic reduction.
+The exact eigenpair check costs one RootSum zero test per eigenvalue: the
+shift rows of A v = l v hold for every Vandermonde vector, and only the
+closing row needs the cyclotomic reduction.
 
 Set-up is O(q^3): every entry of V is one of the 2q roots of turn n/(2q),
 picked by the integer index r*(2k+1) mod 2q, and V is inverted once. A
@@ -97,17 +97,14 @@ def eigen_canonical(p: int, q: int) -> SpectralDecomposition:
 def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:
     """Exact check that A v(l) = l v(l) for every eigenpair.
 
-    Entry r of v(l) is the root of turn r*t for l of turn t. Rows 0..q-1 of
-    A shift, so they hold when the turns agree, (r+1)t = rt + t mod 1, an
-    integer identity on the turn's numerator and denominator. The closing
-    row sum_j alpha_j v_j = l^(q+1) is one RootSum zero test per eigenvalue.
+    Entry r of v(l) is l^r. Rows 0..q-1 of the companion matrix A shift,
+    (A v)_r = v_(r+1) = l^(r+1) = l v_r, so they hold for every l and need
+    no test. Only the closing row sum_j alpha_j v_j = l^(q+1) constrains l:
+    it is one RootSum zero test per eigenvalue.
     """
     q = dec.q
     alpha = char_alpha(q)
     for t in dec.turns:
-        num, den = t.numerator, t.denominator
-        if any(((r + 1) * num) % den != (r * num % den + num) % den for r in range(q)):
-            return False
         closing: dict[Fraction, Fraction] = {}
         for j, a in enumerate(alpha):
             if a:

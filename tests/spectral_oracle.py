@@ -5,7 +5,7 @@ per-eigenvalue rounding loop over Fraction turns.
 
 The library keeps only the RootSum zero test; these references build whole
 RootSum expressions and zero-test them, so they share the test but none of
-the library's shortcuts (the float Vinv, the integer shift-row identities).
+the library's shortcuts (the float Vinv, the untested shift rows).
 """
 
 from cmath import isfinite, phase

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import json
 import random
@@ -625,6 +626,83 @@ class TestExitCode4:
         code, _, err = run(capsys, "recover", "--p", "7", "--m", "3", "--c", "4")
         assert code == 4
         assert "internal consistency" in err
+
+
+    @pytest.fixture
+    def long_registers(self, monkeypatch):
+        # every register comes out one longer than the lifted dimension
+        from koopman_dh import complexity
+
+        real = complexity.berlekamp_massey
+
+        def longer(sample):
+            result = real(sample)
+            return dataclasses.replace(result, length=result.length + 1)
+
+        monkeypatch.setattr(complexity, "berlekamp_massey", longer)
+
+    def sweep_one(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("KOOPMAN_DH_OUT_DIR", raising=False)
+        out_path = tmp_path / "report.json"
+        cfg = {"primes": [7], "exponent_sweep": [1, 2], "output": {"path": str(out_path)}}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "sweep", "--config", str(tmp_path / "config.json"))
+        assert out == f"wrote {out_path} with 1 records\n"
+        return code, json.loads(out_path.read_text())["records"][0], err
+
+    def test_register_disagreement_exits_4(self, capsys, long_registers):
+        code, out, err = run(capsys, "complexity", "--p", "7", "--m", "3")
+        assert code == 4
+        assert json.loads(out)["equal"] is False
+        assert "internal consistency failure" in err
+
+    def test_sweep_register_disagreement_exits_4(
+        self, capsys, tmp_path, monkeypatch, long_registers
+    ):
+        code, record, err = self.sweep_one(capsys, tmp_path, monkeypatch)
+        assert code == 4
+        assert record["complexity"]["equal"] is False
+        assert record["dimension_match"] and record["recovery_all_match"]
+        assert "internal consistency failure" in err
+
+    def test_sweep_oracle_disagreement_exits_4(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("koopman_dh.cli.discrete_log_bruteforce", lambda c, params: -1)
+        code, record, err = self.sweep_one(capsys, tmp_path, monkeypatch)
+        assert code == 4
+        assert record["recovery_all_match"] is False
+        assert record["dimension_match"] and record["complexity"]["equal"]
+        assert "internal consistency failure" in err
+
+
+@pytest.mark.parametrize("p,m", [(5, 2), (7, 3), (13, 6), (23, 5), (37, 2)])
+def test_commands_agree_with_the_sweep(capsys, tmp_path, monkeypatch, p, m):
+    monkeypatch.delenv("KOOPMAN_DH_OUT_DIR", raising=False)
+    out_path = tmp_path / "report.json"
+    cfg = {
+        "primes": [p],
+        "generators": [m],
+        "exponent_sweep": {"sample": 4},
+        "output": {"path": str(out_path)},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "config.json"))
+    assert code == 0, err
+    [record] = json.loads(out_path.read_text())["records"]
+    assert record["q"] == (p - 1) // 2
+
+    rows = run_json(capsys, "verify-theorem", "--primes", str(p), "--generators", "all")["rows"]
+    [row] = [r for r in rows if r["m"] == m]
+    head = ("p", "m", "minimal_dimension", "expected_dimension")
+    assert {k: row[k] for k in head} == {k: record[k] for k in head}
+    assert row["match"] is record["dimension_match"] is True
+
+    register = run_json(capsys, "complexity", "--p", str(p), "--m", str(m))
+    assert {k: register[k] for k in record["complexity"]} == record["complexity"]
+
+    assert len(record["recovery"]) == 4
+    for entry in record["recovery"]:
+        report = run_json(capsys, "recover", "--p", str(p), "--m", str(m), "--e", str(entry["e"]))
+        assert (report["e_recovered"], report["parity"]) == (entry["recovered"], entry["parity"])
 
 
 class TestParser:
