@@ -8,20 +8,60 @@ coefficients are newest-first: s_k = c_1 s_{k-1} + ... + c_L s_{k-L}.
 Reversing the connection vector gives the last row of the equivalent
 companion matrix (alpha_j = c_{L-j}).
 
-Berlekamp-Massey runs fraction-free on integers (residues over GF(p)), with
-no division inside its loop, so one O(n * L) loop serves both fields: two
-periods of an orbit at p = 401 take a few hundredths of a second.
+Berlekamp-Massey runs in its division form over GF(l), for primes l below
+2^15 so that every residue product fits in one 30-bit CPython digit: two
+periods of an orbit at p = 1009 take about a tenth of a second. Over GF(p)
+that loop is the answer, with l = p. Over Q it is proven over the integers.
+Let s be the n terms scaled to integers, L_Q their complexity over Q and
+L_l that of s mod l:
+
+- Upper bound. The register lifted from GF(l) (CRT over the primes of one
+  length, rational reconstruction) is accepted only if it annihilates s
+  over the integers, so L_Q <= L_l.
+- Lower bound, when 2 L_l <= n. Take a minimal Q register C (C(0) = 1,
+  deg C <= L_Q, C(x) S(x) = P(x) mod x^n with deg P < L_Q), scale it to
+  l-integral coefficients not all divisible by l, and reduce it mod l. If
+  its constant term survives, it is a register of length <= L_Q for s mod
+  l, so L_l <= L_Q: a primitive integer relation stays nonzero mod l.
+  Otherwise it is x^t E with t >= 1 and E(0) != 0, a register of length
+  <= L_Q - t for the first n - t terms mod l; past them the length can only
+  jump to some k + 1 - L_k >= n + 1 - L_Q, so either L_l <= L_Q - t or
+  L_l + L_Q > n, and with 2 L_l <= n the latter gives L_l < L_Q as well.
+- So a passing check with 2 L_l <= n proves L_l = L_Q, hence 2 L_Q <= n,
+  and then the minimal register is unique (Massey 1969, "Shift-register
+  synthesis and BCH decoding"): it is the fraction loop's register, byte
+  for byte.
+
+The same argument orders the primes. Every prime with 2 L_l <= n has
+L_l <= L_Q, so a prime with a longer register supersedes the earlier ones.
+One with L_l = L_Q carries the image of the Q register (the reduced C is a
+register of length L_Q, unique mod l), so primes of equal length merge by
+CRT. All but finitely many primes have L_l = L_Q: those that divide the
+numerator of no nonzero discrepancy of the rational loop. Once the merged modulus exceeds
+2 H^2, H = (sqrt(L) max|s|)^L the Hadamard bound on the register's
+numerators and denominators (Cramer's rule on L independent windows), the
+reconstruction at length L_Q must pass, so a failure there proves the
+length short.
+
+The fraction-free loop stays for the rationals with 2 L_l > n. Every input
+with 2 L_Q > n lands there (no prime passes the check), and there the
+register is not determined by the data, so no modular run can prove which
+one the loop returns. The same loop decides in two cases that need a run
+of unlucky primes or a register of more than about 11000 bits: a length
+proven short comes back, or the primes run out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, isqrt
+from operator import mul
 
 from .dynamics import DhParams, is_prime, simulate
 from .lifting import minimal_lifting_dimension
-from .linalg_exact import annihilates, scale_to_integers
+from .linalg_exact import _reconstruct, annihilates, scale_to_integers
 
 RATIONAL = "rational"
 
@@ -47,9 +87,9 @@ def _residue(v, p: int) -> int:
 
 
 def _elements(values, p: int | None) -> list:
-    """Field elements: Fractions over the rationals, residues in [0, p) over GF(p)."""
+    """Field elements: ints and Fractions over the rationals, residues in [0, p) over GF(p)."""
     if p is None:
-        return [Fraction(v) for v in values]
+        return [v if isinstance(v, int) else Fraction(v) for v in values]
     return [_residue(v, p) for v in values]
 
 
@@ -83,19 +123,129 @@ class LinearComplexityResult:
 def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
     """Minimal LFSR of a sequence by the Berlekamp-Massey algorithm.
 
-    Fraction-free, one loop for both fields. Over Q the terms are scaled to
-    integers by the lcm of their denominators. The iterates are kept as
-    integer multiples C of the connection polynomial, whose discrepancy is
-    D = C_0 s_n + sum_i C_i s_{n-i}, so the update C <- Db*C - D*x^m*B
-    divides nothing; the content of C is then divided out over Q, and over
-    GF(p) everything is reduced mod p. The connection is -C_i / C_0, the
-    same Fractions or residues the division form gives. The register is
-    verified to satisfy its recurrence across the whole input before being
-    returned. Cost: O(n * L) integer operations for n terms and length L.
+    Over GF(p), the division form mod p. Over Q, the terms are scaled to
+    integers and the division form runs mod primes l below 2^15, largest
+    first; its register is lifted by CRT and rational reconstruction. The
+    proof is two-sided (module docstring): the lift must annihilate the
+    scaled terms over the integers, so L_Q <= L_l; and when 2 L_l <= n a
+    primitive integer relation of length L_Q stays a register mod l, or the
+    length profile forces L_l < L_Q, so L_l <= L_Q. Then L_l = L_Q <= n/2
+    and the minimal register is unique: the fraction loop's, byte for byte.
+    A rational input with 2 L_l > n goes to the fraction-free loop: when
+    2 L_Q > n the data do not determine the register, and only that loop
+    says which one it returns. Every register is checked against the whole
+    input before it is returned. Cost: O(n * L) word operations per prime
+    for n terms and length L; one prime for an integer register with small
+    coefficients.
     """
     p = _modulus(sample.field)
-    s = sample.terms
-    scale, s = scale_to_integers(s) if p is None else (1, s)
+    if p is not None:
+        length, c = _division_form(sample.terms, p)
+        if not annihilates(c[::-1], sample.terms, p):
+            raise RuntimeError("internal error: synthesized register fails to regenerate input")
+        connection = tuple(-v % p for v in c[1:])
+    else:
+        scale, s = scale_to_integers(sample.terms)
+        found = _modular_register(s)
+        length, connection = found if found is not None else _fraction_free(s, scale)
+    return LinearComplexityResult(length=length, connection=connection, field=sample.field)
+
+
+def _division_form(s, prime: int) -> tuple[int, list[int]]:
+    """(L, C): Berlekamp-Massey over GF(prime) on the residues s, C[0] = 1.
+
+    C = [1, -c_1, ..., -c_L] is the connection polynomial, entries in
+    [0, prime). Each update subtracts (d / db) x^m B, with db the
+    discrepancy at the last length change and B the polynomial before it.
+    """
+    rs = s[::-1]
+    top = len(s) - 1
+    c, b = [1], [1]
+    db_inv, length, m = 1, 0, 1
+    for n in range(len(s)):
+        start = top - n
+        d = sum(map(mul, c, rs[start : start + length + 1])) % prime
+        if not d:
+            m += 1
+            continue
+        coef = prime - d * db_inv % prime
+        old = c[:] if 2 * length <= n else None
+        end = m + len(b)
+        if len(c) < end:
+            c += [0] * (end - len(c))
+        c[m:end] = [(x + coef * y) % prime for x, y in zip(c[m:end], b)]
+        if old is None:
+            m += 1
+        else:
+            length, b, db_inv, m = n + 1 - length, old, pow(d, -1, prime), 1
+    return length, (c + [0] * length)[: length + 1]
+
+
+@cache
+def _register_primes() -> tuple[int, ...]:
+    """The primes between 2^14 and 2^15, largest first: 32749, 32719, ...
+
+    Sieved once per process; trial division would cost about 10 us a prime.
+    """
+    top = 1 << 15
+    sieve = bytearray([1]) * top
+    for f in range(3, isqrt(top) + 1, 2):
+        if sieve[f]:
+            sieve[f * f :: 2 * f] = bytes(len(range(f * f, top, 2 * f)))
+    return tuple(n for n in range(top - 1, top // 2, -2) if sieve[n])
+
+
+def _modular_register(s) -> tuple[int, tuple] | None:
+    """(L, connection) over Q of the integer terms s from runs mod the primes
+    of _register_primes, or None for the fraction-free loop (module docstring).
+
+    Reconstruction is tried as the reduced_echelon merge tries it: past 4
+    primes, only when their count has grown by a quarter, and always once
+    the modulus passes the Hadamard bound for the current length.
+    """
+    n = len(s)
+    sbits = max(map(abs, s)).bit_length()
+    best = -1
+    for prime in _register_primes():
+        length, c = _division_form([v % prime for v in s], prime)
+        if 2 * length > n:
+            return None
+        if length < best:
+            continue
+        residues = [-v % prime for v in c[1:]]
+        if length > best:
+            best, merged, modulus, count, attempt = length, residues, prime, 1, 1
+            bound = 2 * length * (sbits + (length.bit_length() + 1) // 2) + 2
+        elif merged is None:  # a length proven short came back
+            return None
+        else:
+            step = pow(modulus, -1, prime)
+            merged = [x + modulus * ((r - x) * step % prime) for x, r in zip(merged, residues)]
+            modulus *= prime
+            count += 1
+        past = modulus.bit_length() > bound
+        if count < attempt and not past:
+            continue
+        attempt = count + 1 + count // 4
+        candidate = _reconstruct(merged, modulus)
+        if candidate is not None:
+            den, nums = candidate
+            if annihilates([-v for v in reversed(nums)] + [den], s, None):
+                return length, tuple(Fraction(v, den) for v in nums)
+        if past:  # this length is proven short; only a longer prime can pass
+            merged = None
+    return None
+
+
+def _fraction_free(s, scale: int) -> tuple[int, tuple]:
+    """(L, connection) of the integer terms s by fraction-free Berlekamp-Massey over Q.
+
+    The iterates are integer multiples C of the connection polynomial,
+    whose discrepancy is D = C_0 s_n + sum_i C_i s_{n-i}, so the update
+    C <- Db*C - D*x^m*B divides nothing; the content of C is then divided
+    out. The connection is -C_i / C_0, the same Fractions the division form
+    gives on the unscaled terms (s divided by scale).
+    """
     c = [1]  # an integer multiple of the current connection polynomial
     b = [1]  # c as it was before the last length change, with discrepancy db
     # The first update divides by a unit discrepancy in the input's own
@@ -108,24 +258,19 @@ def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
         d = c[0] * s[n]
         for i in range(1, min(length + 1, len(c))):
             d += c[i] * s[n - i]
-        if p is not None:
-            d %= p
         if d == 0:
             m += 1
             continue
         new = [db * v for v in c] + [0] * (len(b) + m - len(c))
         for i, bv in enumerate(b):
             new[i + m] -= d * bv
-        if p is None:
-            g = 0
-            for v in new:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                new = [v // g for v in new]
-        else:
-            new = [v % p for v in new]
+        g = 0
+        for v in new:
+            g = gcd(g, v)
+            if g == 1:
+                break
+        if g > 1:
+            new = [v // g for v in new]
         if 2 * length <= n:
             length = n + 1 - length
             b, db = c, d
@@ -134,14 +279,9 @@ def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
             m += 1
         c = new
     c = (c + [0] * length)[: length + 1]
-    if not annihilates(c[::-1], s, p):
+    if not annihilates(c[::-1], s, None):
         raise RuntimeError("internal error: synthesized register fails to regenerate input")
-    if p is None:
-        connection = [Fraction(-v, c[0]) for v in c[1:]]
-    else:
-        inv = pow(c[0], -1, p)
-        connection = [-v * inv % p for v in c[1:]]
-    return LinearComplexityResult(length=length, connection=tuple(connection), field=sample.field)
+    return length, tuple(Fraction(-v, c[0]) for v in c[1:])
 
 
 def lfsr_generate(connection, seed, n: int, field=RATIONAL) -> list:
@@ -173,10 +313,12 @@ class KoopmanLfsrComparison:
 
 
 def compare_koopman_vs_lfsr(params: DhParams) -> KoopmanLfsrComparison:
-    """Berlekamp-Massey on two periods of the orbit vs the minimal lifting scan.
+    """Berlekamp-Massey on two periods of the orbit vs the minimal lifted dimension.
 
-    Two full periods certify the recurrence across the wraparound; one
-    period would under-determine periodic registers.
+    The dimension comes from the orbit's cyclotomic certificate
+    (lifting.closing_divisors, via minimal_lifting_dimension). Two full
+    periods certify the recurrence across the wraparound; one period would
+    under-determine periodic registers.
     """
     traj = simulate(params.m, params, 1, 2 * params.period - 1)
     result = berlekamp_massey(SequenceSample(terms=traj.values, field=RATIONAL))

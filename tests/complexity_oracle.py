@@ -1,10 +1,11 @@
 """Test-only oracles: textbook Berlekamp-Massey in field arithmetic, and the
 smallest register by exhaustive solves.
 
-The package's register synthesis is fraction-free (integer multiples of the
-connection polynomial, no division in the loop). This is the classical
-division form over Q (Fractions) or GF(p) (residues), with the register
-checked by regenerating the input, so the two share no arithmetic step.
+This is the classical division form over Q (Fractions) or GF(p) (residues),
+with the register checked by regenerating the input. Over Q the package
+runs the same form mod 15-bit primes and lifts the register to Q, or runs a
+fraction-free integer loop, so the two share no arithmetic step; over GF(p)
+the package runs this form with its own list arithmetic.
 The exhaustive oracle solves each order's recurrence constraints by
 textbook Gauss-Jordan (field_oracle), not the package's elimination.
 """

@@ -241,6 +241,20 @@ def test_criterion_7_linear_complexity_attainment():
     )
 
 
+def test_criterion_7_linear_complexity_at_1009():
+    """Criterion 7 at p = 1009, smallest generator: Berlekamp-Massey over the
+    rationals on two periods returns (p-1)/2 + 1 = 505, the lifted dimension."""
+    params = DhParams.with_smallest_root(1009)
+    p = params.p
+    terms = simulate(params.m, params, 1, 2 * (p - 1) - 1).values
+    length = berlekamp_massey(SequenceSample(terms=terms)).length
+    assert length == (p - 1) // 2 + 1 == minimal_lifting_dimension(params), length
+    print(
+        f"PASS criterion 7 at desk scale: register length equals lifted dimension "
+        f"{length} at p = {p}, smallest generator m = {params.m}"
+    )
+
+
 def test_criterion_8_worked_examples(tmp_path, capsys):
     """Rotation sequence: complexity 3 over the rationals, regenerated by a
     one-dimensional complex lifting. Affine sequence: regenerated exactly by
