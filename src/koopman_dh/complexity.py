@@ -8,16 +8,15 @@ coefficients are newest-first: s_k = c_1 s_{k-1} + ... + c_L s_{k-L}.
 Reversing the connection vector gives the last row of the equivalent
 companion matrix (alpha_j = c_{L-j}).
 
-Berlekamp-Massey runs in its division form over GF(l), for primes l below
-2^15 so that every residue product fits in one 30-bit CPython digit: two
-periods of an orbit at p = 1009 take about a tenth of a second. Over GF(p)
-that loop is the answer, with l = p. Over Q it is proven over the integers.
-Let s be the n terms scaled to integers, L_Q their complexity over Q and
-L_l that of s mod l:
+Berlekamp-Massey runs in its division form over GF(l), l = 32749 the
+largest prime below 2^15, so that every residue product fits in one 30-bit
+CPython digit: two periods of an orbit at p = 1009 take about a tenth of a
+second. Over GF(p) that loop is the answer, with l = p. Over Q it is proven
+over the integers. Let s be the n terms scaled to integers, L_Q their
+complexity over Q and L_l that of s mod l:
 
-- Upper bound. The register lifted from GF(l) (CRT over the primes of one
-  length, rational reconstruction) is accepted only if it annihilates s
-  over the integers, so L_Q <= L_l.
+- Upper bound. The register lifted from GF(l) by rational reconstruction
+  is accepted only if it annihilates s over the integers, so L_Q <= L_l.
 - Lower bound, when 2 L_l <= n. Take a minimal Q register C (C(0) = 1,
   deg C <= L_Q, C(x) S(x) = P(x) mod x^n with deg P < L_Q), scale it to
   l-integral coefficients not all divisible by l, and reduce it mod l. If
@@ -32,31 +31,21 @@ L_l that of s mod l:
   synthesis and BCH decoding"): it is the fraction loop's register, byte
   for byte.
 
-The same argument orders the primes. Every prime with 2 L_l <= n has
-L_l <= L_Q, so a prime with a longer register supersedes the earlier ones.
-One with L_l = L_Q carries the image of the Q register (the reduced C is a
-register of length L_Q, unique mod l), so primes of equal length merge by
-CRT. All but finitely many primes have L_l = L_Q: those that divide the
-numerator of no nonzero discrepancy of the rational loop. Once the merged modulus exceeds
-2 H^2, H = (sqrt(L) max|s|)^L the Hadamard bound on the register's
-numerators and denominators (Cramer's rule on L independent windows), the
-reconstruction at length L_Q must pass, so a failure there proves the
-length short.
-
-The fraction-free loop stays for the rationals with 2 L_l > n. Every input
-with 2 L_Q > n lands there (no prime passes the check), and there the
-register is not determined by the data, so no modular run can prove which
-one the loop returns. The same loop decides in two cases that need a run
-of unlucky primes or a register of more than about 11000 bits: a length
-proven short comes back, or the primes run out.
+Every other rational input runs the fraction-free loop: 2 L_l > n, a
+register whose numerators or common denominator exceed sqrt(l / 2) = 127,
+or a failed check (l divides the numerator of a discrepancy of the
+rational loop, or the reconstruction is not the register). Every input with 2 L_Q > n lands there, since no register of length
+at most n / 2 passes the check, and there the register is not determined
+by the data, so no modular run can prove which one the loop returns. The
+orbits of the DH map have small integer registers, which the one prime
+settles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 
 from .dynamics import DhParams, is_prime, simulate
@@ -64,6 +53,9 @@ from .lifting import minimal_lifting_dimension
 from .linalg_exact import _reconstruct, annihilates, scale_to_integers
 
 RATIONAL = "rational"
+
+# The largest prime below 2^15: every residue product fits in one 30-bit digit.
+_PRIME = 32749
 
 
 def _modulus(field) -> int | None:
@@ -124,19 +116,19 @@ def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
     """Minimal LFSR of a sequence by the Berlekamp-Massey algorithm.
 
     Over GF(p), the division form mod p. Over Q, the terms are scaled to
-    integers and the division form runs mod primes l below 2^15, largest
-    first; its register is lifted by CRT and rational reconstruction. The
-    proof is two-sided (module docstring): the lift must annihilate the
-    scaled terms over the integers, so L_Q <= L_l; and when 2 L_l <= n a
-    primitive integer relation of length L_Q stays a register mod l, or the
-    length profile forces L_l < L_Q, so L_l <= L_Q. Then L_l = L_Q <= n/2
-    and the minimal register is unique: the fraction loop's, byte for byte.
-    A rational input with 2 L_l > n goes to the fraction-free loop: when
-    2 L_Q > n the data do not determine the register, and only that loop
-    says which one it returns. Every register is checked against the whole
-    input before it is returned. Cost: O(n * L) word operations per prime
-    for n terms and length L; one prime for an integer register with small
-    coefficients.
+    integers, the division form runs mod l = 32749, and its register is
+    lifted by rational reconstruction. The proof is two-sided (module
+    docstring): the lift must annihilate the scaled terms over the
+    integers, so L_Q <= L_l; and when 2 L_l <= n a primitive integer
+    relation of length L_Q stays a register mod l, or the length profile
+    forces L_l < L_Q, so L_l <= L_Q. Then L_l = L_Q <= n/2 and the minimal
+    register is unique: the fraction loop's, byte for byte. Any other
+    rational input goes to the fraction-free loop, among them every input
+    with 2 L_Q > n: there the data do not determine the register, and only
+    that loop says which one it returns. Every register is checked against
+    the whole input before it is returned. Cost: O(n * L) word operations
+    for n terms and length L, plus the fraction-free loop when the lift
+    fails.
     """
     p = _modulus(sample.field)
     if p is not None:
@@ -181,60 +173,24 @@ def _division_form(s, prime: int) -> tuple[int, list[int]]:
     return length, (c + [0] * length)[: length + 1]
 
 
-@cache
-def _register_primes() -> tuple[int, ...]:
-    """The primes between 2^14 and 2^15, largest first: 32749, 32719, ...
-
-    Sieved once per process; trial division would cost about 10 us a prime.
-    """
-    top = 1 << 15
-    sieve = bytearray([1]) * top
-    for f in range(3, isqrt(top) + 1, 2):
-        if sieve[f]:
-            sieve[f * f :: 2 * f] = bytes(len(range(f * f, top, 2 * f)))
-    return tuple(n for n in range(top - 1, top // 2, -2) if sieve[n])
-
-
 def _modular_register(s) -> tuple[int, tuple] | None:
-    """(L, connection) over Q of the integer terms s from runs mod the primes
-    of _register_primes, or None for the fraction-free loop (module docstring).
+    """(L, connection) over Q of the integer terms s from one run mod
+    _PRIME, or None for the fraction-free loop (module docstring).
 
-    Reconstruction is tried as the reduced_echelon merge tries it: past 4
-    primes, only when their count has grown by a quarter, and always once
-    the modulus passes the Hadamard bound for the current length.
+    None when 2L > n mod _PRIME, when the register has no rational form
+    with numerators and common denominator at most sqrt(_PRIME / 2) = 127,
+    or when the lifted register fails the integer check.
     """
-    n = len(s)
-    sbits = max(map(abs, s)).bit_length()
-    best = -1
-    for prime in _register_primes():
-        length, c = _division_form([v % prime for v in s], prime)
-        if 2 * length > n:
-            return None
-        if length < best:
-            continue
-        residues = [-v % prime for v in c[1:]]
-        if length > best:
-            best, merged, modulus, count, attempt = length, residues, prime, 1, 1
-            bound = 2 * length * (sbits + (length.bit_length() + 1) // 2) + 2
-        elif merged is None:  # a length proven short came back
-            return None
-        else:
-            step = pow(modulus, -1, prime)
-            merged = [x + modulus * ((r - x) * step % prime) for x, r in zip(merged, residues)]
-            modulus *= prime
-            count += 1
-        past = modulus.bit_length() > bound
-        if count < attempt and not past:
-            continue
-        attempt = count + 1 + count // 4
-        candidate = _reconstruct(merged, modulus)
-        if candidate is not None:
-            den, nums = candidate
-            if annihilates([-v for v in reversed(nums)] + [den], s, None):
-                return length, tuple(Fraction(v, den) for v in nums)
-        if past:  # this length is proven short; only a longer prime can pass
-            merged = None
-    return None
+    length, c = _division_form([v % _PRIME for v in s], _PRIME)
+    if 2 * length > len(s):
+        return None
+    candidate = _reconstruct([-v % _PRIME for v in c[1:]], _PRIME)
+    if candidate is None:
+        return None
+    den, nums = candidate
+    if not annihilates([-v for v in reversed(nums)] + [den], s, None):
+        return None
+    return length, tuple(Fraction(v, den) for v in nums)
 
 
 def _fraction_free(s, scale: int) -> tuple[int, tuple]:

@@ -3,7 +3,7 @@ smallest register by exhaustive solves.
 
 This is the classical division form over Q (Fractions) or GF(p) (residues),
 with the register checked by regenerating the input. Over Q the package
-runs the same form mod 15-bit primes and lifts the register to Q, or runs a
+runs the same form mod the prime 32749 and lifts the register to Q, or runs a
 fraction-free integer loop, so the two share no arithmetic step; over GF(p)
 the package runs this form with its own list arithmetic.
 The exhaustive oracle solves each order's recurrence constraints by

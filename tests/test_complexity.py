@@ -15,7 +15,7 @@ from koopman_dh.complexity import (
     compare_koopman_vs_lfsr,
     lfsr_generate,
 )
-from koopman_dh.dynamics import DhParams, is_prime, simulate
+from koopman_dh.dynamics import DhParams, simulate
 
 F = Fraction
 
@@ -178,13 +178,7 @@ def fraction_free_calls(monkeypatch):
 
 
 class TestModularLift:
-    """The GF(l) runs and their lift to Q against the textbook division form."""
-
-    PRIMES = complexity._register_primes()
-
-    def test_prime_list_walks_down_from_32749(self):
-        assert self.PRIMES[:3] == (32749, 32719, 32717)
-        assert self.PRIMES == tuple(n for n in range(1 << 15, 1 << 14, -1) if is_prime(n))
+    """The GF(32749) run and its lift to Q against the textbook division form."""
 
     def test_integer_register_takes_one_prime(self, division_runs, fraction_free_calls):
         sample = SequenceSample(terms=two_periods(61, 2))
@@ -192,29 +186,41 @@ class TestModularLift:
         assert division_runs == [(32749, 31)]
         assert fraction_free_calls == [0]
 
-    def test_unlucky_first_prime(self, division_runs, fraction_free_calls):
+    def test_small_rational_register_lifts(self, division_runs, fraction_free_calls):
+        connection = (F(5, 7), F(-3, 4))
+        sample = SequenceSample(terms=tuple(lfsr_generate(connection, (1, F(2, 3)), 10)))
+        result = berlekamp_massey(sample)
+        assert result == berlekamp_massey_fractions(sample)
+        assert result.connection == connection
+        assert division_runs == [(32749, 2)]
+        assert fraction_free_calls == [0]
+
+    def test_unlucky_prime_goes_to_the_fraction_loop(self, division_runs, fraction_free_calls):
         # s_k = -3 s_{k-2} from (94/5, 79/5): scaled by 5 the terms are
         # 94, 79, -282, ..., and the discrepancy at the length change 1 -> 2
         # is (94 * -282 - 79^2) / 94 = -32749 / 94. Mod 32749 the terms are
-        # geometric, so the first prime finds the register (79/94,), which
+        # geometric, so the prime finds the register (79/94,), which
         # reconstructs and fails the integer check.
         terms = lfsr_generate((0, -3), (F(94, 5), F(79, 5)), 12)
         sample = SequenceSample(terms=tuple(terms))
         result = berlekamp_massey(sample)
         assert result == berlekamp_massey_fractions(sample)
         assert (result.length, result.connection) == (2, (0, -3))
-        assert division_runs == [(32749, 1), (32719, 2)]
-        assert fraction_free_calls == [0]
+        assert division_runs == [(32749, 1)]
+        assert fraction_free_calls == [1]
 
-    def test_terms_all_divisible_by_the_first_prime(self, division_runs):
-        # length 0 mod 32749 is proven short at once; the next prime supersedes it
+    def test_terms_all_divisible_by_the_prime(self, division_runs, fraction_free_calls):
+        # length 0 mod 32749, and the empty register fails the integer check
         sample = SequenceSample(terms=(32749, 65498, 130996, 261992))
         result = berlekamp_massey(sample)
         assert result == berlekamp_massey_fractions(sample)
         assert (result.length, result.connection) == (1, (2,))
-        assert division_runs == [(32749, 0), (32719, 1)]
+        assert division_runs == [(32749, 0)]
+        assert fraction_free_calls == [1]
 
-    def test_large_rational_register_merges_primes_by_crt(self, division_runs):
+    def test_large_rational_register_goes_to_the_fraction_loop(
+        self, division_runs, fraction_free_calls
+    ):
         # numerators and denominators far above sqrt(32749 / 2) = 127
         connection = (F(1000, 7), F(-3, 1001))
         terms = lfsr_generate(connection, (1, 2), 10)
@@ -222,15 +228,17 @@ class TestModularLift:
         result = berlekamp_massey(sample)
         assert result == berlekamp_massey_fractions(sample)
         assert result.connection == connection
-        assert len(division_runs) >= 2
-        assert [length for _, length in division_runs] == [2] * len(division_runs)
+        assert division_runs == [(32749, 2)]
+        assert fraction_free_calls == [1]
 
-    def test_tall_register_of_random_terms(self, division_runs):
+    def test_tall_register_of_random_terms(self, division_runs, fraction_free_calls):
         rng = random.Random(30)
         sample = SequenceSample(terms=tuple(rng.getrandbits(30) for _ in range(40)))
         result = berlekamp_massey(sample)
         assert result == berlekamp_massey_fractions(sample)
-        assert result.length == 20 and len(division_runs) > 20
+        assert result.length == 20
+        assert division_runs == [(32749, 20)]
+        assert fraction_free_calls == [1]
 
     @pytest.mark.parametrize(
         "terms", [(3, 1, 4, 1, 5), (0, 0, 0, 5), (7,), (1, 2, 5), (2, F(1, 3), 5, 0, 1)]
@@ -242,11 +250,11 @@ class TestModularLift:
         assert result == berlekamp_massey_fractions(sample)
         assert fraction_free_calls == [1]
 
-    def test_never_passing_check_raises_after_few_primes(self, monkeypatch, division_runs):
+    def test_never_passing_check_raises(self, monkeypatch, division_runs):
         monkeypatch.setattr(complexity, "annihilates", lambda c, s, p: False)
         with pytest.raises(RuntimeError, match="fails to regenerate"):
             berlekamp_massey(SequenceSample(terms=two_periods(7, 3)))
-        assert 1 < len(division_runs) < 10
+        assert division_runs == [(32749, 4)]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_prime_field_above_2_15(self, seed):
