@@ -34,11 +34,11 @@ complexity over Q and L_l that of s mod l:
 Every other rational input runs the fraction-free loop: 2 L_l > n, a
 register whose numerators or common denominator exceed sqrt(l / 2) = 127,
 or a failed check (l divides the numerator of a discrepancy of the
-rational loop, or the reconstruction is not the register). Every input with 2 L_Q > n lands there, since no register of length
-at most n / 2 passes the check, and there the register is not determined
-by the data, so no modular run can prove which one the loop returns. The
-orbits of the DH map have small integer registers, which the one prime
-settles.
+rational loop, or the reconstruction is not the register). Every input
+with 2 L_Q > n lands there, since no register of length at most n / 2
+passes the check, and there the register is not determined by the data,
+so no modular run can prove which one the loop returns. The orbits of the
+DH map have small integer registers, which the one prime settles.
 """
 
 from __future__ import annotations

@@ -5,12 +5,13 @@ so the Frobenius objective is a rational number and every claim (rank
 identities, operator equality, zero residual) is decided exactly. A dataset
 holds the n+q+1 integers whose windows are the columns of Z and Z_plus, so
 the pair is shift-consistent by construction and every Gram entry is a
-sliding sum of those integers. The fit Z_plus Z^+ (unique under full row
-rank, of minimum Frobenius norm otherwise) is the shift above one last-row
-solve, or rows 1..q of the projector onto Z's column space above one. Every
-solve, and the snapshot rank, is the certified reduced echelon form of
-linalg_exact.reduced_echelon (word-size modular arithmetic, proven over the
-integers); the Gram and projector products are int_dot's.
+sliding sum of those integers. One reduced echelon form of the windows
+gives the snapshot rank and a basis of Z's left kernel, and the fit
+Z_plus Z^+ (unique under full row rank, of minimum Frobenius norm
+otherwise) is one square solve: the normal equations on Z's independent
+rows above that kernel, or the shift above one last-row solve when it is
+empty. Both are linalg_exact.reduced_echelon's certified form (word-size
+modular arithmetic, proven over the integers).
 
 A fitted operator is integer numerators over one positive denominator, in
 lowest terms, from the fit through every check; Fractions are built only
@@ -26,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
-from .linalg_exact import annihilates_all, int_dot, reduced_echelon
+from .linalg_exact import annihilates_all, reduced_echelon
 from .serialize import frac_json, frac_matrix_json
 
 
@@ -44,18 +45,29 @@ class EdmdDataset:
 
     values: tuple[int, ...]
     q: int
-    # windows k < n independent of the windows before them: a column basis of Z
-    pivot_windows: tuple[int, ...] = field(init=False, repr=False)
+    # rows of Z independent of the rows before them: their count is rank(Z)
+    pivot_rows: tuple[int, ...] = field(init=False, repr=False)
+    # one integer vector k with k Z = 0 per other row: a basis of Z's left kernel
+    kernel: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.q < 0:
             raise ValueError(f"dictionary order must be nonnegative, got {self.q}")
         if self.n < 1:
             raise ValueError(f"need at least one snapshot pair, got n={self.n}")
-        # the column rank profile of Z, whose row i is values[i..i+n-1]
-        n, v = self.n, self.values
-        pivots = reduced_echelon([v[i : i + n] for i in range(self.q + 1)], n)[0]
-        object.__setattr__(self, "pivot_windows", tuple(pivots))
+        # the reduced form y / d of Z^T, whose row k is window k: row c of Z
+        # is the sum of y[i][c] / d times row pivots[i]
+        dim, v = self.q + 1, self.values
+        pivots, d, y = reduced_echelon([v[k : k + dim] for k in range(self.n)], 0)
+        kernel = []
+        for c in range(dim):
+            if c not in pivots:
+                k = [d if j == c else 0 for j in range(dim)]
+                for p, row in zip(pivots, y):
+                    k[p] -= row[c]
+                kernel.append(tuple(k))
+        object.__setattr__(self, "pivot_rows", tuple(pivots))
+        object.__setattr__(self, "kernel", tuple(kernel))
 
     @property
     def n(self) -> int:
@@ -63,7 +75,7 @@ class EdmdDataset:
 
     @property
     def rank_z(self) -> int:
-        return len(self.pivot_windows)
+        return len(self.pivot_rows)
 
 
 def dataset_from_values(values, q: int, n: int) -> EdmdDataset:
@@ -144,65 +156,34 @@ def _sliding_gram(v, size: int, length: int) -> list[list[int]]:
     return g
 
 
-def _fit_unique(dataset: EdmdDataset) -> FittedOperator:
-    # R holds the Gram sums of Z's rows and, last, Z_plus's last row s; rows
-    # 0..q-1 of the fit are the shift, and its last row a solves
-    # R[:q+1][:q+1] a = R[:q+1][q+1], which is row i of R read as [lhs | rhs]
-    q = dataset.q
-    r = _sliding_gram(dataset.values, q + 2, dataset.n)
-    # scale is the lcm of the reduced denominators of a: the rows are in lowest terms
-    _, scale, x = reduced_echelon(r[: q + 1], q + 1)
-    a = [num for (num,) in x]
-    shift = [tuple([scale if j == i + 1 else 0 for j in range(q + 1)]) for i in range(q)]
-    return FittedOperator(
-        den=scale,
-        rows=(*shift, tuple(a)),
-        residual_sq=Fraction(scale * r[q + 1][q + 1] - sum(map(mul, a, r[q + 1])), scale),
-        fit_kind="unique",
-    )
-
-
-def _fit_minimum_norm(dataset: EdmdDataset) -> FittedOperator:
-    # C: the pivot windows, F = C^T Z their rows of the window Gram. Rows
-    # 0..q-1 of Z_plus Z^+ are rows 1..q of the projector C G_S^-1 C^T onto
-    # Z's column space (G_S = C^T C), with zero residual; the last row is
-    # y C^T where F F^T y^T = F s^T, s the last row of Z_plus. The projector
-    # rows are over d, the last row over e: both go over lcm(d, e)
-    q, v, pivots = dataset.q, dataset.values, dataset.pivot_windows
-    dim, rank = q + 1, len(pivots)
-    gram = _sliding_gram(v, dataset.n, dim)
-    f = [gram[k] for k in pivots]
-    c = [[v[k + i] for k in pivots] for i in range(dim)]
-    _, d, x = reduced_echelon(
-        [[row[j] for j in pivots] + list(v[k : k + dim]) for k, row in zip(pivots, f)], rank
-    )
-    s = v[dim:]
-    fs = [sum(map(mul, row, s)) for row in f]
-    _, e, y = reduced_echelon([g + [b] for g, b in zip(int_dot(f, f), fs)], rank)
-    y = [num for (num,) in y]
-    den = lcm(d, e)
-    projector = int_dot(c[1:], [[row[l] for row in x] for l in range(dim)])
-    last = int_dot([y], c)[0]
-    return FittedOperator(
-        den=den,
-        rows=(
-            *[tuple([den // d * a for a in row]) for row in projector],
-            tuple([den // e * a for a in last]),
-        ),
-        residual_sq=Fraction(e * sum(map(mul, s, s)) - sum(map(mul, y, fs)), e),
-        fit_kind="minimum-norm",
-    )
-
-
 def edmd_fit(dataset: EdmdDataset) -> FittedOperator:
     """Exact least squares for Z_plus ~ A Z: Z_plus Z^+, of minimum Frobenius norm.
 
-    Under full row rank that is the unique fit, the shift above one last-row
-    solve; otherwise rows 0..q-1 come from the projector onto Z's column space.
+    That is the one A with A Z Z^T = Z_plus Z^T and A k = 0 for every k in
+    Z's left kernel (Penrose), so A^T solves one square nonsingular system:
+    the normal equations on Z's independent rows above one row [k | 0] per
+    kernel vector. Without a kernel the fit is unique and rows 0..q-1 are
+    the shift, so only the last row is solved.
     """
-    if dataset.rank_z == dataset.q + 1:
-        return _fit_unique(dataset)
-    return _fit_minimum_norm(dataset)
+    q, kernel = dataset.q, dataset.kernel
+    # g = W W^T, W being Z above s, the last row of Z_plus: row i of
+    # [Z Z^T | Z Z_plus^T] is g[i][:q+1] + g[i][1:]. Row j of A takes the
+    # right-hand side column j + 1, so columns first.. solve rows first-1..q
+    g = _sliding_gram(dataset.values, q + 2, dataset.n)
+    first = 1 if kernel else q + 1
+    _, den, y = reduced_echelon(
+        [g[i][: q + 1] + g[i][first:] for i in dataset.pivot_rows]
+        + [[*k] + [0] * (q + 2 - first) for k in kernel],
+        q + 1,
+    )
+    shift = [tuple([den if j == i + 1 else 0 for j in range(q + 1)]) for i in range(first - 1)]
+    rows = (*shift, *zip(*y))
+    return FittedOperator(
+        den=den,
+        rows=rows,
+        residual_sq=Fraction(den * g[q + 1][q + 1] - sum(map(mul, rows[q], g[q + 1])), den),
+        fit_kind="minimum-norm" if kernel else "unique",
+    )
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
 """Exact linear algebra: one certified reduced echelon form over Q.
 
 `reduced_echelon` is the one elimination engine: the reduced row echelon
-form of an integer matrix [A | B], as its pivot columns, one denominator and
-integer numerators for the right-hand sides. `solve_int_with_ranks` is its
-one-right-hand-side case; the EDMD fits solve on it, and the snapshot rank
-is its pivot profile. Every system is reduced by Gauss-Jordan modulo
-word-size primes in numpy int64, lifted to Q by CRT and rational
-reconstruction, and accepted only after an integer substitution proves the
-form. Integer products and window checks run as one numpy int64 product
-wherever a bound on their partial sums proves it exact, and in Python
-integers otherwise. No floating point anywhere, so rank(...) == k is a
-theorem about the input, not a tolerance call. Rationals enter as integers
-through scale_to_integers, and identities are checked by annihilates.
+form of an integer matrix [A | B], as its pivot columns, one denominator
+and integer numerators for every column of B. `solve_int_with_ranks` is its
+one-right-hand-side case. The EDMD fit is one square solve on it, and the
+snapshot rank and left kernel come from the reduced form of the windows.
+Every system is reduced by Gauss-Jordan modulo word-size primes in numpy
+int64, lifted to Q by CRT and rational reconstruction, and accepted only
+after an integer substitution proves the form. Window checks and the
+substitution run as one numpy int64 product wherever a bound on their
+partial sums proves it exact, and in Python integers otherwise. No floating
+point anywhere, so rank(...) == k is a theorem about the input, not a
+tolerance call. Rationals enter as integers through scale_to_integers, and
+identities are checked by annihilates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
 
 import numpy as np
 
@@ -194,31 +194,17 @@ def _bounded_int64(a, b, terms: int):
     return a64, b64
 
 
-def int_dot(a, b) -> list[list[int]]:
-    """[[a_i . b_j for each row b_j of b] for each row a_i of a]: a @ b^T, exact.
-
-    One int64 product when _bounded_int64 admits a and b; otherwise Python
-    integers.
-    """
-    width = len(a[0]) if a else 0
-    pair = None
-    if len(a) * len(b) * width >= _NUMPY_PRODUCTS:
-        pair = _bounded_int64(a, b, width)
-    if pair is None:
-        return [[sum(map(mul, ra, rb)) for rb in b] for ra in a]
-    return (pair[0] @ pair[1].T).tolist()
-
-
 def reduced_echelon(rows, nvars: int):
     """The reduced row echelon form E of the integer matrix M = rows, exact over Q.
 
-    Columns from nvars on are right-hand sides. Returns (pivots, d, y): the
-    pivot columns of E, which are the column rank profile of M, and, when no
-    pivot falls among the right-hand sides, the integers y with
-    E[i, nvars + j] = y[i][j] / d, d > 0 the lcm of their reduced
-    denominators (y is None when a pivot does fall there: the system is
-    inconsistent). So row i of y / d solves the system for pivot variable
-    pivots[i] in every right-hand side at once, free variables at zero.
+    Returns (pivots, d, y): the pivot columns of E, which are the column
+    rank profile of M, and the integers y with E[i, c] = y[i][c - nvars] / d
+    for every column c from nvars on, d > 0 the lcm of their reduced
+    denominators. A pivot column comes back as the unit column of its row,
+    so nvars = 0 returns all of E. Read columns from nvars on as right-hand
+    sides: row i of y / d solves the system for pivot variable pivots[i] in
+    each of them, free variables at zero, unless that column is a pivot,
+    which makes its system inconsistent.
 
     E is found by Gauss-Jordan mod one word-size prime after another, merged
     by CRT and lifted to Q by rational reconstruction. A prime whose pivot
@@ -226,11 +212,11 @@ def reduced_echelon(rows, nvars: int):
     skipped; a better one restarts the merge. The rank mod a prime is at
     most the rank over Q of every leading block of columns, so pivots
     0..r-1 with r = min(rows, columns) are the profile over Q too; then
-    only the right-hand sides need values. Any other pivot set P is
-    accepted only if d * M[:, c] == M[:, P] @ y_c over the integers for
-    every non-pivot column c: every such column then lies in the span of
-    the pivot columns before it, and those are independent over Q (their
-    rank mod a prime is |P|). The values of the right-hand sides pass the
+    only the non-pivot columns from nvars on need values. Any other pivot
+    set P is accepted only if d * M[:, c] == M[:, P] @ y_c over the
+    integers for every non-pivot column c: every such column then lies in
+    the span of the pivot columns before it, and those are independent over
+    Q (their rank mod a prime is |P|). The values from nvars on pass the
     same substitution.
     """
     if not rows or not rows[0]:
@@ -247,12 +233,11 @@ def reduced_echelon(rows, nvars: int):
         if best is None or (-len(pivots), pivots) < (-len(best), best):
             best = pivots
             forced = pivots == list(range(min(m, ncols)))
-            if forced and pivots[-1] >= nvars:
-                return pivots, 1, None
             pivot_set = set(pivots)
             free = [c for c in range(nvars if forced else 0, ncols) if c not in pivot_set]
-            if not free:  # every column is a pivot, or forced with no right-hand side
-                return pivots, 1, [[] for _ in pivots]
+            if not free:  # every column is a pivot, or forced ones take all from nvars on
+                d, y = 1, [[] for _ in pivots]
+                break
             merged, modulus = a[: len(pivots)][:, free].ravel().tolist(), prime
             count = attempt = 1
         elif pivots == best:
@@ -277,11 +262,12 @@ def reduced_echelon(rows, nvars: int):
         y = [nums[i * k : (i + 1) * k] for i in range(len(pivots))]
         if _spans(rows, m64, pivots, free, d, y):
             break
-    if pivots and pivots[-1] >= nvars:
-        return pivots, 1, None
-    # the right-hand sides are the last free columns; d covers every free column
-    rhs = ncols - nvars
-    y = [row[k - rhs :] if rhs else [] for row in y]
+    # y / d holds the free columns; a pivot column is the unit column of its row
+    at = {c: j for j, c in enumerate(free)}
+    y = [
+        [row[at[c]] if c in at else d if c == p else 0 for c in range(nvars, ncols)]
+        for p, row in zip(pivots, y)
+    ]
     g = gcd(d, *[v for row in y for v in row])
     return pivots, d // g, [[v // g for v in row] for row in y]
 
@@ -324,7 +310,7 @@ def solve_int_with_ranks(a_rows, b):
     b_col = len(a_rows[0])
     pivots, d, y = reduced_echelon([row + [rhs] for row, rhs in zip(a_rows, b)], b_col)
     rank_aug = len(pivots)
-    if y is None:
+    if pivots and pivots[-1] == b_col:  # b is a pivot column: no solution
         return None, rank_aug - 1, rank_aug
     x = [Fraction(0)] * b_col
     for p, (v,) in zip(pivots, y):

@@ -1,7 +1,6 @@
 """Test-only oracles: the fraction-free integer echelon, the rational solve
-and the reduced echelon form on it, the window rank profile as the snapshot
-dataset took it, and the prime search that the modular solve walked on
-every call.
+and the reduced echelon form on it, the rank profile of a sequence's
+windows, and the prime search that the modular solve walked on every call.
 
 The package solved every rational system, and took every snapshot rank,
 this way before its solves moved to the word-size modular solve; they stay
@@ -87,17 +86,25 @@ def echelon_solve(a_rows, b):
 
 
 def echelon_rref(rows, nvars):
-    """(pivots, d, y) as linalg_exact.reduced_echelon returns it, from the
-    integer echelon of every row and one back-substitution for the
-    right-hand sides (columns nvars on); y is None when one holds a pivot."""
+    """(pivots, d, y) as linalg_exact.reduced_echelon returns it: the integer
+    echelon of every row gives the pivots, and a second one, on the pivot
+    columns followed by the other columns from nvars on, solves for the
+    latter in one back-substitution; a pivot column from nvars on is the
+    unit column of its row."""
     ech = IntegerEchelon(len(rows[0]))
     for row in rows:
         ech.add_row(list(row))
     pivots = sorted(ech.pivot_rows)
-    if pivots and pivots[-1] >= nvars:
-        return pivots, 1, None
-    d, x = ech.back_substitute(nvars)
-    return pivots, d, [x[c] for c in pivots]
+    rest = [c for c in range(nvars, len(rows[0])) if c not in ech.pivot_rows]
+    solver = IntegerEchelon(len(pivots) + len(rest))
+    for row in rows:
+        solver.add_row([row[c] for c in pivots + rest])
+    d, x = solver.back_substitute(len(pivots))
+    y = [[d if c == p else 0 for c in range(nvars, len(rows[0]))] for p in pivots]
+    for j, c in enumerate(rest):
+        for i in range(len(pivots)):
+            y[i][c - nvars] = x[i][j]
+    return pivots, d, y
 
 
 def window_profile(values, q, n):

@@ -2,15 +2,17 @@
 the normal-equations fit on dense snapshot matrices, and predictions by
 iterating the fitted operator in Fractions.
 
-`echelon_fit` is the library's fit as it was before its solves moved to the
-certified modular solve: the same Gram sums, each solve on the fraction-free
-integer echelon, and every product in Python integers. The library fit must
-equal it exactly: den, rows, residual_sq and fit_kind.
+`echelon_fit` is the library's fit as it was before it became one square
+solve: the same Gram sums, under full row rank one last-row solve and
+otherwise the projector onto Z's column space (a column basis C of Z,
+G_S^-1 C^T and a second solve for the last row), each solve on the
+fraction-free integer echelon, and every product in Python integers. The
+library fit must equal it exactly: den, rows, residual_sq and fit_kind.
 
-The library fits from sliding Gram sums of the data's windows, one last-row
-solve under full row rank and the projector onto Z's column space
-otherwise; `normal_equations_fit` builds Z and Z_plus, forms the dense Gram
-products and solves for every row at once. The library decides
+The library fits from sliding Gram sums of the data's windows, one solve
+of the normal equations on Z's independent rows above Z's left kernel;
+`normal_equations_fit` builds Z and Z_plus, forms the dense Gram products
+and solves for every row at once. The library decides
 A^k z_0 = z_k through one-step integer identities on the data's windows,
 and computes the prediction error on integer numerators over powers of A's
 common denominator; `prediction_prefix` and `state_errors` compute every
@@ -21,16 +23,18 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from echelon_oracle import IntegerEchelon
+from echelon_oracle import IntegerEchelon, window_profile
 from field_oracle import frobenius_sq, matmul, transpose
 from koopman_dh.edmd import EdmdDataset, FittedOperator, _sliding_gram
 
 
 def echelon_fit(dataset: EdmdDataset) -> FittedOperator:
-    """edmd_fit with every solve on the integer echelon."""
-    if dataset.rank_z == dataset.q + 1:
+    """edmd_fit with every solve on the integer echelon, and its column
+    basis of Z from window_profile."""
+    pivots = window_profile(dataset.values, dataset.q, dataset.n)
+    if len(pivots) == dataset.q + 1:
         return _echelon_fit_unique(dataset)
-    return _echelon_fit_minimum_norm(dataset)
+    return _echelon_fit_minimum_norm(dataset, pivots)
 
 
 def _echelon_fit_unique(dataset):
@@ -50,8 +54,8 @@ def _echelon_fit_unique(dataset):
     )
 
 
-def _echelon_fit_minimum_norm(dataset):
-    q, v, pivots = dataset.q, dataset.values, dataset.pivot_windows
+def _echelon_fit_minimum_norm(dataset, pivots):
+    q, v = dataset.q, dataset.values
     dim, rank = q + 1, len(pivots)
     gram = _sliding_gram(v, dataset.n, dim)
     f = [gram[k] for k in pivots]

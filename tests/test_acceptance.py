@@ -169,28 +169,53 @@ def test_criterion_6_rank_law():
 DESK_SCALE_EDMD_PRIMES = (101, 199)
 
 
+def check_edmd_exactness(p):
+    """Criterion 5 at p, smallest generator: at q = (p-1)/2 the fit is
+    unique and equals the canonical companion entrywise with residual
+    exactly 0; at q = p-2 it is of minimum norm with residual exactly 0 and
+    exact predictions over two periods. Returns whether the q = p-2 fit is
+    also entrywise equal to the full-period companion (recorded only)."""
+    params = DhParams.with_smallest_root(p)
+    traj = full_period_trajectory(params)
+    qt = params.q_tilde
+    horizon = 2 * (p - 1)
+    values = [traj.value_at(i) for i in range(horizon + p - 1)]
+    fitted = edmd_fit(dataset_from_values(values, qt, qt + 1))
+    assert fitted.fit_kind == "unique" and fitted.residual_sq == 0, p
+    comparison = compare_on_values(fitted, canonical_alpha(p, qt), values, horizon)
+    assert comparison.entrywise_equal and comparison.prediction_equivalent, p
+
+    full = edmd_fit(dataset_from_values(values, p - 2, qt + 1))
+    assert full.fit_kind == "minimum-norm" and full.residual_sq == 0, p
+    comparison_full = compare_on_values(full, full_period_system(params).alpha, values, horizon)
+    assert comparison_full.prediction_equivalent, p
+    return comparison_full.entrywise_equal
+
+
+def check_rank_law(p, qs):
+    """Criterion 6 at p, smallest generator: rank(Z) = (p-1)/2 + 1 exactly
+    for each q in qs (all at least (p-1)/2) under the data-richness
+    condition, and rank(Z) <= (p-1)/2 + 1 below it. Returns the count of
+    exact cases."""
+    params = DhParams.with_smallest_root(p)
+    traj = full_period_trajectory(params)
+    qt = params.q_tilde
+    values = [traj.value_at(i) for i in range(2 * (p - 1))]
+    for q in qs:
+        ds = dataset_from_values(values, q, qt + 1)
+        assert ds.rank_z == qt + 1, (p, q, ds.rank_z)
+    for q in (0, qt // 2, qt - 1):
+        ds = dataset_from_values(values, q, p - 1)
+        assert ds.rank_z <= qt + 1, (p, q)
+    return len(qs)
+
+
 def test_criterion_5_edmd_exactness_at_101_and_199():
     """Criterion 5 at p = 101 and 199, smallest generator: at q = (p-1)/2
     the fitted operator equals the canonical companion entrywise with
     residual exactly 0; at q = p-2 the residual is exactly 0 and predictions
     over two periods are exact (entrywise equality recorded, not asserted)."""
-    entrywise_at_full = []
-    for p in DESK_SCALE_EDMD_PRIMES:
-        params = DhParams.with_smallest_root(p)
-        traj = full_period_trajectory(params)
-        qt = params.q_tilde
-        horizon = 2 * (p - 1)
-        values = [traj.value_at(i) for i in range(horizon + p - 1)]
-        fitted = edmd_fit(dataset_from_values(values, qt, qt + 1))
-        assert fitted.fit_kind == "unique" and fitted.residual_sq == 0, p
-        comparison = compare_on_values(fitted, canonical_alpha(p, qt), values, horizon)
-        assert comparison.entrywise_equal and comparison.prediction_equivalent, p
-
-        full = edmd_fit(dataset_from_values(values, p - 2, qt + 1))
-        assert full.fit_kind == "minimum-norm" and full.residual_sq == 0, p
-        comparison_full = compare_on_values(full, full_period_system(params).alpha, values, horizon)
-        assert comparison_full.prediction_equivalent, p
-        entrywise_at_full.append(comparison_full.entrywise_equal)
+    entrywise_at_full = [check_edmd_exactness(p) for p in DESK_SCALE_EDMD_PRIMES]
     print(
         f"PASS criterion 5 at desk scale: exact operator at q=(p-1)/2 for p in "
         f"{DESK_SCALE_EDMD_PRIMES}; q=p-2 prediction exact over two periods, "
@@ -203,23 +228,33 @@ def test_criterion_6_rank_law_at_101_and_199():
     """Criterion 6 at p = 101 and 199, smallest generator: rank(Z) =
     (p-1)/2 + 1 exactly for every q in [(p-1)/2, p-2] under the
     data-richness condition, and rank(Z) <= (p-1)/2 + 1 below it."""
-    cases = 0
-    for p in DESK_SCALE_EDMD_PRIMES:
-        params = DhParams.with_smallest_root(p)
-        traj = full_period_trajectory(params)
-        qt = params.q_tilde
-        values = [traj.value_at(i) for i in range(2 * (p - 1))]
-        for q in range(qt, p - 1):
-            ds = dataset_from_values(values, q, qt + 1)
-            assert ds.rank_z == qt + 1, (p, q, ds.rank_z)
-            cases += 1
-        for q in (0, qt // 2, qt - 1):
-            ds = dataset_from_values(values, q, p - 1)
-            assert ds.rank_z <= qt + 1, (p, q)
+    cases = sum(check_rank_law(p, range((p - 1) // 2, p - 1)) for p in DESK_SCALE_EDMD_PRIMES)
     print(
         f"PASS criterion 6 at desk scale: exact rank law on {cases} (p, q) cases "
         f"for p in {DESK_SCALE_EDMD_PRIMES}"
     )
+
+
+def test_criterion_5_edmd_exactness_at_401():
+    """Criterion 5 at p = 401, smallest generator (m = 3): the unique fit at
+    q = 200 is the companion matrix entry by entry with residual 0; the
+    minimum-norm fit at q = 399 has residual 0 and exact predictions over
+    two periods (entrywise equality recorded, not asserted)."""
+    entrywise = check_edmd_exactness(401)
+    print(
+        "PASS criterion 5 at p=401: exact unique operator at q=200; minimum-norm fit at "
+        f"q=399 with residual 0 and predictions exact over two periods, entrywise equality "
+        f"{'observed' if entrywise else 'not observed'} (recorded)"
+    )
+
+
+def test_criterion_6_rank_law_at_401():
+    """Criterion 6 at p = 401, smallest generator (m = 3): rank(Z) = 201
+    exactly at every eighth q from 200 and at q = 399 under the
+    data-richness condition, and rank(Z) <= 201 below it. Every q in
+    [200, 399] would take about 20 s."""
+    cases = check_rank_law(401, [*range(200, 400, 8), 399])
+    print(f"PASS criterion 6 at p=401: exact rank law on {cases} (p, q) cases, q from 200 to 399")
 
 
 def test_criterion_7_linear_complexity_attainment():

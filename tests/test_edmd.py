@@ -1,12 +1,13 @@
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_61
-from echelon_oracle import window_profile
+from echelon_oracle import IntegerEchelon, window_profile
 from edmd_oracle import (
     echelon_fit,
     normal_equations_fit,
@@ -71,14 +72,25 @@ class TestDataset:
             assert tuple(row[k] for row in z) == lift_shift(traj, 3, k)
             assert tuple(row[k] for row in z_plus) == lift_shift(traj, 3, k + 1)
 
-    def test_pivot_windows_are_a_column_basis(self):
-        # windows (1, 2), (2, 4), (4, 8), (8, 3): the middle two are multiples of the first
+    def test_pivot_rows_and_left_kernel(self):
+        # rows (1, 2, 4, 8) and (2, 4, 8, 3) of Z are independent: no kernel
         ds = dataset_from_values([1, 2, 4, 8, 3, 6], 1, 4)
-        assert ds.pivot_windows == (0, 3) and ds.rank_z == 2
-        ds = dataset_from_values([0, 0, 1, 0, 0, 1, 0], 2, 4)
-        assert ds.pivot_windows == (0, 1, 2)
-        assert dataset_from_values([0] * 5, 1, 3).pivot_windows == ()
-        assert dataset_from_values([1, 1, 1, 2, 2], 1, 3).pivot_windows == (0, 2)
+        assert ds.pivot_rows == (0, 1) and ds.kernel == () and ds.rank_z == 2
+        assert dataset_from_values([0, 0, 1, 0, 0, 1, 0], 2, 4).pivot_rows == (0, 1, 2)
+        ds = dataset_from_values([0] * 5, 1, 3)
+        assert ds.pivot_rows == () and ds.kernel == ((1, 0), (0, 1))
+        # each row of Z is -1 or +1 times row 0
+        ds = dataset_from_values([2, -2, 2, -2, 2, -2, 2], 3, 3)
+        assert ds.pivot_rows == (0,)
+        assert ds.kernel == ((1, 1, 0, 0), (-1, 0, 1, 0), (1, 0, 0, 1))
+        ds = dataset_from_values([3, 3, 3, 3], 2, 1)
+        assert ds.pivot_rows == (0,) and ds.kernel == ((-1, 1, 0), (-1, 0, 1))
+        for ds in (
+            dataset_from_values([1, 1, 1, 2, 2], 1, 3),
+            dataset_from_values(orbit(full_period_trajectory(P7), 14), 5, 8),
+            dataset_from_values([5, -1, 7, 5, -1, 7, 5, -1, 7, 5], 6, 3),
+        ):
+            check_rows_and_kernel(ds)
 
     def test_refuses_what_it_cannot_window(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -240,11 +252,26 @@ class TestFitOracles:
             check_against_oracles(values, q, n, pseudo_inverse=p <= 37)
 
 
+def check_rows_and_kernel(ds):
+    """The pivot rows are the rows of Z that the integer echelon takes as
+    independent of those before them (row i of Z is the length-n window at
+    i), and the kernel is q + 1 - rank_z independent integer vectors k with
+    k Z = 0 over the integers."""
+    assert list(ds.pivot_rows) == window_profile(ds.values, ds.n - 1, ds.q + 1)
+    assert len(ds.kernel) == ds.q + 1 - ds.rank_z
+    z, _ = snapshot_matrices(ds.values, ds.q, ds.n)
+    independent = IntegerEchelon(ds.q + 1)
+    for k in ds.kernel:
+        assert all(type(c) is int for c in k)
+        assert [sum(map(mul, k, col)) for col in zip(*z)] == [0] * ds.n
+        assert independent.add_row(k) is not None
+
+
 def check_against_echelon(ds):
     """The fit on the certified solve equals the fit on the integer echelon:
-    den, rows, residual_sq and fit_kind; the snapshot rank profile equals
-    the windows the echelon took. Returns the fit."""
-    assert ds.pivot_windows == tuple(window_profile(ds.values, ds.q, ds.n))
+    den, rows, residual_sq and fit_kind; the snapshot rank profile and left
+    kernel pass check_rows_and_kernel. Returns the fit."""
+    check_rows_and_kernel(ds)
     fit, want = edmd_fit(ds), echelon_fit(ds)
     assert (fit.den, fit.rows, fit.residual_sq, fit.fit_kind) == (
         want.den,
