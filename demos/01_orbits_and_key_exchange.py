@@ -6,9 +6,7 @@ Run: python demos/01_orbits_and_key_exchange.py
 
 from koopman_dh import (
     DhParams,
-    dh_exchange,
     discrete_log_bruteforce,
-    euler_criterion,
     find_primitive_root,
     shared_secret_intersection,
     simulate,
@@ -26,24 +24,29 @@ print(f"orbit of {m}: {list(traj.values)}")
 assert sorted(traj.values[: p - 1]) == list(range(1, p))
 assert traj.values[p - 1] == 1
 
-# A generator is never a quadratic residue: its half-period power is -1.
-print(f"euler_criterion({m}, {p}) = {euler_criterion(m, p)} (generators are non-residues)")
+# A generator is never a quadratic residue: by Euler's criterion its
+# half-period power is -1.
+half = pow(m, (p - 1) // 2, p)
+print(f"{m}^((p-1)/2) mod {p} = {half} = p - 1 (generators are non-residues)")
+assert half == p - 1
 
-# Both parties pick secret exponents; the public values are orbit endpoints.
+# Both parties pick secret exponents; the public values are orbit endpoints,
+# and each side raises the other's public value to its own exponent.
 e, d = 7, 15
-transcript = dh_exchange(params, e, d)
-print(f"\nsecrets e={e}, d={d}: public c_e={transcript.c_e}, c_d={transcript.c_d}, "
-      f"shared secret {transcript.c_ed}")
+c_e, c_d = pow(m, e, p), pow(m, d, p)
+secret = pow(c_e, d, p)
+assert secret == pow(c_d, e, p)
+print(f"\nsecrets e={e}, d={d}: public c_e={c_e}, c_d={c_d}, shared secret {secret}")
 
 # Breaking one side is finding how long the orbit ran: a trajectory-length
 # question. The brute-force oracle just walks the orbit.
-recovered = discrete_log_bruteforce(transcript.c_e, params)
+recovered = discrete_log_bruteforce(c_e, params)
 print(f"brute-force walk recovers e = {recovered}")
 assert recovered == e
 
 # The shared secret is also the first consistent intersection of the two
 # derived orbits (the c_d-orbit indexed by e, the c_e-orbit indexed by d).
-result = shared_secret_intersection(transcript.c_e, transcript.c_d, params)
+result = shared_secret_intersection(c_e, c_d, params)
 print(f"intersection search: secret={result.secret} at (e={result.e}, d={result.d})")
-assert result.secret == transcript.c_ed
-print("\nboth brute-force baselines agree with the transcript")
+assert result.secret == secret
+print("\nboth brute-force baselines agree with the exchange")

@@ -20,7 +20,6 @@ from koopman_dh import (
     full_period_trajectory,
     lift_ciphertext,
     lift_shift,
-    mod_pow,
     parity,
     recover_exponent,
     transform,
@@ -41,7 +40,7 @@ z0 = lift_shift(traj, q, 0)
 # An eavesdropper sees c = m^e and can lift it without knowing e, because
 # the next window entries are just m*c, m^2*c, ... mod p.
 e_secret = 17
-c = mod_pow(params.m, e_secret, p)
+c = pow(params.m, e_secret, p)
 ze = lift_ciphertext(c, params, q)
 print(f"\nobserved ciphertext c = {c}")
 
@@ -61,7 +60,7 @@ print(f"  ... {len(estimate.per_eigenvalue_residues)} eigenvalues total, all con
 # reveals the exponent's parity.
 print(f"\nparity from the eigenvalue -1: {estimate.parity} (e = {e_secret})")
 for e in (4, 9):
-    z = lift_ciphertext(mod_pow(params.m, e, p), params, q)
+    z = lift_ciphertext(pow(params.m, e, p), params, q)
     print(f"  e={e}: parity = {parity(z, z0, dec)}")
 
 # For p = 1 (mod 4) the eigenvalue -1 is absent and parity is unavailable.

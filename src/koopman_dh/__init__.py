@@ -21,16 +21,12 @@ from .complexity import (
 from .cyclotomic import RootSum, turn_to_complex
 from .dynamics import (
     DhParams,
-    DhTranscript,
     IntersectionResult,
     ModTrajectory,
-    dh_exchange,
     discrete_log_bruteforce,
-    euler_criterion,
     find_primitive_root,
     full_period_trajectory,
     is_primitive_root,
-    mod_pow,
     shared_secret_intersection,
     simulate,
 )
@@ -70,16 +66,12 @@ from .spectral import (
 __all__ = [
     "__version__",
     "DhParams",
-    "DhTranscript",
     "ModTrajectory",
     "IntersectionResult",
-    "mod_pow",
     "is_primitive_root",
     "find_primitive_root",
     "simulate",
     "full_period_trajectory",
-    "euler_criterion",
-    "dh_exchange",
     "discrete_log_bruteforce",
     "shared_secret_intersection",
     "CompanionSystem",

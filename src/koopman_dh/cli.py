@@ -41,7 +41,6 @@ from .dynamics import (
     discrete_log_bruteforce,
     full_period_trajectory,
     is_prime,
-    mod_pow,
     shared_secret_intersection,
     simulate,
 )
@@ -91,12 +90,12 @@ def _parse_primes(text: str) -> list[int] | None:
     """Accept '5..61', a comma list '5,7,11', or a single prime '23'; None otherwise."""
     text = text.strip()
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            return [p for p in range(int(lo_s), int(hi_s) + 1) if is_prime(p)]
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        if ".." not in text:
+            return [int(tok) for tok in text.split(",") if tok.strip()]
+        lo, hi = (int(tok) for tok in text.split("..", 1))
     except ValueError:
         return None
+    return [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
 def _generators(p: int, which) -> list[int]:
@@ -212,7 +211,7 @@ def cmd_recover(args):
         raise ValueError("provide exactly one of --c (ciphertext) or --e (self-test exponent)")
     if args.e is not None and not 1 <= args.e <= params.p - 1:
         raise ValueError(f"--e must lie in [1, p-1] = [1, {params.p - 1}], got {args.e}")
-    c = args.c if args.c is not None else mod_pow(params.m, args.e, params.p)
+    c = args.c if args.c is not None else pow(params.m, args.e, params.p)
     q = params.q_tilde
     dec, z0 = _spectral_start(params)
     ze = lift_ciphertext(c, params, q)
@@ -242,7 +241,7 @@ def cmd_recover(args):
 def cmd_shared_secret(args):
     params = DhParams(args.p, args.m)
     result = shared_secret_intersection(args.c_e, args.c_d, params)
-    verified = result.secret == mod_pow(params.m, result.e * result.d, params.p)
+    verified = result.secret == pow(params.m, result.e * result.d, params.p)
     report = {
         "p": params.p,
         "m": params.m,
@@ -378,6 +377,8 @@ def load_config(path: str) -> dict:
     ):
         if not ok:
             raise MalformedDataError(f"config {path}: '{key}' must be {shape}")
+    if isinstance(exponents, dict) and exponents["sample"] < 0:
+        raise ValueError(f"config exponent_sweep sample {exponents['sample']} is negative")
     for p in primes:
         if not is_prime(p) or p <= 3 or p % 2 == 0:
             raise ValueError(f"config primes must be odd primes > 3, got {p}")
@@ -417,7 +418,7 @@ def _sweep_case(params: DhParams, q: int, exponents: list[int]) -> dict:
         record["eigenvalue_turns"] = [frac_json(t) for t in dec.turns]
     recoveries = []
     for e in exponents:
-        c = mod_pow(m, e, p)
+        c = pow(m, e, p)
         if q == q_tilde:
             estimate = recover_exponent(lift_ciphertext(c, params, q), z0, dec, p)
             method, got, got_parity = "spectral", estimate.e, estimate.parity

@@ -106,11 +106,6 @@ class LinearComplexityResult:
     connection: tuple
     field: object
 
-    @property
-    def companion_last_row(self) -> tuple:
-        """The equivalent companion-matrix last row (oldest-first ordering)."""
-        return tuple(reversed(self.connection))
-
 
 def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
     """Minimal LFSR of a sequence by the Berlekamp-Massey algorithm.

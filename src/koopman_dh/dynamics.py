@@ -1,6 +1,6 @@
 """Exact integer dynamics over the multiplicative group mod p.
 
-Everything at desk scale: deterministic trial-division primality, smallest
+Everything at desk scale: deterministic Miller-Rabin primality, smallest
 primitive roots, orbit simulation for x_{k+1} = c * x_k (mod p), and the
 brute-force oracles (discrete logarithm, shared-secret intersection) that the
 lifted linear machinery is checked against.
@@ -9,22 +9,45 @@ lifted linear machinery is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
+
+# The first 13 primes: the trial divisors, then the Miller-Rabin bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all 13 bases (Sorenson & Webster 2017).
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (fine for desk-scale n)."""
+    """Deterministic primality test for n below psi_13 = 3317044064679887385961981.
+
+    Trial division by the first 13 primes settles n below 41^2 and n with
+    one of them as a factor. Other n get Miller-Rabin with those 13 bases,
+    which no composite below psi_13 passes ("Strong pseudoprimes to twelve
+    prime bases", Math. Comp. 2017). psi_13 passes all 13, so any other n
+    at or above it raises ValueError rather than get an unproven answer.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for a in _SMALL_PRIMES:
+        if n % a == 0:
+            return n == a
+    if n < 41 * 41:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(n):
-        if n % f == 0:
+    if n >= _PSI_13:
+        raise ValueError(f"primality is decided only below {_PSI_13}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -47,15 +70,6 @@ def prime_factors(n: int) -> set[int]:
     return factors
 
 
-def mod_pow(base: int, exp: int, p: int) -> int:
-    """base**exp mod p, by the built-in three-argument pow."""
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
-    return pow(base, exp, p)
-
-
 def is_primitive_root(m: int, p: int) -> bool:
     """True iff m generates the full multiplicative group mod p.
 
@@ -67,7 +81,7 @@ def is_primitive_root(m: int, p: int) -> bool:
     if not 1 <= m < p:
         raise ValueError(f"m must lie in [1, p-1], got {m}")
     order = p - 1
-    return all(mod_pow(m, order // r, p) != 1 for r in prime_factors(order))
+    return all(pow(m, order // r, p) != 1 for r in prime_factors(order))
 
 
 def find_primitive_root(p: int) -> int:
@@ -123,9 +137,6 @@ class ModTrajectory:
     x0: int
     values: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def value_at(self, i: int) -> int:
         """State x_i, extending by the order-(p-1) periodicity when needed."""
         if i < 0:
@@ -163,47 +174,6 @@ def simulate(multiplier: int, params: DhParams, x0: int, steps: int) -> ModTraje
 def full_period_trajectory(params: DhParams) -> ModTrajectory:
     """The canonical orbit from x0 = 1 covering one period."""
     return simulate(params.m, params, 1, params.period)
-
-
-def euler_criterion(m: int, p: int) -> int:
-    """+1 if m is a quadratic residue mod p, -1 otherwise (Euler's criterion)."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if gcd(m, p) != 1:
-        raise ValueError(f"m and p must be coprime, got m={m}, p={p}")
-    r = mod_pow(m, (p - 1) // 2, p)
-    if r == 1:
-        return 1
-    if r == p - 1:
-        return -1
-    raise RuntimeError(f"m^((p-1)/2) mod p = {r}, expected 1 or p-1")
-
-
-@dataclass(frozen=True)
-class DhTranscript:
-    """One full key exchange: secret exponents, public values, shared secret."""
-
-    params: DhParams
-    e: int
-    d: int
-    c_e: int
-    c_d: int
-    c_ed: int
-
-
-def dh_exchange(params: DhParams, e: int, d: int) -> DhTranscript:
-    """Run both sides of the exchange and cross-check the shared secret."""
-    p, m = params.p, params.m
-    for name, value in (("e", e), ("d", d)):
-        if not 1 <= value <= p - 1:
-            raise ValueError(f"{name} must lie in [1, p-1], got {value}")
-    c_e = mod_pow(m, e, p)
-    c_d = mod_pow(m, d, p)
-    c_ed = mod_pow(c_e, d, p)
-    c_de = mod_pow(c_d, e, p)
-    if c_ed != c_de:
-        raise RuntimeError(f"shared-secret mismatch: {c_ed} != {c_de}")
-    return DhTranscript(params=params, e=e, d=d, c_e=c_e, c_d=c_d, c_ed=c_ed)
 
 
 def discrete_log_bruteforce(c: int, params: DhParams) -> int:

@@ -31,7 +31,7 @@ from math import gcd
 from operator import mul
 
 from .linalg_exact import annihilates_all, reduced_echelon
-from .serialize import frac_json, frac_matrix_json
+from .serialize import frac_json
 
 
 @dataclass(frozen=True)
@@ -130,14 +130,6 @@ class FittedOperator:
             object.__setattr__(self, "den", self.den // g)
             object.__setattr__(self, "rows", tuple(tuple(a // g for a in r) for r in self.rows))
 
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-    @property
-    def a_hat(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(a, self.den) for a in row) for row in self.rows)
-
 
 def _sliding_gram(v, size: int, length: int) -> list[list[int]]:
     """G[i][l] = sum_{k < length} v[i+k] v[l+k] for i, l < size.
@@ -214,8 +206,8 @@ def compare_on_values(fitted: FittedOperator, alpha, values, horizon: int) -> Op
     is checked as the integer identity N_i z_k = d z_{k+1,i} on every
     distinct window: those before the smallest period of the checked values.
     """
-    if fitted.dimension != len(alpha):
-        raise ValueError(f"dimension mismatch: fitted {fitted.dimension}, analytic {len(alpha)}")
+    if len(fitted.rows) != len(alpha):
+        raise ValueError(f"dimension mismatch: fitted {len(fitted.rows)}, analytic {len(alpha)}")
     q, den = len(alpha) - 1, fitted.den
     if len(values) < horizon + q + 1:
         raise ValueError(
@@ -245,7 +237,7 @@ def max_state_error(fitted: FittedOperator, values, horizon: int) -> Fraction:
     |w_k[0] - d^k values[k]| / d^k. Zero entries of N are skipped: a fit whose
     first q rows are the shift costs about 2q products a step.
     """
-    dim = fitted.dimension
+    dim = len(fitted.rows)
     if len(values) <= max(horizon, dim - 1):
         raise ValueError(
             f"insufficient data: {len(values)} values cannot reach step {horizon} "
@@ -268,8 +260,8 @@ def max_state_error(fitted: FittedOperator, values, horizon: int) -> Fraction:
 def operator_to_json(fitted: FittedOperator) -> dict:
     """Lossless JSON form of a fitted operator (rationals as num/den strings)."""
     return {
-        "matrix": frac_matrix_json(fitted.a_hat),
+        "matrix": [[frac_json(Fraction(a, fitted.den)) for a in row] for row in fitted.rows],
         "residual_sq": frac_json(fitted.residual_sq),
         "fit_kind": fitted.fit_kind,
-        "dimension": fitted.dimension,
+        "dimension": len(fitted.rows),
     }

@@ -23,6 +23,8 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
+from .dynamics import is_prime
+
 # Sums of integers below this bound in absolute value cannot overflow int64.
 _WORD_BOUND = 1 << 62
 # Integer products with fewer multiplications than this stay in Python: a
@@ -77,10 +79,8 @@ _word_prime_lock = threading.Lock()
 def _word_primes():
     """Primes below 2^31, largest first: the fixed list the modular solve walks.
 
-    Each prime is searched for once per process; later solves read it from
-    _word_prime_list. Miller-Rabin with the bases 2, 7 and 61 is exact below
-    4759123141; the trial division of dynamics.is_prime would cost
-    milliseconds a candidate.
+    Each prime is searched for once per process, by dynamics.is_prime;
+    later solves read it from _word_prime_list.
     """
     primes, k = _word_prime_list, 0
     while True:
@@ -88,29 +88,11 @@ def _word_primes():
             with _word_prime_lock:
                 if k == len(primes):
                     n = primes[-1] - 2 if primes else (1 << 31) - 1
-                    while not _is_word_prime(n):
+                    while not is_prime(n):
                         n -= 2
                     primes.append(n)
         yield primes[k]
         k += 1
-
-
-def _is_word_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 61 below 4759123141, with the bases 2, 7, 61."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 7, 61):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _rref_mod(a, prime: int) -> list[int]:

@@ -57,10 +57,6 @@ def frac_json(value) -> dict[str, str]:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-def frac_matrix_json(rows) -> list[list[dict[str, str]]]:
-    return [[frac_json(v) for v in row] for row in rows]
-
-
 def float15(x: float) -> float:
     """Round a float to 15 significant digits for stable serialization."""
     return float(f"{float(x):.15g}")

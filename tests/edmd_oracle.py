@@ -129,6 +129,11 @@ def normal_equations_fit(z, z_plus) -> FittedOperator:
     )
 
 
+def a_hat(fit: FittedOperator) -> tuple[tuple[Fraction, ...], ...]:
+    """The fitted operator A = rows / den, entry by entry as reduced Fractions."""
+    return tuple(tuple(Fraction(a, fit.den) for a in row) for row in fit.rows)
+
+
 def prediction_prefix(a_hat, values, horizon: int) -> int:
     """The largest k <= horizon with A^j z_0 = z_j for every j <= k.
 

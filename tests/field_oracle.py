@@ -5,10 +5,17 @@ the fraction-free integer echelon in echelon_oracle: dense products,
 reduced row echelon form with one division per pivot, the inverse by
 reducing [M | I], and the Moore-Penrose pseudo-inverse from the
 full-rank factorization A = C F (C the pivot columns of A, F the nonzero
-rows of its RREF), pinv(A) = F^T (F F^T)^-1 (C^T C)^-1 C^T.
+rows of its RREF), pinv(A) = F^T (F F^T)^-1 (C^T C)^-1 C^T. Also
+primality by trial division, the reference for the package's Miller-Rabin.
 """
 
 from fractions import Fraction
+from math import isqrt
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """Whether n is prime, by every trial divisor up to isqrt(n)."""
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def transpose(mat):

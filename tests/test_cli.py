@@ -11,6 +11,9 @@ import pytest
 from koopman_dh.cli import main
 from koopman_dh.edmd import dataset_from_values, edmd_fit, max_state_error
 
+# the least number whose primality koopman_dh.dynamics.is_prime refuses to decide
+PSI_13 = 3317044064679887385961981
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -87,6 +90,12 @@ class TestVerifyTheorem:
         assert code == 2
         assert out == ""
         assert "--primes" in err
+
+    def test_range_past_the_primality_bound_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify-theorem", "--primes", f"{PSI_13}..{PSI_13}")
+        assert code == 2
+        assert out == ""
+        assert "primality is decided only below" in err
 
     def test_non_prime_only_is_skipped(self, capsys):
         report = run_json(capsys, "verify-theorem", "--primes", "4")
@@ -358,6 +367,24 @@ class TestComplexity:
         assert out == ""
         assert "must be prime" in err
 
+    def test_field_prime_at_61_bits(self, capsys, tmp_path):
+        # 2^61 - 1, where trial division would run for minutes
+        p = 2305843009213693951
+        path = tmp_path / "seq.csv"
+        path.write_text("1\n4\n10\n22\n46\n")
+        report = run_json(capsys, "complexity", "--sequence", str(path), "--field-prime", str(p))
+        assert report["complexity_prime_field"] == {"p": p, "length": 2, "connection": [3, p - 2]}
+
+    def test_field_prime_past_the_primality_bound_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("1\n4\n10\n22\n46\n")
+        code, out, err = run(
+            capsys, "complexity", "--sequence", str(path), "--field-prime", str(PSI_13)
+        )
+        assert code == 2
+        assert out == ""
+        assert "primality is decided only below" in err
+
     def test_malformed_json_sequence_exit_3(self, capsys, tmp_path):
         path = tmp_path / "seq.json"
         path.write_text('{"not": "a list"}')
@@ -547,6 +574,17 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg_path))
         assert code == 2
         assert "outside [1, p-1] for p=7" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("q_policy", ["q_tilde", 1])
+    def test_negative_sample_exit_2(self, capsys, tmp_path, q_policy):
+        cfg_path, out_path = self.write_config(
+            tmp_path, q_policy=q_policy, exponent_sweep={"sample": -1}
+        )
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert "exponent_sweep sample -1 is negative" in err
         assert not out_path.exists()
 
     def test_minimal_dimension_computed_once_per_case(self, capsys, tmp_path, monkeypatch):

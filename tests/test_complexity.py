@@ -81,8 +81,14 @@ class TestBerlekampMassey:
         assert result.connection == (3, -2)
 
     def test_companion_last_row_mapping(self):
-        result = berlekamp_massey(SequenceSample(terms=two_periods(5, 2)))
-        assert result.companion_last_row == tuple(reversed(result.connection))
+        # the companion matrix's last row, oldest first, is the reversed
+        # connection (the complexity report's companion_last_row): it maps
+        # each window of the sequence to the next term
+        terms = two_periods(5, 2)
+        result = berlekamp_massey(SequenceSample(terms=terms))
+        row, n = result.connection[::-1], result.length
+        for k in range(len(terms) - n):
+            assert sum(c * s for c, s in zip(row, terms[k : k + n])) == terms[k + n]
 
 
 @st.composite

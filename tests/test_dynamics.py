@@ -3,21 +3,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_199
+from field_oracle import is_prime_by_trial_division
 from koopman_dh.dynamics import (
     DhParams,
     all_primitive_roots,
-    dh_exchange,
     discrete_log_bruteforce,
-    euler_criterion,
     find_primitive_root,
     full_period_trajectory,
     is_prime,
     is_primitive_root,
-    mod_pow,
     prime_factors,
     shared_secret_intersection,
     simulate,
 )
+
+# psi_12 and psi_13: the least composites that are strong pseudoprimes to
+# the first 12 and the first 13 primes as bases.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 def naive_pow(base, exp, p):
@@ -39,26 +42,32 @@ def orbit_length(m, p):
 
 
 class TestModPow:
+    """The orbit from x0 = 1 is the power map k -> m^k mod p, which callers
+    compute with the built-in pow."""
+
     def test_example(self):
-        assert mod_pow(3, 4, 7) == 4 == naive_pow(3, 4, 7)
+        traj = simulate(3, DhParams(7, 3), 1, 4)
+        assert traj.values[4] == pow(3, 4, 7) == 4 == naive_pow(3, 4, 7)
 
     def test_zero_exponent(self):
-        assert mod_pow(3, 0, 7) == 1
+        assert simulate(3, DhParams(7, 3), 1, 0).values == (pow(3, 0, 7),)
 
     @pytest.mark.parametrize("p,m", [(5, 2), (7, 3), (23, 5)])
     def test_fermat(self, p, m):
-        assert mod_pow(m, p - 1, p) == 1
+        assert full_period_trajectory(DhParams(p, m)).values[-1] == pow(m, p - 1, p) == 1
 
     def test_rejects_small_modulus(self):
         with pytest.raises(ValueError):
-            mod_pow(3, 4, 1)
+            DhParams(2, 1)
         with pytest.raises(ValueError):
-            mod_pow(3, -1, 7)
+            simulate(3, DhParams(7, 3), 1, -1)
 
     @settings(deadline=None)
-    @given(st.integers(0, 10**6), st.integers(0, 60), st.integers(2, 10**4))
-    def test_matches_repeated_multiplication(self, base, exp, p):
-        assert mod_pow(base, exp, p) == naive_pow(base, exp, p)
+    @given(st.sampled_from(PRIMES_TO_199), st.integers(0, 10**6), st.integers(0, 60))
+    def test_matches_repeated_multiplication(self, p, base, exp):
+        multiplier = base % p or 1
+        traj = simulate(multiplier, DhParams.with_smallest_root(p), 1, exp)
+        assert traj.values[-1] == pow(multiplier, exp, p) == naive_pow(multiplier, exp, p)
 
 
 class TestPrimitiveRoots:
@@ -144,43 +153,58 @@ class TestSimulate:
 
 
 class TestEulerCriterion:
+    """Euler's criterion by built-in pow: m^((p-1)/2) mod p is 1 for a
+    quadratic residue and p-1 otherwise, and no residue generates the group."""
+
     def test_examples(self):
-        assert euler_criterion(2, 7) == 1  # 3^2 = 9 = 2 mod 7
-        assert euler_criterion(1, 7) == 1
-        assert euler_criterion(1, 13) == 1
+        for m, p in ((2, 7), (1, 7), (1, 13)):  # 3^2 = 9 = 2 mod 7
+            assert pow(m, (p - 1) // 2, p) == 1
+            assert not is_primitive_root(m, p)
 
     @pytest.mark.parametrize("p", PRIMES_TO_199)
     def test_generators_are_nonresidues(self, p):
-        assert euler_criterion(find_primitive_root(p), p) == -1
+        assert pow(find_primitive_root(p), (p - 1) // 2, p) == p - 1
 
     def test_quadratic_residues_detected(self):
         residues = {(x * x) % 11 for x in range(1, 11)}
         for m in range(1, 11):
-            assert euler_criterion(m, 11) == (1 if m in residues else -1)
+            assert pow(m, 5, 11) == (1 if m in residues else 10)
+            assert not (m in residues and is_primitive_root(m, 11))
 
     def test_rejects_shared_factor(self):
         with pytest.raises(ValueError):
-            euler_criterion(14, 7)
+            is_primitive_root(14, 7)
+        with pytest.raises(ValueError):
+            simulate(14, DhParams(7, 3), 1, 3)
+
+
+def exchange(params, e, d):
+    """The exchange by built-in pow, checked against the orbit: the public
+    values are its states at steps e and d, the shared secret at step e*d."""
+    p, traj = params.p, full_period_trajectory(params)
+    c_e, c_d = pow(params.m, e, p), pow(params.m, d, p)
+    secret = pow(c_e, d, p)
+    assert secret == pow(c_d, e, p)
+    assert (c_e, c_d, secret) == (traj.value_at(e), traj.value_at(d), traj.value_at(e * d))
+    return c_e, c_d, secret
 
 
 class TestExchange:
     def test_example_p7(self):
-        t = dh_exchange(DhParams(7, 3), 2, 5)
-        assert (t.c_e, t.c_d, t.c_ed) == (2, 5, 4)
+        assert exchange(DhParams(7, 3), 2, 5) == (2, 5, 4)
 
     def test_trivial_exponents(self):
-        t = dh_exchange(DhParams(11, 2), 1, 1)
-        assert t.c_e == t.c_d == t.c_ed == 2
+        assert exchange(DhParams(11, 2), 1, 1) == (2, 2, 2)
 
     def test_example_p5(self):
-        t = dh_exchange(DhParams(5, 2), 3, 2)
-        assert (t.c_e, t.c_d, t.c_ed) == (3, 4, 4)
+        assert exchange(DhParams(5, 2), 3, 2) == (3, 4, 4)
 
     def test_rejects_out_of_range(self):
+        # a public value outside [1, p-1] is no state of the orbit
         with pytest.raises(ValueError):
-            dh_exchange(DhParams(7, 3), 0, 2)
+            shared_secret_intersection(0, 2, DhParams(7, 3))
         with pytest.raises(ValueError):
-            dh_exchange(DhParams(7, 3), 2, 7)
+            shared_secret_intersection(2, 7, DhParams(7, 3))
 
 
 class TestDiscreteLog:
@@ -194,7 +218,7 @@ class TestDiscreteLog:
     def test_round_trip_all_exponents(self, p):
         params = DhParams.with_smallest_root(p)
         for e in range(1, p):
-            assert discrete_log_bruteforce(mod_pow(params.m, e, p), params) == e
+            assert discrete_log_bruteforce(pow(params.m, e, p), params) == e
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -219,9 +243,9 @@ class TestIntersection:
         params = DhParams.with_smallest_root(p)
         for e in range(1, p):
             for d in range(1, p):
-                t = dh_exchange(params, e, d)
-                r = shared_secret_intersection(t.c_e, t.c_d, params)
-                assert r.secret == t.c_ed
+                c_e, c_d, secret = exchange(params, e, d)
+                r = shared_secret_intersection(c_e, c_d, params)
+                assert r.secret == secret
                 assert (r.e, r.d) == (e, d)
 
 
@@ -234,3 +258,36 @@ def test_primitive_root_counts():
 
 def test_is_prime_small():
     assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 200_000) if is_prime(n) != is_prime_by_trial_division(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        PSI_12,  # a strong pseudoprime to the bases 2..37: only base 41 catches it
+        3825123056546413051,  # a strong pseudoprime to the bases 2..31
+        3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        43 * 43,  # the least composite past the trial divisors
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_at_word_and_field_scale():
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+@pytest.mark.parametrize("n", [PSI_13, 2**89 - 1])
+def test_is_prime_refuses_psi_13_and_above(n):
+    # psi_13 passes all 13 bases, so from it on no answer would be proven
+    with pytest.raises(ValueError, match="primality"):
+        is_prime(n)
+
+
+def test_is_prime_still_finds_small_factors_above_psi_13():
+    assert not is_prime(PSI_13 + 1) and not is_prime(3 * PSI_13)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import PRIMES_TO_61
 from echelon_oracle import IntegerEchelon, window_profile
 from edmd_oracle import (
+    a_hat,
     echelon_fit,
     normal_equations_fit,
     prediction_prefix,
@@ -129,14 +130,14 @@ class TestFit:
         fit = edmd_fit(dataset_from_values(orbit(traj, 11), 3, 7))
         assert fit.fit_kind == "unique"
         assert fit.residual_sq == 0
-        assert [list(r) for r in fit.a_hat] == CompanionSystem(
+        assert [list(r) for r in a_hat(fit)] == CompanionSystem(
             q=3, alpha=canonical_alpha(7, 3)
         ).matrix
 
     def test_exact_fit_p5(self):
         fit = edmd_fit(dataset_from_values(orbit(full_period_trajectory(P5), 7), 2, 4))
         assert fit.residual_sq == 0
-        assert [list(r) for r in fit.a_hat] == CompanionSystem(
+        assert [list(r) for r in a_hat(fit)] == CompanionSystem(
             q=2, alpha=canonical_alpha(5, 2)
         ).matrix
 
@@ -146,13 +147,13 @@ class TestFit:
         assert (fit.den, fit.rows) == (2, ((1, 0), (3, -2)))
         same = FittedOperator(den=2, rows=((1, 0), (3, -2)), residual_sq=F(0), fit_kind="unique")
         assert fit == same
-        assert fit.a_hat == ((F(1, 2), 0), (F(3, 2), -1))
+        assert a_hat(fit) == ((F(1, 2), 0), (F(3, 2), -1))
         zero = FittedOperator(den=6, rows=((0,),), residual_sq=F(1), fit_kind="minimum-norm")
         assert (zero.den, zero.rows) == (1, ((0,),))
 
     def test_scalar_linear_system(self):
         fit = edmd_fit(dataset_from_values([1, 2, 4, 8, 16, 32], 0, 4))
-        assert fit.a_hat == ((2,),)
+        assert a_hat(fit) == ((2,),)
         assert fit.residual_sq == 0
 
     def test_minimum_norm_branch_smaller_than_alternative(self):
@@ -163,7 +164,7 @@ class TestFit:
         assert fit.fit_kind == "minimum-norm"
         assert fit.residual_sq == 0
         cyclic = full_period_system(P7).matrix
-        assert frobenius_sq([list(r) for r in fit.a_hat]) <= frobenius_sq(cyclic)
+        assert frobenius_sq([list(r) for r in a_hat(fit)]) <= frobenius_sq(cyclic)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=12), st.data())
@@ -218,12 +219,12 @@ def check_against_oracles(values, q, n, pseudo_inverse=True):
     z, z_plus = snapshot_matrices(values, q, n)
     assert fit == normal_equations_fit(z, z_plus)
     if fit.fit_kind == "unique":
-        assert [list(row) for row in fit.a_hat[:q]] == [
+        assert [list(row) for row in a_hat(fit)[:q]] == [
             [int(j == i + 1) for j in range(q + 1)] for i in range(q)
         ]
     if pseudo_inverse:
         want = matmul(z_plus, pinv(z))
-        assert [list(row) for row in fit.a_hat] == want
+        assert [list(row) for row in a_hat(fit)] == want
         residual = [[zp - v for zp, v in zip(zr, ar)] for zr, ar in zip(z_plus, matmul(want, z))]
         assert fit.residual_sq == frobenius_sq(residual)
         assert (fit.fit_kind == "unique") == (len(rref(z)[1]) == q + 1)
@@ -386,7 +387,7 @@ class TestCompare:
             if q == params.p - 2:
                 analytic = full_period_system(params)
             flag = compare_on_values(fit, analytic.alpha, values, 0).entrywise_equal
-            assert flag == ([list(row) for row in fit.a_hat] == analytic.matrix)
+            assert flag == ([list(row) for row in a_hat(fit)] == analytic.matrix)
             flags.add(flag)
         assert flags == {True, False}
 
@@ -405,7 +406,7 @@ class TestCompare:
                     altered[i] += 1
                 fit = edmd_fit(dataset_from_values(altered, q, n))
                 flag = compare_on_values(fit, analytic.alpha, altered, 0).entrywise_equal
-                assert flag == ([list(row) for row in fit.a_hat] == analytic.matrix), (q, i)
+                assert flag == ([list(row) for row in a_hat(fit)] == analytic.matrix), (q, i)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -419,7 +420,7 @@ class TestCompare:
         den = lcm(*[a.denominator for row in rows for a in row])
         nums = tuple(tuple(int(a * den) for a in row) for row in rows)
         fit = FittedOperator(den=den, rows=nums, residual_sq=F(0), fit_kind="unique")
-        assert fit.a_hat == tuple(map(tuple, rows))
+        assert a_hat(fit) == tuple(map(tuple, rows))
         flag = compare_on_values(fit, analytic.alpha, list(range(q + 1)), 0).entrywise_equal
         assert flag == (rows == analytic.matrix)
 
@@ -443,7 +444,7 @@ class TestPredictionOracle:
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
     def test_orbit_fits_at_every_horizon(self, p):
         for fit, analytic, values, top in self.fits(p):
-            prefix = prediction_prefix(fit.a_hat, values, top)
+            prefix = prediction_prefix(a_hat(fit), values, top)
             assert prefix == top
             for horizon in range(top + 1):
                 comparison = compare_on_values(fit, analytic.alpha, values, horizon)
@@ -458,7 +459,7 @@ class TestPredictionOracle:
             for i in range(len(values)):
                 altered = list(values)
                 altered[i] += 1
-                prefix = prediction_prefix(fit.a_hat, altered, top)
+                prefix = prediction_prefix(a_hat(fit), altered, top)
                 prefixes.add(prefix)
                 for horizon in range(top + 1):
                     comparison = compare_on_values(fit, analytic.alpha, altered, horizon)
@@ -504,7 +505,7 @@ class TestPredictionOracle:
         fit = edmd_fit(dataset_from_values(values, q, n))
         comparison = compare_on_values(fit, (F(0),) * (q + 1), values, horizon)
         assert comparison.prediction_equivalent == (
-            prediction_prefix(fit.a_hat, values, horizon) >= horizon
+            prediction_prefix(a_hat(fit), values, horizon) >= horizon
         )
 
     @settings(max_examples=200, deadline=None)
@@ -552,13 +553,13 @@ class TestUnderparameterized:
                 [[zp - v for zp, v in zip(zr, ar)] for zr, ar in zip(z_plus, az)]
             )
 
-        base = residual_sq([list(r) for r in fit.a_hat])
+        base = residual_sq([list(r) for r in a_hat(fit)])
         assert base == fit.residual_sq
         eps = F(1, 1000)
         for i in range(2):
             for j in range(2):
                 for delta in (eps, -eps):
-                    perturbed = [list(r) for r in fit.a_hat]
+                    perturbed = [list(r) for r in a_hat(fit)]
                     perturbed[i][j] += delta
                     assert residual_sq(perturbed) >= base
 
@@ -569,7 +570,7 @@ class TestStateErrorOracle:
 
     @staticmethod
     def check_every_horizon(fit, values, top):
-        errors = state_errors(fit.a_hat, values, top)
+        errors = state_errors(a_hat(fit), values, top)
         for horizon in range(top + 1):
             assert max_state_error(fit, values, horizon) == max(errors[:horizon], default=0)
 
@@ -624,7 +625,7 @@ class TestStateErrorOracle:
         ]
         fit = edmd_fit(dataset_from_values(values, order - 1, top - order + 1))
         assert fit.fit_kind == "unique" and fit.residual_sq == 0
-        assert state_errors(fit.a_hat, values, top) == [0] * top
+        assert state_errors(a_hat(fit), values, top) == [0] * top
         assert max_state_error(fit, values, top) == 0
 
     def test_insufficient_data(self):

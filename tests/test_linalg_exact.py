@@ -13,9 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echelon_oracle import echelon_rref, echelon_solve, window_profile, word_primes_by_search
-from field_oracle import frobenius_sq, inverse, matmul, pinv, rref, solve, transpose
+from field_oracle import (
+    frobenius_sq,
+    inverse,
+    is_prime_by_trial_division,
+    matmul,
+    pinv,
+    rref,
+    solve,
+    transpose,
+)
 from koopman_dh import linalg_exact
-from koopman_dh.dynamics import is_prime
 from koopman_dh.linalg_exact import (
     _int64,
     _spans,
@@ -190,19 +198,21 @@ def test_modular_solve_matches_integer_echelon(system):
 def test_word_primes_are_the_primes_below_2_31():
     primes = first_primes(6)
     assert primes == sorted(primes, reverse=True) and primes[0] == 2**31 - 1
-    assert all(is_prime(v) for v in primes)
-    assert not any(is_prime(v) for v in range(primes[-1] + 1, primes[0]) if v not in primes)
+    assert all(is_prime_by_trial_division(v) for v in primes)
+    assert not any(
+        is_prime_by_trial_division(v) for v in range(primes[-1] + 1, primes[0]) if v not in primes
+    )
 
 
 def test_word_primes_walk_the_searched_sequence():
     expected = word_primes_by_search(20)
     assert first_primes(20) == expected
     assert linalg_exact._word_prime_list[:20] == expected
-    assert all(is_prime(v) for v in expected)
+    assert all(is_prime_by_trial_division(v) for v in expected)
     # two walks at once read the same list, and a walk searches only past its end
     a, b = _word_primes(), _word_primes()
     assert [(next(a), next(b)) for _ in range(22)] == [(v, v) for v in first_primes(22)]
-    with patch.object(linalg_exact, "_is_word_prime", side_effect=AssertionError):
+    with patch.object(linalg_exact, "is_prime", side_effect=AssertionError):
         assert list(islice(_word_primes(), 22)) == first_primes(22)
 
 

@@ -16,7 +16,6 @@ from koopman_dh.dynamics import (
     all_primitive_roots,
     discrete_log_bruteforce,
     full_period_trajectory,
-    mod_pow,
 )
 from koopman_dh.lifting import canonical_alpha, lift_ciphertext, lift_shift
 from koopman_dh.spectral import (
@@ -190,7 +189,7 @@ class TestTransform:
         # z~_e = Lambda^e z~_0 for the true exponent
         params, q, dec, traj, z0 = setup_case(7)
         e = 4
-        ze = lift_ciphertext(mod_pow(params.m, e, 7), params, q)
+        ze = lift_ciphertext(pow(params.m, e, 7), params, q)
         lhs = transform(ze, dec)
         rhs = (dec.eigenvalues**e) * transform(z0, dec)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -226,14 +225,14 @@ class TestRecoverExponent:
 
     def test_example_p23(self):
         params, q, dec, traj, z0 = setup_case(23)
-        c = mod_pow(5, 17, 23)
+        c = pow(5, 17, 23)
         assert recover_exponent(lift_ciphertext(c, params, q), z0, dec, 23).e == 17
 
     @pytest.mark.parametrize("p", [5, 7, 11, 23, 101])
     def test_totality(self, p):
         params, q, dec, traj, z0 = setup_case(p)
         for e in range(1, p):
-            c = mod_pow(params.m, e, p)
+            c = pow(params.m, e, p)
             estimate = recover_exponent(lift_ciphertext(c, params, q), z0, dec, p)
             assert estimate.e == e == discrete_log_bruteforce(c, params)
 
@@ -269,8 +268,8 @@ class TestRecoverExponent:
 class TestParity:
     def test_examples_p7(self):
         params, q, dec, traj, z0 = setup_case(7)
-        z4 = lift_ciphertext(mod_pow(3, 4, 7), params, q)
-        z5 = lift_ciphertext(mod_pow(3, 5, 7), params, q)
+        z4 = lift_ciphertext(pow(3, 4, 7), params, q)
+        z5 = lift_ciphertext(pow(3, 5, 7), params, q)
         assert parity(z4, z0, dec) == "even"
         assert parity(z5, z0, dec) == "odd"
 
@@ -314,7 +313,7 @@ class TestPreparedStart:
         params, q, dec, traj, z0 = setup_case(p)
         recover_exponent(z0, z0, dec, p)
         for e in range(1, p):
-            ze = lift_ciphertext(mod_pow(params.m, e, p), params, q)
+            ze = lift_ciphertext(pow(params.m, e, p), params, q)
             hit = recover_exponent(ze, z0, dec, p)
             assert dec._start[0] is z0
             # dataclass == compares e, parity and every (j, t, match error)
@@ -339,13 +338,13 @@ class TestPreparedStart:
         rng = random.Random(p)
         for _ in range(60):
             z_0 = rng.choice(starts)
-            ze = lift_ciphertext(mod_pow(params.m, rng.randrange(1, p), p), params, q)
+            ze = lift_ciphertext(pow(params.m, rng.randrange(1, p), p), params, q)
             assert warm(recover_exponent, ze, z_0, dec, p) == cold(recover_exponent, ze, z_0, p, p)
             assert warm(parity, ze, z_0, dec) == cold(parity, ze, z_0, p)
 
     def test_start_changed_in_place_is_a_new_start(self):
         params, q, dec, traj, z0 = setup_case(11)
-        ze = lift_ciphertext(mod_pow(params.m, 4, 11), params, q)
+        ze = lift_ciphertext(pow(params.m, 4, 11), params, q)
         for start in (list(z0), np.array(z0)):
             assert recover_exponent(ze, start, dec, 11).e == 4
             start[1], start[2] = start[2], start[1]
@@ -366,7 +365,7 @@ class TestPreparedStart:
 
     def test_wrong_dimension_keeps_its_message(self):
         params, q, dec, traj, z0 = setup_case(11)
-        ze = lift_ciphertext(mod_pow(params.m, 3, 11), params, q)
+        ze = lift_ciphertext(pow(params.m, 3, 11), params, q)
         column = np.array(z0).reshape(-1, 1)
         bad = [z0[:-1], list(z0) + [1], column, list(column), list(np.eye(6)), np.array(z0[0]), 5]
         for z_0 in bad:
@@ -381,7 +380,7 @@ class TestPreparedStart:
     def test_parity_agrees_with_estimate_on_hits_and_misses(self, p):
         params, q, dec, traj, z0 = setup_case(p)
         for e in range(1, p):
-            ze = lift_ciphertext(mod_pow(params.m, e, p), params, q)
+            ze = lift_ciphertext(pow(params.m, e, p), params, q)
             fresh = eigen_canonical(p, q)
             assert parity(ze, z0, fresh) == recover_exponent(ze, z0, dec, p).parity
             assert parity(ze, z0, dec) == recover_exponent(ze, z0, fresh, p).parity
@@ -390,7 +389,7 @@ class TestPreparedStart:
         p = 23
         params, q, dec, traj, z0 = setup_case(p)
         starts = [z0, lift_shift(traj, q, 5), [0.5 * v for v in z0]]
-        lifts = [lift_ciphertext(mod_pow(params.m, e, p), params, q) for e in range(1, p)]
+        lifts = [lift_ciphertext(pow(params.m, e, p), params, q) for e in range(1, p)]
         queries = [(ze, z_0) for ze in lifts for z_0 in starts]
         expected = [cold(recover_exponent, ze, z_0, p, p) for ze, z_0 in queries]
         results, threads = {}, []
@@ -426,7 +425,7 @@ class TestPreparedStart:
         params, q, dec, traj, z0 = setup_case(23)
         k = 7
         for e in range(1, k + 1):
-            recover_exponent(lift_ciphertext(mod_pow(params.m, e, 23), params, q), z0, dec, 23)
+            recover_exponent(lift_ciphertext(pow(params.m, e, 23), params, q), z0, dec, 23)
         assert len(calls) == k + 1
         parity(z0, list(z0), dec)
         assert len(calls) == k + 2  # an equal list is the same start
@@ -499,7 +498,7 @@ class TestRecoverAgainstScan:
         params, q, dec, traj, z0 = setup_case(p)
         rng = random.Random(p)
         for e in rng.sample(range(1, p), count):
-            ze = lift_ciphertext(mod_pow(params.m, e, p), params, q)
+            ze = lift_ciphertext(pow(params.m, e, p), params, q)
             states = [ze] + [
                 [v + rng.gauss(0.0, scale * p) for v in ze] for scale in (1e-6, 1e-3, 0.02, 0.3)
             ]
@@ -588,7 +587,7 @@ class TestRecoverAgainstRounding:
             params = DhParams(p, m)
             z0 = lift_shift(full_period_trajectory(params), q, 0)
             for e in range(1, p):
-                ze = lift_ciphertext(mod_pow(m, e, p), params, q)
+                ze = lift_ciphertext(pow(m, e, p), params, q)
                 estimate = recover_exponent(ze, z0, dec, p)
                 assert estimate == recover_by_rounding(ze, z0, dec, p)
                 assert estimate.e == e
@@ -597,7 +596,7 @@ class TestRecoverAgainstRounding:
     def test_seeded_exponents_on_the_recover_ladder(self, p):
         params, q, dec, traj, z0 = setup_case(p)
         for e in random.Random(p).sample(range(1, p), 20):
-            assert_same_as_rounding(lift_ciphertext(mod_pow(params.m, e, p), params, q), z0, dec, p)
+            assert_same_as_rounding(lift_ciphertext(pow(params.m, e, p), params, q), z0, dec, p)
 
     @pytest.mark.parametrize("p,count", [(5, 4), (7, 6), (11, 10), (23, 22), (61, 12), (101, 8)])
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.02, 0.3])
@@ -605,7 +604,7 @@ class TestRecoverAgainstRounding:
         params, q, dec, traj, z0 = setup_case(p)
         rng = random.Random(p)
         for e in rng.sample(range(1, p), count):
-            ze = lift_ciphertext(mod_pow(params.m, e, p), params, q)
+            ze = lift_ciphertext(pow(params.m, e, p), params, q)
             assert_same_as_rounding([v + rng.gauss(0.0, scale * p) for v in ze], z0, dec, p)
 
     @pytest.mark.parametrize("p,q", [(7, 4), (11, 4), (13, 6)])
