@@ -128,7 +128,7 @@ def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
     p = _modulus(sample.field)
     if p is not None:
         length, c = _division_form(sample.terms, p)
-        if not annihilates(c[::-1], sample.terms, p):
+        if not annihilates([c[::-1]], sample.terms, p):
             raise RuntimeError("internal error: synthesized register fails to regenerate input")
         connection = tuple(-v % p for v in c[1:])
     else:
@@ -183,7 +183,7 @@ def _modular_register(s) -> tuple[int, tuple] | None:
     if candidate is None:
         return None
     den, nums = candidate
-    if not annihilates([-v for v in reversed(nums)] + [den], s, None):
+    if not annihilates([[-v for v in reversed(nums)] + [den]], s, None):
         return None
     return length, tuple(Fraction(v, den) for v in nums)
 
@@ -230,7 +230,7 @@ def _fraction_free(s, scale: int) -> tuple[int, tuple]:
             m += 1
         c = new
     c = (c + [0] * length)[: length + 1]
-    if not annihilates(c[::-1], s, None):
+    if not annihilates([c[::-1]], s, None):
         raise RuntimeError("internal error: synthesized register fails to regenerate input")
     return length, tuple(Fraction(-v, c[0]) for v in c[1:])
 

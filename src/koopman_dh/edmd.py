@@ -14,13 +14,14 @@ empty. Both are linalg_exact.reduced_echelon's certified form (word-size
 modular arithmetic, proven over the integers).
 
 A fitted operator is integer numerators over one positive denominator, in
-lowest terms, from the fit through every check; Fractions are built only
-for its JSON form. Data enters as a raw integer sequence, an orbit as its
-values. Predictions A^k z_0 = z_k are checked as one-step integer identities
-on each distinct window of the data, every row but the shift rows in one
-window product, against the closing row alpha for entrywise equality. Only
-the under-parameterized error, whose predictions leave the data, iterates
-A: on its numerators over powers of its denominator.
+lowest terms, from the fit through every check to its JSON form, which
+reduces each entry by one gcd. Data enters as a raw integer sequence, an
+orbit as its values. Predictions A^k z_0 = z_k are checked as one-step
+integer identities on each distinct window of the data, every row but the
+shift rows in one linalg_exact.annihilates call, against the closing row
+alpha for entrywise equality. Only the under-parameterized error, whose
+predictions leave the data, iterates A: on its numerators over powers of
+its denominator.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .linalg_exact import annihilates_all, reduced_echelon
+from .linalg_exact import annihilates, reduced_echelon
 from .serialize import frac_json
 
 
@@ -56,18 +57,18 @@ class EdmdDataset:
         if self.n < 1:
             raise ValueError(f"need at least one snapshot pair, got n={self.n}")
         # the reduced form y / d of Z^T, whose row k is window k: row c of Z
-        # is the sum of y[i][c] / d times row pivots[i]
+        # is the sum of y[i][c] / d times row pivots[i], so each other row c
+        # gives the kernel vector d e_c - sum_i y[i][c] e_{pivots[i]}
         dim, v = self.q + 1, self.values
         pivots, d, y = reduced_echelon([v[k : k + dim] for k in range(self.n)], 0)
-        kernel = []
-        for c in range(dim):
-            if c not in pivots:
-                k = [d if j == c else 0 for j in range(dim)]
-                for p, row in zip(pivots, y):
-                    k[p] -= row[c]
-                kernel.append(tuple(k))
+        at = dict(zip(pivots, y))
+        kernel = tuple(
+            tuple(d if j == c else -at[j][c] if j in at else 0 for j in range(dim))
+            for c in range(dim)
+            if c not in at
+        )
         object.__setattr__(self, "pivot_rows", tuple(pivots))
-        object.__setattr__(self, "kernel", tuple(kernel))
+        object.__setattr__(self, "kernel", kernel)
 
     @property
     def n(self) -> int:
@@ -223,7 +224,7 @@ def compare_on_values(fitted: FittedOperator, alpha, values, horizon: int) -> Op
         if i == q or not shift[i]:
             checked.append([*row, 0])
             checked[-1][i + 1] -= den
-    prediction = annihilates_all(checked, data)
+    prediction = annihilates(checked, data)
     # the companion matrix is the shift above the row alpha
     entrywise = all(shift) and all(a * den == num for a, num in zip(alpha, fitted.rows[q]))
     return OperatorComparison(entrywise_equal=entrywise, prediction_equivalent=prediction)
@@ -258,9 +259,14 @@ def max_state_error(fitted: FittedOperator, values, horizon: int) -> Fraction:
 
 
 def operator_to_json(fitted: FittedOperator) -> dict:
-    """Lossless JSON form of a fitted operator (rationals as num/den strings)."""
+    """Lossless JSON form of a fitted operator (rationals as num/den strings;
+    den > 0, so one gcd puts entry a / den in lowest terms, as Fraction does)."""
+    den = fitted.den
     return {
-        "matrix": [[frac_json(Fraction(a, fitted.den)) for a in row] for row in fitted.rows],
+        "matrix": [
+            [{"num": str(a // g), "den": str(den // g)} for a in row for g in [gcd(a, den)]]
+            for row in fitted.rows
+        ],
         "residual_sq": frac_json(fitted.residual_sq),
         "fit_kind": fitted.fit_kind,
         "dimension": len(fitted.rows),

@@ -125,7 +125,7 @@ def verify_closing(traj: ModTrajectory, alpha) -> bool:
     """
     q = len(alpha) - 1
     den, nums = scale_to_integers([Fraction(a) for a in alpha])
-    return annihilates(nums + [-den], _windows(traj, q)[: traj.params.period + q + 1])
+    return annihilates([nums + [-den]], _windows(traj, q)[: traj.params.period + q + 1])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Exact linear algebra: one certified reduced echelon form over Q.
+"""Exact linear algebra: one certified reduced echelon form over Q, and one
+integer relation check.
 
 `reduced_echelon` is the one elimination engine: the reduced row echelon
 form of an integer matrix [A | B], as its pivot columns, one denominator
@@ -7,12 +8,13 @@ one-right-hand-side case. The EDMD fit is one square solve on it, and the
 snapshot rank and left kernel come from the reduced form of the windows.
 Every system is reduced by Gauss-Jordan modulo word-size primes in numpy
 int64, lifted to Q by CRT and rational reconstruction, and accepted only
-after an integer substitution proves the form. Window checks and the
-substitution run as one numpy int64 product wherever a bound on their
-partial sums proves it exact, and in Python integers otherwise. No floating
-point anywhere, so rank(...) == k is a theorem about the input, not a
-tolerance call. Rationals enter as integers through scale_to_integers, and
-identities are checked by annihilates.
+after an integer substitution proves the form. That substitution and, by
+annihilates, its window form, every recurrence identity (the closing row,
+the Berlekamp-Massey registers, the EDMD predictions) are one check,
+_relations_vanish: one numpy int64 product wherever a bound on its partial
+sums proves it exact, Python integers otherwise. No floating point
+anywhere, so rank(...) == k is a theorem about the input, not a tolerance
+call. Rationals enter as integers through scale_to_integers.
 """
 
 from __future__ import annotations
@@ -22,14 +24,17 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dynamics import is_prime
 
 # Sums of integers below this bound in absolute value cannot overflow int64.
 _WORD_BOUND = 1 << 62
-# Integer products with fewer multiplications than this stay in Python: a
+# Relation checks whose Python loop costs fewer multiplications than this,
+# each pass over a column counting _PASS_PRODUCTS more, stay in Python: a
 # numpy int64 product costs tens of microseconds before its first one.
-_NUMPY_PRODUCTS = 256
+_NUMPY_PRODUCTS = 512
+_PASS_PRODUCTS = 24
 
 
 def scale_to_integers(values) -> tuple[int, list[int]]:
@@ -38,36 +43,60 @@ def scale_to_integers(values) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def annihilates(coeffs, seq, modulus: int | None = None) -> bool:
-    """Whether sum_j coeffs_j seq_{k+j} = 0 (mod modulus) for every window k of seq.
+def annihilates(rows, seq, modulus: int | None = None) -> bool:
+    """Whether sum_j row_j seq_{k+j} = 0 (mod modulus) for every integer row and window k of seq.
 
-    Integer coefficients, oldest first, summed column by column over all windows.
-    """
-    windows = len(seq) - len(coeffs) + 1
-    acc = [0] * windows
-    for j, c in enumerate(coeffs):
-        if c:
-            acc = [a + c * v for a, v in zip(acc, seq[j : j + windows])]
-    return not any(acc if modulus is None else [a % modulus for a in acc])
-
-
-def annihilates_all(rows, seq) -> bool:
-    """Whether every integer row of coefficients annihilates seq (see annihilates).
-
-    The rows share one length. One int64 product of seq's sliding windows
-    against the rows when _bounded_int64 admits them; otherwise annihilates
-    row by row.
+    Coefficients oldest first; the rows share one length, the window width.
     """
     width = len(rows[0])
-    if len(seq) < width:
-        return True
-    pair = None
-    if len(rows) * width * len(seq) >= _NUMPY_PRODUCTS:
-        pair = _bounded_int64(rows, seq, width)
-    if pair is None:
-        return all(annihilates(r, seq) for r in rows)
-    rows64, seq64 = pair
-    return not (np.lib.stride_tricks.sliding_window_view(seq64, width) @ rows64.T).any()
+    windows = max(len(seq) - width + 1, 0)
+
+    def window_matrix():  # row k is window k: a strided view of seq
+        seq64 = _int64(seq)
+        return seq64 if seq64 is None else as_strided(seq64, (windows, width), seq64.strides * 2)
+
+    return _relations_vanish(
+        rows, range(width), lambda j: seq[j : j + windows], windows, window_matrix, modulus
+    )
+
+
+def _relations_vanish(rows, support, column, height: int, matrix64, modulus=None, d=0, own=()):
+    """Whether sum_i rows[j][i] M[:, support[i]] == d M[:, own[j]] (mod modulus)
+    over the integers for every row j; own holds one column per row, none when d = 0.
+
+    M has height rows; column(c) is its column c as a Python sequence, and
+    matrix64() is M in numpy int64, or None when an entry does not fit. One
+    int64 product of the columns read, own and the k of support that some row
+    reads, when max|M| on them * max(|rows|, |d|) * (k + 1) < 2^62 bounds every
+    partial sum and the Python loop, one pass per nonzero coefficient, would
+    cost at least _NUMPY_PRODUCTS; otherwise that loop. A modulus of 2^62 or
+    more divides no nonzero sum below 2^62, so the int64 sums are tested as they are.
+    """
+    passes = sum(len(row) - row.count(0) for row in rows) + len(own)
+    if passes * (height + _PASS_PRODUCTS) >= _NUMPY_PRODUCTS:
+        m64, r64 = matrix64(), _int64(rows)
+        if m64 is not None and r64 is not None:
+            cols, used = support, r64.any(axis=0)  # a column no row reads stays out
+            if not used.all():
+                cols, r64 = np.asarray(support)[used], r64.compress(used, axis=1)
+            # take and compress keep rows contiguous, which numpy's integer matmul needs
+            k, read = len(cols), m64.take([*cols, *own], axis=1)
+            if _absmax(read) * max(_absmax(r64), abs(d)) * (k + 1) < _WORD_BOUND:
+                acc = read[:, :k] @ r64.T
+                if d:
+                    acc -= d * read[:, k:]
+                if modulus is not None and modulus < _WORD_BOUND:
+                    acc %= modulus
+                return not acc.any()
+    for j, row in enumerate(rows):
+        acc = [-d * x for x in column(own[j])] if d else None
+        for c, v in zip(support, row):
+            if v:
+                col = column(c)
+                acc = [v * x for x in col] if acc is None else [a + v * x for a, x in zip(acc, col)]
+        if acc and any(acc if modulus is None else [a % modulus for a in acc]):
+            return False
+    return True
 
 
 # The primes _word_primes has reached, largest first: filled only as solves
@@ -165,17 +194,6 @@ def _absmax(a) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _bounded_int64(a, b, terms: int):
-    """(a, b) as numpy int64 arrays when both fit and max|a| * max|b| * terms
-    < 2^62, so a sum of terms products of their entries cannot overflow;
-    otherwise None. Callers take this path only for at least _NUMPY_PRODUCTS
-    multiplications: below that Python integers are faster."""
-    a64, b64 = _int64(a), _int64(b)
-    if a64 is None or b64 is None or _absmax(a64) * _absmax(b64) * terms >= _WORD_BOUND:
-        return None
-    return a64, b64
-
-
 def reduced_echelon(rows, nvars: int):
     """The reduced row echelon form E of the integer matrix M = rows, exact over Q.
 
@@ -242,7 +260,9 @@ def reduced_echelon(rows, nvars: int):
         d, nums = candidate
         k = len(free)
         y = [nums[i * k : (i + 1) * k] for i in range(len(pivots))]
-        if _spans(rows, m64, pivots, free, d, y):
+        # relation j: d M[:, free[j]] == M[:, pivots] @ y[:, j], and y[:, j] is nums[j::k]
+        column, relations = lambda c: [row[c] for row in rows], [nums[j::k] for j in range(k)]
+        if _relations_vanish(relations, pivots, column, m, lambda: m64, None, d, free):
             break
     # y / d holds the free columns; a pivot column is the unit column of its row
     at = {c: j for j, c in enumerate(free)}
@@ -252,31 +272,6 @@ def reduced_echelon(rows, nvars: int):
     ]
     g = gcd(d, *[v for row in y for v in row])
     return pivots, d // g, [[v // g for v in row] for row in y]
-
-
-def _spans(rows, m64, pivots, free, d, y) -> bool:
-    """Whether d * M[:, free] == M[:, pivots] @ y over the integers, M = rows.
-
-    m64 is M in int64, or None. One int64 product when max|M| * max(|y|, d)
-    * (|pivots| + 1) < 2^62 bounds every partial sum and the Python loop,
-    which skips zeros of y, would take at least _NUMPY_PRODUCTS
-    multiplications; otherwise column by column in Python integers.
-    """
-    flat = [v for row in y for v in row]
-    if m64 is not None and len(rows) * (len(flat) - flat.count(0)) >= _NUMPY_PRODUCTS:
-        y_max = max(map(abs, flat), default=0)
-        if _absmax(m64) * max(y_max, d) * (len(pivots) + 1) < _WORD_BOUND:
-            y64 = np.array(y, dtype=np.int64).reshape(len(pivots), len(free))
-            return np.array_equal(d * m64[:, free], m64[:, pivots] @ y64)
-    cols = list(zip(*rows))
-    for j, c in enumerate(free):
-        acc = [d * v for v in cols[c]]
-        for p, row in zip(pivots, y):
-            if row[j]:
-                acc = [a - row[j] * v for a, v in zip(acc, cols[p])]
-        if any(acc):
-            return False
-    return True
 
 
 def solve_int_with_ranks(a_rows, b):

@@ -147,11 +147,11 @@ class TestAgainstFractionOracle:
 
     def test_recurrence_check_rejects_a_wrong_register(self):
         # C = (1, -1) says s_k = s_{k-1}; the check takes it oldest first
-        assert complexity.annihilates([-1, 1], [5, 5, 5], None)
-        assert not complexity.annihilates([-1, 1], [5, 5, 6], None)
-        assert not complexity.annihilates([-1, 1], [5, 6, 6], None)  # the first window counts
-        assert complexity.annihilates([-1, 1], [5, 5, 12], 7)
-        assert not complexity.annihilates([-1, 1], [5, 5, 12], 5)
+        assert complexity.annihilates([[-1, 1]], [5, 5, 5], None)
+        assert not complexity.annihilates([[-1, 1]], [5, 5, 6], None)
+        assert not complexity.annihilates([[-1, 1]], [5, 6, 6], None)  # the first window counts
+        assert complexity.annihilates([[-1, 1]], [5, 5, 12], 7)
+        assert not complexity.annihilates([[-1, 1]], [5, 5, 12], 5)
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from koopman_dh.lifting import (
     full_period_system,
     lift_shift,
 )
-from koopman_dh.serialize import MalformedDataError, read_integer_csv
+from koopman_dh.serialize import MalformedDataError, frac_json, read_integer_csv
 
 F = Fraction
 P5 = DhParams(5, 2)
@@ -92,6 +92,22 @@ class TestDataset:
             dataset_from_values([5, -1, 7, 5, -1, 7, 5, -1, 7, 5], 6, 3),
         ):
             check_rows_and_kernel(ds)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_kernel_of_recurrence_data(self, data):
+        """Data from an integer recurrence of order r < q + 1 leaves Z rank
+        deficient; seeds up to 2^70 keep Z past int64."""
+        r = data.draw(st.integers(1, 4))
+        q, n = data.draw(st.integers(r, 12)), data.draw(st.integers(1, 16))
+        coefs = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        seed = st.integers(-(2 ** data.draw(st.sampled_from([3, 70]))), 2**70)
+        values = data.draw(st.lists(seed, min_size=r, max_size=r))
+        while len(values) < n + q + 1:
+            values.append(sum(map(mul, coefs, values[-r:])))
+        ds = dataset_from_values(values, q, n)
+        assert ds.rank_z <= r
+        check_rows_and_kernel(ds)
 
     def test_refuses_what_it_cannot_window(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -257,14 +273,17 @@ def check_rows_and_kernel(ds):
     """The pivot rows are the rows of Z that the integer echelon takes as
     independent of those before them (row i of Z is the length-n window at
     i), and the kernel is q + 1 - rank_z independent integer vectors k with
-    k Z = 0 over the integers."""
+    k Z = 0 over the integers: one per other row of Z, in order, nonzero
+    there and zero at every other row that is not a pivot row."""
     assert list(ds.pivot_rows) == window_profile(ds.values, ds.n - 1, ds.q + 1)
-    assert len(ds.kernel) == ds.q + 1 - ds.rank_z
+    free = [r for r in range(ds.q + 1) if r not in ds.pivot_rows]
+    assert len(ds.kernel) == len(free) == ds.q + 1 - ds.rank_z
     z, _ = snapshot_matrices(ds.values, ds.q, ds.n)
     independent = IntegerEchelon(ds.q + 1)
-    for k in ds.kernel:
-        assert all(type(c) is int for c in k)
+    for c, k in zip(free, ds.kernel):
+        assert all(type(v) is int for v in k)
         assert [sum(map(mul, k, col)) for col in zip(*z)] == [0] * ds.n
+        assert [k[r] != 0 for r in free] == [r == c for r in free]
         assert independent.add_row(k) is not None
 
 
@@ -650,6 +669,28 @@ class TestExternalInterfaces:
         path.write_text("1\ntwo\n3\n")
         with pytest.raises(MalformedDataError):
             read_integer_csv(str(path))
+
+    @pytest.mark.parametrize("p, m", [(7, 3), (11, 2), (13, 2)])
+    def test_operator_json_entries_are_fractions(self, p, m):
+        """Every entry is written as frac_json writes Fraction(a, den): fits
+        at q = 1..p-2 have negative and zero entries, entries sharing a
+        factor with den, and den = 1."""
+        traj = full_period_trajectory(DhParams(p, m))
+        n = (p - 1) // 2 + 1
+        seen = set()
+        for q in range(1, p - 1):
+            fit = edmd_fit(dataset_from_values(orbit(traj, n + q + 1), q, n))
+            want = [[frac_json(Fraction(a, fit.den)) for a in row] for row in fit.rows]
+            assert operator_to_json(fit)["matrix"] == want
+            entries = [a for row in fit.rows for a in row]
+            cases = {
+                "negative": min(entries) < 0,
+                "zero": 0 in entries,
+                "common factor": any(a and gcd(a, fit.den) > 1 for a in entries),
+                "integer": fit.den == 1,
+            }
+            seen |= {case for case, hit in cases.items() if hit}
+        assert seen == {"negative", "zero", "common factor", "integer"}
 
     def test_operator_json_rationals(self):
         fit = edmd_fit(dataset_from_values([1, 2, 4, 8, 16], 0, 3))

@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echelon_oracle import echelon_rref, echelon_solve, window_profile, word_primes_by_search
@@ -26,10 +26,9 @@ from field_oracle import (
 from koopman_dh import linalg_exact
 from koopman_dh.linalg_exact import (
     _int64,
-    _spans,
+    _relations_vanish,
     _word_primes,
     annihilates,
-    annihilates_all,
     reduced_echelon,
     solve_int_with_ranks,
 )
@@ -376,51 +375,6 @@ def test_known_solutions_across_the_int64_bound(size, bits, data):
     assert pivots == list(range(size)) and (d, got) == (1, y)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 12),
-    st.sampled_from([1, 3, 1031]),
-    st.integers(-3, 3),
-    st.data(),
-)
-def test_span_proof_agrees_across_the_int64_bound(size, y_bits, d, slack, data):
-    """_spans in int64, where its bound holds, and in Python integers agree,
-    on the true reduced echelon form and on one entry of it moved by one.
-
-    M = [A | A Y] with A near 2^bits times the identity: its reduced echelon
-    form is [I | Y], which is d Y / d, and bits is chosen so that the bound
-    max|M| * max(|d Y|, d) * (|P| + 1) lies within a factor 2^4 of 2^62."""
-    bits = max(1, 62 - 2 * y_bits - d.bit_length() - 2 * size.bit_length() + slack)
-    a = [[int(i == j) * 2**bits + data.draw(small_int) for j in range(size)] for i in range(size)]
-    entry = st.integers(-(2**y_bits), 2**y_bits)
-    y = data.draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=size, max_size=size))
-    rows = [ra + rb for ra, rb in zip(a, matmul(a, y))]
-    free, pivots = [size, size + 1], list(range(size))
-    scaled = [[d * v for v in row] for row in y]
-    holds = data.draw(st.booleans())
-    if not holds:
-        scaled[data.draw(st.integers(0, size - 1))][data.draw(st.integers(0, 1))] += 1
-    with patch.object(linalg_exact, "_NUMPY_PRODUCTS", 1):
-        assert _spans(rows, _int64(rows), pivots, free, d, scaled) is holds
-    assert _spans(rows, None, pivots, free, d, scaled) is holds
-
-
-def test_span_proof_takes_both_paths():
-    """The int64 product runs when the bound holds, the Python loop otherwise."""
-    rows = [[2**30, 3 * 2**30], [1, 3]]
-    m64 = _int64(rows)
-    spy = patch.object(linalg_exact.np, "array_equal", wraps=np.array_equal)
-    with patch.object(linalg_exact, "_NUMPY_PRODUCTS", 1), spy as array_equal:
-        assert _spans(rows, m64, [0], [1], 1, [[3]])
-        assert array_equal.call_count == 1
-        assert _spans(rows, m64, [0], [1], 2**31, [[3 * 2**31]])
-        assert array_equal.call_count == 1
-    with spy as array_equal:
-        assert _spans(rows, m64, [0], [1], 1, [[3]])  # two multiplications stay in Python
-        assert array_equal.call_count == 0
-
-
 @pytest.mark.parametrize(
     "rows,nvars",
     [
@@ -483,28 +437,121 @@ def test_window_rank_profile(data):
     assert reduced_echelon(z, n) == (want, 1, [[] for _ in want])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 3), st.integers(40, 62), st.data())
-def test_window_product_agrees_with_annihilates(period, extra, bits, data):
-    """annihilates_all in int64 and annihilates agree on rows whose bound
-    max|row| * max|seq| * len(row) lies near 2^62, on either side.
+def fits_int64(values) -> bool:
+    return all(-(2**63) <= v < 2**63 for v in values)
 
-    c x_k - c x_{k+period} vanishes on every window of a period-periodic
-    sequence; a moved coefficient or a moved value breaks it."""
-    seq_bits = data.draw(st.integers(1, bits - 8))
-    entry = st.integers(-(2**seq_bits), 2**seq_bits)
-    base = data.draw(st.lists(entry, min_size=period, max_size=period))
-    seq = [base[k % period] for k in range(period + extra + 8)]
-    width = period + 1 + extra
-    c = data.draw(st.integers(1, 2 ** (bits - seq_bits)))
-    row = [0] * width
-    row[0], row[period] = c, -c
-    if data.draw(st.booleans()):
-        row[data.draw(st.integers(0, width - 1))] += data.draw(st.sampled_from([-1, 1]))
-    if data.draw(st.booleans()):
-        seq[data.draw(st.integers(0, len(seq) - 1))] += 1
-    rows = [row, [0] * width]
-    want = all(annihilates(r, seq) for r in rows)
-    with patch.object(linalg_exact, "_NUMPY_PRODUCTS", 1):
-        assert annihilates_all(rows, seq) is want
-    assert annihilates_all(rows, seq) is want
+
+def relations_vanish_by_sums(matrix, rows, support, d, own, modulus) -> bool:
+    """The oracle: each relation of _relations_vanish, sum_i rows[j][i]
+    M[:, support[i]] - d M[:, own[j]], summed row by row in plain Python."""
+    for j, row in enumerate(rows):
+        for line in matrix:
+            total = sum(v * line[c] for c, v in zip(support, row))
+            total -= d * line[own[j]] if d else 0
+            if (total if modulus is None else total % modulus) != 0:
+                return False
+    return True
+
+
+def takes_int64(matrix, rows, support, d, own, modulus, threshold) -> bool:
+    """Whether _relations_vanish may use its int64 product: the Python loop
+    would cost at least threshold multiplications, every entry of M and of
+    the relations fits in 64 bits, and max|M| * max(|rows|, |d|) * (k + 1)
+    < 2^62, k the support columns some relation reads and max|M| taken over
+    the columns read."""
+    read = [c for i, c in enumerate(support) if any(row[i] for row in rows)]
+    columns = read + (list(own) if d else [])
+    passes = sum(v != 0 for row in rows for v in row) + (len(own) if d else 0)
+    if passes * (len(matrix) + linalg_exact._PASS_PRODUCTS) < threshold:
+        return False
+    if not fits_int64([v for line in matrix for v in line]) or not fits_int64(
+        [v for row in rows for v in row]
+    ):
+        return False
+    largest = max((abs(line[c]) for line in matrix for c in columns), default=0)
+    coefficient = max([abs(d)] + [abs(v) for row in rows for v in row])
+    return largest * coefficient * (len(read) + 1) < 2**62
+
+
+@st.composite
+def relation_cases(draw):
+    """(M, rows, support, d, own, modulus, seq) for _relations_vanish.
+
+    "echelon": M = [A | A Y] with A near 2^bits times the identity, and the
+    relations d Y, which express column size + j of M as d Y[:, j] times the
+    first size columns over d, as reduced_echelon's acceptance proof does.
+    bits puts max|M| * max(|d Y|, d) * (size + 1) within a factor 2^3 below
+    and 2^12 above 2^62, so the largest entries pass 2^63 too.
+    "windows": the window matrix of a period-periodic seq (seq set, not
+    None) and the rows (c, 0, ..., -c, 0, ...) and (0, ..., 0), which hold
+    on every window; max|c| * max|seq| * 3 is about 3 * 2^bits, on either
+    side of 2^62, and c or seq may pass 2^63. Coefficients include zeros;
+    one of them, or one entry of M, may move by one; a modulus may be drawn.
+    """
+    modulus = draw(st.sampled_from([None, None, 7, 2**61 - 1, 2**64 + 13]))
+    if draw(st.booleans()):
+        size, y_bits = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+        d, slack = draw(st.sampled_from([1, 3, 1031])), draw(st.integers(-3, 12))
+        bits = max(1, 62 - 2 * y_bits - d.bit_length() - 2 * size.bit_length() + slack)
+        a = [[int(i == j) * 2**bits + draw(small_int) for j in range(size)] for i in range(size)]
+        entry = st.integers(-(2**y_bits), 2**y_bits)
+        y = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=size, max_size=size))
+        matrix = [ra + rb for ra, rb in zip(a, matmul(a, y))]
+        rows = [[d * y[i][j] for i in range(size)] for j in range(2)]
+        support, own, seq = list(range(size)), [size, size + 1], None
+    else:
+        period, extra = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+        bits = draw(st.integers(48, 72))
+        seq_bits = draw(st.integers(1, bits - 1))
+        top = draw(st.sampled_from([-1, 1])) * 2**seq_bits
+        entry = st.integers(-(2**seq_bits), 2**seq_bits)
+        base = [top] + draw(st.lists(entry, min_size=period - 1, max_size=period - 1))
+        seq = [base[k % period] for k in range(period + extra + draw(st.integers(8, 40)))]
+        width = period + 1 + extra
+        c = 2 ** (bits - seq_bits) - draw(st.integers(0, 3)) or 1
+        row = [0] * width
+        row[0], row[period] = c, -c
+        rows, support, d, own = [row, [0] * width], list(range(width)), 0, ()
+    if draw(st.booleans()):
+        moved = draw(st.sampled_from(rows))
+        moved[draw(st.integers(0, len(moved) - 1))] += draw(st.sampled_from([-1, 1]))
+    if draw(st.booleans()):
+        if seq is None:
+            matrix[draw(st.integers(0, len(matrix) - 1))][-1] += 1
+        else:
+            seq[draw(st.integers(0, len(seq) - 1))] += 1
+    if seq is not None:
+        windows = len(seq) - len(support) + 1
+        matrix = [seq[k : k + len(support)] for k in range(windows)]
+    return matrix, rows, support, d, own, modulus, seq
+
+
+@settings(max_examples=400, deadline=None)
+@given(relation_cases())
+@example(([[2**30, 3 * 2**30], [1, 3]], [[3]], [0], 1, [1], None, None))
+@example(([[2**30, 3 * 2**30], [1, 3]], [[3 * 2**31]], [0], 2**31, [1], None, None))
+def test_relation_check_agrees_with_a_python_sum(case):
+    """_relations_vanish equals the plain sum, and takes its int64 product
+    exactly where takes_int64 says: with every size admitted and with the
+    default size rule. The Python loop is seen by the columns it asks for,
+    each one a relation reads; a window case runs annihilates too."""
+    matrix, rows, support, d, own, modulus, seq = case
+    want = relations_vanish_by_sums(matrix, rows, support, d, own, modulus)
+    for threshold in (1, linalg_exact._NUMPY_PRODUCTS):
+        asked = []
+
+        def column(c):
+            asked.append(c)
+            return [line[c] for line in matrix]
+
+        with patch.object(linalg_exact, "_NUMPY_PRODUCTS", threshold):
+            got = _relations_vanish(
+                rows, support, column, len(matrix), lambda: _int64(matrix), modulus, d, own
+            )
+            if seq is not None:
+                assert annihilates(rows, seq, modulus) is want
+        assert got is want
+        int64 = takes_int64(matrix, rows, support, d, own, modulus, threshold)
+        assert (not asked) is int64
+        nonzero = {c for row in rows for c, v in zip(support, row) if v}
+        assert set(asked) <= nonzero | set(own if d else ())
