@@ -72,7 +72,7 @@ def _relations_vanish(rows, support, column, height: int, matrix64, modulus=None
     cost at least _NUMPY_PRODUCTS; otherwise that loop. A modulus of 2^62 or
     more divides no nonzero sum below 2^62, so the int64 sums are tested as they are.
     """
-    passes = sum(len(row) - row.count(0) for row in rows) + len(own)
+    passes = sum([len(row) - row.count(0) for row in rows]) + len(own)
     if passes * (height + _PASS_PRODUCTS) >= _NUMPY_PRODUCTS:
         m64, r64 = matrix64(), _int64(rows)
         if m64 is not None and r64 is not None:

@@ -453,7 +453,7 @@ def relations_vanish_by_sums(matrix, rows, support, d, own, modulus) -> bool:
     return True
 
 
-def takes_int64(matrix, rows, support, d, own, modulus, threshold) -> bool:
+def takes_int64(matrix, rows, support, d, own, threshold) -> bool:
     """Whether _relations_vanish may use its int64 product: the Python loop
     would cost at least threshold multiplications, every entry of M and of
     the relations fits in 64 bits, and max|M| * max(|rows|, |d|) * (k + 1)
@@ -551,7 +551,7 @@ def test_relation_check_agrees_with_a_python_sum(case):
             if seq is not None:
                 assert annihilates(rows, seq, modulus) is want
         assert got is want
-        int64 = takes_int64(matrix, rows, support, d, own, modulus, threshold)
+        int64 = takes_int64(matrix, rows, support, d, own, threshold)
         assert (not asked) is int64
         nonzero = {c for row in rows for c, v in zip(support, row) if v}
         assert set(asked) <= nonzero | set(own if d else ())
