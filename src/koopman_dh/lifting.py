@@ -124,7 +124,9 @@ def verify_closing(traj: ModTrajectory, alpha) -> bool:
     by the lcm of its denominators, so the comparison runs in integers.
     """
     q = len(alpha) - 1
-    den, nums = scale_to_integers([Fraction(a) for a in alpha])
+    # ints and Fractions scale as they are; Fraction() only for other numbers, such as floats
+    alpha = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in alpha]
+    den, nums = scale_to_integers(alpha)
     return annihilates([nums + [-den]], _windows(traj, q)[: traj.params.period + q + 1])
 
 
