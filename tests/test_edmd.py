@@ -101,8 +101,8 @@ class TestDataset:
         r = data.draw(st.integers(1, 4))
         q, n = data.draw(st.integers(r, 12)), data.draw(st.integers(1, 16))
         coefs = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
-        seed = st.integers(-(2 ** data.draw(st.sampled_from([3, 70]))), 2**70)
-        values = data.draw(st.lists(seed, min_size=r, max_size=r))
+        bits = data.draw(st.sampled_from([3, 70]))
+        values = data.draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=r, max_size=r))
         while len(values) < n + q + 1:
             values.append(sum(map(mul, coefs, values[-r:])))
         ds = dataset_from_values(values, q, n)
