@@ -375,6 +375,66 @@ def test_known_solutions_across_the_int64_bound(size, bits, data):
     assert pivots == list(range(size)) and (d, got) == (1, y)
 
 
+def span_proof(rows, m64, pivots, free, d, scaled, asked=None):
+    """reduced_echelon's acceptance proof: d M[:, free[j]] == M[:, pivots] @
+    scaled[:, j] for every j, by _relations_vanish. m64 None keeps it in Python;
+    asked, when given, collects the columns the Python loop reads."""
+
+    def column(c):
+        if asked is not None:
+            asked.append(c)
+        return [row[c] for row in rows]
+
+    relations = [[row[j] for row in scaled] for j in range(len(free))]
+    return _relations_vanish(relations, pivots, column, len(rows), lambda: m64, None, d, free)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.sampled_from([1, 3, 1031]),
+    st.integers(-3, 3),
+    st.data(),
+)
+def test_span_proof_agrees_across_the_int64_bound(size, y_bits, d, slack, data):
+    """The span proof in int64, where its bound holds, and in Python integers
+    agree, on the true reduced echelon form and on one entry of it moved by one.
+
+    M = [A | A Y] with A near 2^bits times the identity: its reduced echelon
+    form is [I | Y], which is d Y / d, and bits is chosen so that the bound
+    max|M| * max(|d Y|, d) * (|P| + 1) lies within a factor 2^4 of 2^62."""
+    bits = max(1, 62 - 2 * y_bits - d.bit_length() - 2 * size.bit_length() + slack)
+    a = [[int(i == j) * 2**bits + data.draw(small_int) for j in range(size)] for i in range(size)]
+    entry = st.integers(-(2**y_bits), 2**y_bits)
+    y = data.draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=size, max_size=size))
+    rows = [ra + rb for ra, rb in zip(a, matmul(a, y))]
+    free, pivots = [size, size + 1], list(range(size))
+    scaled = [[d * v for v in row] for row in y]
+    holds = data.draw(st.booleans())
+    if not holds:
+        scaled[data.draw(st.integers(0, size - 1))][data.draw(st.integers(0, 1))] += 1
+    with patch.object(linalg_exact, "_NUMPY_PRODUCTS", 1):
+        assert span_proof(rows, _int64(rows), pivots, free, d, scaled) is holds
+    assert span_proof(rows, None, pivots, free, d, scaled) is holds
+
+
+def test_span_proof_takes_both_paths():
+    """The int64 product runs when the bound holds, the Python loop otherwise:
+    the loop is seen by the columns it reads."""
+    rows = [[2**30, 3 * 2**30], [1, 3]]
+    m64 = _int64(rows)
+    with patch.object(linalg_exact, "_NUMPY_PRODUCTS", 1):
+        asked = []
+        assert span_proof(rows, m64, [0], [1], 1, [[3]], asked)
+        assert asked == []
+        assert span_proof(rows, m64, [0], [1], 2**31, [[3 * 2**31]], asked)
+        assert asked == [1, 0]
+    asked = []
+    assert span_proof(rows, m64, [0], [1], 1, [[3]], asked)  # two multiplications stay in Python
+    assert asked == [1, 0]
+
+
 @pytest.mark.parametrize(
     "rows,nvars",
     [
@@ -435,6 +495,35 @@ def test_window_rank_profile(data):
     z = [values[i : i + n] for i in range(q + 1)]
     want = window_profile(values, q, n)
     assert reduced_echelon(z, n) == (want, 1, [[] for _ in want])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(40, 62), st.data())
+def test_window_product_agrees_with_annihilates(period, extra, bits, data):
+    """annihilates with its int64 product admitted and annihilates held to
+    its Python loop agree on rows whose bound max|row| * max|seq| * len(row)
+    lies near 2^62, on either side.
+
+    c x_k - c x_{k+period} vanishes on every window of a period-periodic
+    sequence; a moved coefficient or a moved value breaks it."""
+    seq_bits = data.draw(st.integers(1, bits - 8))
+    entry = st.integers(-(2**seq_bits), 2**seq_bits)
+    base = data.draw(st.lists(entry, min_size=period, max_size=period))
+    seq = [base[k % period] for k in range(period + extra + 8)]
+    width = period + 1 + extra
+    c = data.draw(st.integers(1, 2 ** (bits - seq_bits)))
+    row = [0] * width
+    row[0], row[period] = c, -c
+    if data.draw(st.booleans()):
+        row[data.draw(st.integers(0, width - 1))] += data.draw(st.sampled_from([-1, 1]))
+    if data.draw(st.booleans()):
+        seq[data.draw(st.integers(0, len(seq) - 1))] += 1
+    rows = [row, [0] * width]
+    with patch.object(linalg_exact, "_int64", lambda values: None):
+        want = all(annihilates([r], seq) for r in rows)
+    with patch.object(linalg_exact, "_NUMPY_PRODUCTS", 1):
+        assert annihilates(rows, seq) is want
+    assert annihilates(rows, seq) is want
 
 
 def fits_int64(values) -> bool:
