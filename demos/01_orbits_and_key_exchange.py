@@ -44,8 +44,9 @@ recovered = discrete_log_bruteforce(c_e, params)
 print(f"brute-force walk recovers e = {recovered}")
 assert recovered == e
 
-# The shared secret is also the first consistent intersection of the two
-# derived orbits (the c_d-orbit indexed by e, the c_e-orbit indexed by d).
+# The shared secret is also where the two derived orbits meet (the c_d-orbit
+# indexed by e, the c_e-orbit indexed by d). A generator fixes the steps that
+# reach c_e and c_d, so the meeting is at their two logs: two orbit walks.
 result = shared_secret_intersection(c_e, c_d, params)
 print(f"intersection search: secret={result.secret} at (e={result.e}, d={result.d})")
 assert result.secret == secret

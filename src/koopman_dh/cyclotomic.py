@@ -1,13 +1,13 @@
 """Cyclotomic polynomials and an exact zero test for sums of unit roots.
 
-A point on the unit circle is stored as its *turn*, the rational t in [0, 1)
-with value exp(2*pi*i*t). A RootSum is a finite rational combination of such
-points, kept only to be tested for zero: after folding antipodal turns
-(t + 1/2 has value -1 times t), it is written as an integer polynomial in a
-primitive n-th root of unity and reduced modulo the n-th cyclotomic
-polynomial, the minimal polynomial of that root. The same reduction modulo
-Phi_d finds the closing divisors of a period polynomial. Conversion to
-complex floats happens only at output boundaries.
+A point on the unit circle is stored as its *turn*, a rational t with value
+exp(2*pi*i*t). A RootSum is a finite rational combination of such points,
+kept only to be tested for zero: scaled to integers, it is S(w) for an
+integer polynomial S and w a primitive n-th root of unity, n the lcm of the
+turn denominators, and it is zero exactly when Phi_n, the minimal polynomial
+of w, divides S. cyclotomic_remainder decides that divisibility; the same
+reduction modulo Phi_d finds the closing divisors of a period polynomial.
+Conversion to complex floats happens only at output boundaries.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from functools import lru_cache
 from math import pi
 
 from .linalg_exact import scale_to_integers
-
-HALF = Fraction(1, 2)
 
 
 def turn_to_complex(turn: Fraction) -> complex:
@@ -71,27 +69,22 @@ def cyclotomic_remainder(coeffs, d: int) -> list[int]:
 
 
 class RootSum:
-    """Finite sum of rational multiples of unit roots, with an exact zero test."""
+    """Finite sum of rational multiples of unit roots, with an exact zero test.
+
+    Turns are kept as given: t and t + 1 name one root, and the reduction
+    modulo x^n - 1 in is_zero merges them.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Fraction, Fraction]):
-        folded: dict[Fraction, Fraction] = {}
-        for turn, coeff in terms.items():
-            turn, coeff = Fraction(turn) % 1, Fraction(coeff)
-            if turn >= HALF:  # t + 1/2 has value -1 times t
-                turn, coeff = turn - HALF, -coeff
-            folded[turn] = folded.get(turn, Fraction(0)) + coeff
-        self.terms = {t: c for t, c in folded.items() if c != 0}
+        self.terms = {Fraction(t): Fraction(c) for t, c in terms.items() if c}
 
     def is_zero(self) -> bool:
-        """Exact zero test by reduction modulo a cyclotomic polynomial."""
-        if not self.terms:
-            return True
+        """Exact zero test: whether Phi_n divides the sum's integer polynomial."""
         n, powers = scale_to_integers(self.terms)  # turn t is the power t * n
-        if n == 1:
-            return False  # a single nonzero multiple of 1
-        coeffs = [0] * n
+        low = min(powers, default=0)  # dividing by w^low keeps every power nonnegative
+        coeffs = [0] * (max(powers, default=0) - low + 1)
         for k, c in zip(powers, scale_to_integers(self.terms.values())[1]):
-            coeffs[k] += c
-        return not any(_poly_divmod(coeffs, cyclotomic_poly(n))[1])
+            coeffs[k - low] += c
+        return not any(cyclotomic_remainder(coeffs, n))

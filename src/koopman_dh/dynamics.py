@@ -193,7 +193,7 @@ def discrete_log_bruteforce(c: int, params: DhParams) -> int:
 
 @dataclass(frozen=True)
 class IntersectionResult:
-    """Shared secret plus the first exponent pair certifying it."""
+    """Shared secret plus the exponent pair certifying it."""
 
     secret: int
     e: int
@@ -203,32 +203,16 @@ class IntersectionResult:
 def shared_secret_intersection(c_e: int, c_d: int, params: DhParams) -> IntersectionResult:
     """Recover the shared secret from the two public values by intersection.
 
-    Expands the orbit of c_d (indexed by e) and the orbit of c_e (indexed by
-    d) breadth-first in the step index s = max(e, d), ties broken by
-    smallest e then smallest d. A candidate pair is accepted when the two
-    orbits intersect there (c_d^e = c_e^d), the common value equals the base
-    orbit's state at step e*d, and the steps connect the base orbit to the
-    known endpoints (x_e = c_e and x_d = c_d). Without the endpoint
-    conditions the congruences admit spurious pairs whose step product is
-    wrong mod p-1, so the returned value would not always be the secret.
+    The orbit of c_d indexed by e and the orbit of c_e indexed by d meet
+    where c_d^e = c_e^d = m^(e*d) and the steps connect the base orbit to
+    the known endpoints (m^e = c_e, m^d = c_d). A generator m fixes each
+    endpoint's step in [1, p-1] uniquely, and the meeting then holds by
+    itself, so two orbit walks find the pair: e and d are the brute-force
+    logs of c_e and c_d, and the secret is c_d^e.
     """
-    p, m = params.p, params.m
+    p = params.p
     for name, value in (("c_e", c_e), ("c_d", c_d)):
         if not 1 <= value <= p - 1:
             raise ValueError(f"{name} must lie in [1, p-1], got {value}")
-    n = p - 1
-    base = simulate(m, params, 1, n).values
-    by_e = simulate(c_d, params, 1, n).values
-    by_d = simulate(c_e, params, 1, n).values
-    for s in range(1, n + 1):
-        for e, d in [(e, s) for e in range(1, s)] + [(s, d) for d in range(1, s + 1)]:
-            if (
-                by_e[e] == by_d[d]
-                and by_e[e] == base[(e * d) % n]
-                and base[e] == c_e
-                and base[d] == c_d
-            ):
-                return IntersectionResult(secret=by_e[e], e=e, d=d)
-    raise RuntimeError(
-        f"no intersection found for c_e={c_e}, c_d={c_d} mod {p}; inputs are inconsistent"
-    )
+    e, d = discrete_log_bruteforce(c_e, params), discrete_log_bruteforce(c_d, params)
+    return IntersectionResult(secret=pow(c_d, e, p), e=e, d=d)

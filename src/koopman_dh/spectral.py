@@ -8,9 +8,10 @@ Eigenvalue angles are exact rational turns; the eigenvector matrix and its
 inverse are floating mirrors used for recovery, where matching is
 separation-based and therefore tolerance-free.
 
-The exact eigenpair check costs one RootSum zero test per eigenvalue: the
-shift rows of A v = l v hold for every Vandermonde vector, and only the
-closing row needs the cyclotomic reduction.
+The exact eigenpair check costs one RootSum zero test per eigenvalue order:
+the shift rows of A v = l v hold for every Vandermonde vector, and the
+closing row holds at an eigenvalue of order d exactly when Phi_d divides
+(x - 1)(x^q + 1), the cyclotomic remainder that also finds closing divisors.
 
 Set-up is O(q^3): every entry of V is one of the 2q roots of turn n/(2q),
 picked by the integer index r*(2k+1) mod 2q, and V is inverted once. A
@@ -99,22 +100,17 @@ def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:
 
     Entry r of v(l) is l^r. Rows 0..q-1 of the companion matrix A shift,
     (A v)_r = v_(r+1) = l^(r+1) = l v_r, so they hold for every l and need
-    no test. Only the closing row sum_j alpha_j v_j = l^(q+1) constrains l:
-    it is one RootSum zero test per eigenvalue.
+    no test. Only the closing row constrains l: it says that l is a root of
+    the integer polynomial S(x) = sum_j alpha_j x^j - x^(q+1). Phi_d is
+    irreducible over Q, so S vanishes at one primitive d-th root exactly when
+    it vanishes at all of them: the check is one RootSum zero test of S at
+    turn 1/d per distinct eigenvalue order d.
     """
-    q = dec.q
-    alpha = char_alpha(q)
-    for t in dec.turns:
-        closing: dict[Fraction, Fraction] = {}
-        for j, a in enumerate(alpha):
-            if a:
-                turn = (j * t) % 1
-                closing[turn] = closing.get(turn, 0) + a  # alpha_1, alpha_q may share a turn
-        turn = ((q + 1) * t) % 1
-        closing[turn] = closing.get(turn, 0) - 1
-        if not RootSum(closing).is_zero():
-            return False
-    return True
+    closing = [*char_alpha(dec.q), -1]
+    return all(
+        RootSum({Fraction(j, d): c for j, c in enumerate(closing) if c}).is_zero()
+        for d in {t.denominator for t in dec.turns}
+    )
 
 
 def transform(z, dec: SpectralDecomposition) -> np.ndarray:

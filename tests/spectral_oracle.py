@@ -21,20 +21,21 @@ from koopman_dh.spectral import ExponentEstimate, RecoveryError, char_alpha, tra
 
 
 class ExactRootSum(RootSum):
-    """RootSum closed under addition and multiplication."""
+    """RootSum closed under addition and multiplication, its turns kept in [0, 1)."""
 
     __slots__ = ()
 
     @classmethod
     def root(cls, turn, coeff=1) -> "ExactRootSum":
         """coeff times the unit root of the given turn; root(0, c) is the scalar c."""
-        return cls({Fraction(turn): Fraction(coeff)})
+        return cls.of([(turn, coeff)])
 
     @classmethod
     def of(cls, pairs) -> "ExactRootSum":
         """Sum of (turn, coeff) pairs; turns may repeat or exceed a full turn."""
         terms: dict[Fraction, Fraction] = {}
         for t, c in pairs:
+            t = t % 1
             terms[t] = terms.get(t, Fraction(0)) + c
         return cls(terms)
 

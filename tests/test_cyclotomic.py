@@ -22,7 +22,7 @@ def test_cyclotomic_poly_known_values():
 
 
 def test_half_turn_folds_to_negation():
-    # e^(i*pi) = -1, so root(1/2) + 1 must be zero
+    # e^(i*pi) = -1, so root(1/2) + 1 must be zero: 1 + x cancels modulo Phi_2
     s = RootSum({F(1, 2): 1, F(0): 1})
     assert s.is_zero()
 
@@ -31,8 +31,16 @@ def test_cube_roots_sum_to_zero_requires_cyclotomic_reduction():
     # 1 + w + w^2 = 0 for w a cube root: no pair of terms is antipodal,
     # so only the minimal-polynomial reduction can certify zero.
     s = RootSum({F(0): 1, F(1, 3): 1, F(2, 3): 1})
-    assert s.terms  # the folded representation is not literally empty
+    assert s.terms  # the stored terms are not literally empty
     assert s.is_zero()
+
+
+def test_turns_are_taken_modulo_a_full_turn():
+    # turns are kept as given; the reduction modulo x^n - 1 merges t, t + 1 and t - 1
+    assert RootSum({F(0): 1, F(4, 3): 1, F(-1, 3): 1}).is_zero()  # 1 + w + w^2
+    assert RootSum({F(0): 1, F(1): -1}).is_zero()
+    assert RootSum({F(5, 2): 1, F(-2): 1}).is_zero()  # -1 + 1
+    assert not RootSum({F(7, 3): 1, F(-1, 3): -1}).is_zero()  # w - w^2
 
 
 def test_nonzero_detected():

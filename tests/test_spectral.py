@@ -8,8 +8,8 @@ from math import pi, sin
 import numpy as np
 import pytest
 
-from conftest import PRIMES_TO_61
-from koopman_dh import spectral
+from conftest import PRIMES_TO_61, PRIMES_TO_199
+from koopman_dh import cyclotomic, spectral
 from koopman_dh.cyclotomic import turn_to_complex
 from koopman_dh.dynamics import (
     DhParams,
@@ -145,6 +145,42 @@ class TestEigenpairs:
     def test_minus_one_is_no_eigenvalue_at_even_q(self, q):
         dec = eigen_canonical(61, q)
         assert not eigenpair_residuals_exact_zero(with_turns(dec, [F(1, 2)]))
+
+    def test_one_reduction_per_eigenvalue_order(self, monkeypatch):
+        # every zero test reaches Phi_d with terms left: the reduction, not
+        # a cancellation of equal turns, decides each eigenvalue order
+        calls, remainders = [], []
+        is_zero, remainder = cyclotomic.RootSum.is_zero, cyclotomic.cyclotomic_remainder
+
+        def spy_is_zero(self):
+            calls.append(self)
+            return is_zero(self)
+
+        def spy_remainder(coeffs, d):
+            remainders.append(list(coeffs))
+            return remainder(coeffs, d)
+
+        monkeypatch.setattr(cyclotomic.RootSum, "is_zero", spy_is_zero)
+        monkeypatch.setattr(cyclotomic, "cyclotomic_remainder", spy_remainder)
+        for p in PRIMES_TO_199:
+            dec = eigen_canonical(p, (p - 1) // 2)
+            calls.clear()
+            remainders.clear()
+            assert eigenpair_residuals_exact_zero(dec), p
+            assert len(calls) == len({t.denominator for t in dec.turns}), p
+            assert len(remainders) == len(calls), p
+            assert all(any(coeffs) for coeffs in remainders), p
+
+    @pytest.mark.parametrize("p", [61, 199])
+    def test_moved_closing_coefficient_is_rejected(self, p, monkeypatch):
+        # Phi_d never divides x^j, so moving any one alpha_j by 1 breaks every order
+        q = (p - 1) // 2
+        dec = eigen_canonical(p, q)
+        for j in range(q + 1):
+            moved = list(char_alpha(q))
+            moved[j] += 1
+            monkeypatch.setattr(spectral, "char_alpha", lambda order, moved=moved: tuple(moved))
+            assert eigenpair_residuals_exact_zero(dec) is False, j
 
     @pytest.mark.parametrize("p", [5, 7, 23, 101, 199])
     def test_float_residual_small(self, p):
