@@ -17,10 +17,12 @@ Set-up is O(q^3): every entry of V is one of the 2q roots of turn n/(2q),
 picked by the integer index r*(2k+1) mod 2q, and V is inverted once. A
 recovery query is then one O(q^2) matrix-vector product with Vinv plus O(q)
 array matching in numpy: every eigencoordinate ratio is rounded at once to
-the nearest power of its eigenvalue by angle, and the Chinese remainder
-theorem merges one residue per distinct eigenvalue order (a divisor of 2q).
-The decomposition keeps the eigencoordinates of the last start state it was
-asked about, so only a new start state costs a second product.
+the nearest power of its eigenvalue by angle, the Chinese remainder theorem
+merges one residue per distinct eigenvalue order (a divisor of 2q), and
+every usable eigenvalue is checked against the merged residue. The
+decomposition keeps all that depends on the last start state it was asked
+about (its eigencoordinates, the gathers at the usable eigenvalues and one
+position per order), so only a new start state costs a second product.
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ class SpectralDecomposition:
     the Vandermonde eigenvector (1, l_j, ..., l_j^q). turns[j] = index[j] / 2q
     = n / order[j] in lowest terms, inverse[j] = 1/n mod order[j],
     separation[j] = sin(pi / order[j]), and roots[n] has turn n / 2q.
-    _start holds (key, zt0, usable j, tolerance) for the last start state
-    that recovery was asked about (see _prepared_start).
+    _start holds, for the last start state that recovery was asked about,
+    its key, zt0 and tolerance, the usable indices j, zt0, order, inverse,
+    separation and index gathered at j, and one position in j per distinct
+    order (see _prepared_start).
     """
 
     q: int
@@ -115,7 +119,10 @@ def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:
 
 def transform(z, dec: SpectralDecomposition) -> np.ndarray:
     """Eigencoordinates z~ = Vinv z (floating mirror)."""
-    z = np.asarray(z, dtype=complex)
+    a = np.asarray(z)
+    # numpy promotes a float64 state inside the product to the same complex
+    # values, so an integer state skips the slower complex conversion
+    z = a.astype(float) if a.dtype.kind in "biu" else np.asarray(z, dtype=complex)
     if z.shape != (dec.dimension,):
         raise ValueError(f"state has dimension {z.shape}, expected ({dec.dimension},)")
     return dec.Vinv @ z
@@ -131,7 +138,10 @@ class ExponentEstimate:
 
 
 def _prepared_start(z_0, dec: SpectralDecomposition):
-    """(zt0, usable indices j, tolerance) of the start state z_0.
+    """What recovery needs of the start state z_0 alone: (zt0, tolerance,
+    usable indices j, j as a list, then zt0, order, inverse, separation and
+    index gathered at j, and reps: per distinct order among j, in order of
+    first occurrence, the position of its last occurrence).
 
     dec keeps them for the last start it was asked about, keyed by the
     state's values: a repeated start costs one O(q) tuple comparison (by
@@ -153,8 +163,14 @@ def _prepared_start(z_0, dec: SpectralDecomposition):
     tol = 1e-9 * max(1.0, float(np.max(np.abs(zt0))))
     usable = np.array(list(map(abs, zt0.tolist()))) >= tol
     j = np.flatnonzero(usable[1:]) + 1  # eigenvalue 0 is l = 1
-    object.__setattr__(dec, "_start", (key, zt0, j, tol))
-    return zt0, j, tol
+    order = dec.order[j]
+    # a later occurrence replaces the value but keeps the key's first position
+    last = {d: k for k, d in enumerate(order.tolist())}
+    reps = np.array(list(last.values()), dtype=int)
+    gathered = (zt0[j], order, dec.inverse[j], dec.separation[j], dec.index[j], reps)
+    start = (key, zt0, tol, j, j.tolist(), *gathered)
+    object.__setattr__(dec, "_start", start)
+    return start[1:]
 
 
 def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEstimate:
@@ -169,27 +185,26 @@ def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEs
     residue constraints on e. All usable eigenvalues must agree on a single
     exponent; anything less raises RecoveryError.
     """
-    zt0, j, tol = _prepared_start(z_0, dec)
+    zt0, tol, j, js, zt0_j, order, inverse, separation, index, reps = _prepared_start(z_0, dec)
     zte = transform(z_e, dec)
     if not j.size:
         raise RecoveryError("no usable eigenvalues: initial eigencoordinates all vanish")
-    order = dec.order[j]
-    ratio = zte[j] / zt0[j]
+    ratio = zte[j] / zt0_j
     # np.angle may differ from cmath.phase in the last ulp; that moves the rounding
     # only at a half step, where the separation test rejects both nearest powers
     steps = np.rint(np.where(np.isfinite(ratio), order * np.angle(ratio) / (2 * pi), 0.0))
     # l_j^t has turn numerator * t / order; invert that at the rounded angle
-    t = steps.astype(np.int64) % order * dec.inverse[j] % order
+    t = steps.astype(np.int64) % order * inverse % order
     # scalar abs, not np.abs: the two differ in the last ulp, and match errors are reported
-    dist = list(map(abs, (ratio - dec.roots[dec.index[j] * t % (2 * dec.q)]).tolist()))
-    unmatched = np.flatnonzero(~(np.array(dist) < dec.separation[j]))
+    dist = list(map(abs, (ratio - dec.roots[index * t % (2 * dec.q)]).tolist()))
+    unmatched = np.flatnonzero(~(np.array(dist) < separation))
     if unmatched.size:
         k = unmatched[0]
         raise RecoveryError(
-            f"eigenvalue {j[k]}: ratio {ratio[k]:.6g} matches no power within separation"
+            f"eigenvalue {js[k]}: ratio {ratio[k]:.6g} matches no power within separation"
         )
     residue, modulus = 0, 1
-    for d, r in dict(zip(order.tolist(), t.tolist())).items():
+    for d, r in zip(order[reps].tolist(), t[reps].tolist()):
         residue, modulus = _crt(residue, modulus, r, d)  # a conflict fails the check below
     if np.any((residue - t) % order):
         raise RecoveryError("eigenvalue constraints are mutually inconsistent")
@@ -200,7 +215,7 @@ def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEs
         raise RecoveryError(f"constraints leave {len(admissible)} admissible exponents")
     return ExponentEstimate(
         e=admissible[0],
-        per_eigenvalue_residues=tuple(zip(j.tolist(), t.tolist(), dist)),
+        per_eigenvalue_residues=tuple(zip(js, t.tolist(), dist)),
         parity=_parity_of(zte, zt0, tol, dec),
     )
 
@@ -221,7 +236,7 @@ def parity(z_e, z_0, dec: SpectralDecomposition) -> str:
     sign once per step, so the ratio is +1 for even e and -1 for odd e.
     """
     zte = transform(z_e, dec)
-    zt0, _, tol = _prepared_start(z_0, dec)
+    zt0, tol, *_ = _prepared_start(z_0, dec)
     return _parity_of(zte, zt0, tol, dec)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from koopman_dh.cyclotomic import RootSum, turn_to_complex
 from koopman_dh.lifting import companion_matrix
-from koopman_dh.spectral import ExponentEstimate, RecoveryError, char_alpha, transform
+from koopman_dh.spectral import ExponentEstimate, RecoveryError, char_alpha
 
 
 class ExactRootSum(RootSum):
@@ -156,10 +156,13 @@ def recover_by_rounding(z_e, z_0, dec, p):
     Each ratio is rounded to the nearest power by cmath.phase, the power is
     converted with turn_to_complex, and the residues are merged pairwise by
     the Chinese remainder theorem. recover_exponent must agree with it
-    exactly, float match errors and error messages included.
+    exactly, float match errors and error messages included. The
+    eigencoordinates are the complex128 product itself, not
+    spectral.transform, so that agreement also covers transform's
+    conversion of the state.
     """
-    zt0 = transform(z_0, dec)
-    zte = transform(z_e, dec)
+    zt0 = dec.Vinv @ np.asarray(z_0, dtype=complex)
+    zte = dec.Vinv @ np.asarray(z_e, dtype=complex)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(zt0))))
     residues = []
     for j, turn in enumerate(dec.turns):

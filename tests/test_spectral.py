@@ -247,6 +247,52 @@ class TestTransform:
             ze = lift_shift(traj, q, e)
             assert np.max(np.abs(np.abs(transform(ze, dec)) - zt0)) < 1e-9
 
+    @pytest.mark.parametrize("p", [23, 199, 1009])
+    def test_equals_the_complex_product_on_every_input_kind(self, p):
+        # an integer state goes to float64 and every other to complex128;
+        # both must give the complex128 product's values exactly
+        params, q, dec, traj, z0 = setup_case(p)
+        ze = lift_ciphertext(pow(params.m, p // 3, p), params, q)
+        # entries of up to 62 bits: exact in float64 below 2^53, rounded above it
+        wide = [v << (40 + k % 13) | k for k, v in enumerate(ze)]
+        big = [v * 2**70 + k for k, v in enumerate(ze)]  # past uint64: an object array
+        states = [
+            z0,
+            list(ze),
+            wide,
+            np.array(ze) % 2 == 1,
+            np.array(wide, dtype=np.int64) * np.resize([1, -1, -1], q + 1),
+            np.array(ze, dtype=np.uint64),
+            np.array(wide, dtype=np.uint64) + np.uint64(2**63),
+            big,
+            [-v for v in big],
+            [2**63 + v if k % 2 else -v for k, v in enumerate(ze)],  # int64 and uint64: float64
+            [v / 3 if k % 3 else (0.0, -0.0)[k % 2] for k, v in enumerate(ze)],
+            np.array(ze) * (0.75 - 1.5j),
+        ]
+        assert {np.asarray(z).dtype.kind for z in states} == set("biufcO")
+        for z in states:
+            assert np.array_equal(transform(z, dec), dec.Vinv @ np.asarray(z, dtype=complex))
+
+    @pytest.mark.parametrize("p", [23, 199, 1009])
+    def test_dimension_message_on_every_input_kind(self, p):
+        dec = eigen_canonical(p, (p - 1) // 2)
+        n = dec.dimension
+        bad = [
+            tuple(range(n - 1)),
+            np.ones(n + 1, dtype=np.int64),
+            np.ones(n - 1, dtype=np.uint64),
+            [2**70] * (n - 1),
+            [-0.0] * (n + 1),
+            np.ones(n - 1, dtype=complex),
+            np.ones((n, 1), dtype=int),
+            5,
+        ]
+        for z in bad:
+            with pytest.raises(ValueError) as info:
+                transform(z, dec)
+            assert str(info.value) == f"state has dimension {np.shape(z)}, expected ({n},)"
+
 
 class TestRecoverExponent:
     def test_example_p7(self):
@@ -471,10 +517,11 @@ def recover_by_scan(z_e, z_0, dec, p):
     """Reference matcher: scan every power of each eigenvalue, then every e.
 
     O(q * order) per query; recover_exponent must agree with it exactly,
-    float match errors included.
+    float match errors included. Like recover_by_rounding, it takes the
+    eigencoordinates as the complex128 product, not from spectral.transform.
     """
-    zt0 = transform(z_0, dec)
-    zte = transform(z_e, dec)
+    zt0 = dec.Vinv @ np.asarray(z_0, dtype=complex)
+    zte = dec.Vinv @ np.asarray(z_e, dtype=complex)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(zt0))))
     constraints = []
     residues = []
@@ -657,3 +704,60 @@ class TestRecoverAgainstRounding:
                 assert_same_as_rounding(eigen_state(dec, coeffs, e), z0, dec, p)
             steps = rng.integers(1, 2 * q + 1, size=2)[rng.integers(0, 2, size=dec.dimension)]
             assert_same_as_rounding(eigen_state(dec, coeffs, steps), z0, dec, p)
+
+
+class TestPerOrderMerge:
+    """recover_exponent merges one residue per distinct eigenvalue order and
+    checks every usable eigenvalue against the merged residue."""
+
+    @pytest.mark.parametrize("p", [101, 127, 151, 199, 251, 307, 401, 1009])
+    def test_one_crt_step_per_eigenvalue_order(self, p, monkeypatch):
+        moduli = []
+        original = spectral._crt
+
+        def counting(r1, m1, r2, m2):
+            moduli.append(m2)
+            return original(r1, m1, r2, m2)
+
+        monkeypatch.setattr(spectral, "_crt", counting)
+        params, q, dec, traj, z0 = setup_case(p)
+        for e in random.Random(p).sample(range(1, p), 5):
+            moduli.clear()
+            estimate = recover_exponent(lift_ciphertext(pow(params.m, e, p), params, q), z0, dec, p)
+            assert estimate.e == e
+            orders = [dec.turns[j].denominator for j, _, _ in estimate.per_eigenvalue_residues]
+            assert len(orders) == q
+            # the distinct orders, in order of first occurrence
+            assert moduli == list(dict.fromkeys(orders))
+
+    @pytest.mark.parametrize("p,q", [(7, 3), (11, 4), (13, 6), (23, 11), (31, 15), (61, 30)])
+    def test_disagreement_within_an_order_and_dropped_indices(self, p, q):
+        # random eigencoordinates, a few zeroed and, where another order is
+        # left, every one of some order; turned by one exponent, or with the
+        # first or the last eigenvalue of an order turned further than the rest
+        dec = eigen_canonical(p, q)
+        orders = dec.order
+        distinct = sorted(set(orders[1:].tolist()))
+        rng = np.random.default_rng(p * q)
+        messages = set()
+        for _ in range(10):
+            coeffs = rng.standard_normal(dec.dimension) + 1j * rng.standard_normal(dec.dimension)
+            zeroed = rng.random(dec.dimension) < 0.2
+            if len(distinct) > 1:
+                zeroed |= orders == rng.choice(distinct)
+            coeffs[zeroed] = 0.0
+            z0 = eigen_state(dec, coeffs)
+            e = int(rng.integers(1, 2 * q + 1))
+            states = [eigen_state(dec, coeffs, e)]
+            for d in distinct:
+                members = np.flatnonzero(orders == d)
+                for k in {members[0], members[-1]} if members.size > 1 else ():
+                    steps = np.full(dec.dimension, e)
+                    steps[k] += int(rng.integers(1, d))
+                    states.append(eigen_state(dec, coeffs, steps))
+            for ze in states:
+                got = outcome(recover_exponent, ze, z0, dec, p)
+                assert got == outcome(recover_by_rounding, ze, z0, dec, p)
+                assert got == outcome(recover_by_scan, ze, z0, dec, p)
+                messages.add(got if isinstance(got, str) else "estimate")
+        assert "eigenvalue constraints are mutually inconsistent" in messages
