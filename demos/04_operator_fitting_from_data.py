@@ -18,7 +18,7 @@ from koopman_dh import (
     check_assumption,
     dataset_from_values,
     edmd_fit,
-    full_period_system,
+    full_period_alpha,
     full_period_trajectory,
 )
 from koopman_dh.edmd import compare_on_values, max_state_error, operator_to_json
@@ -48,7 +48,7 @@ print(f"prediction-equivalent over two periods: {report.prediction_equivalent}")
 # minimum-norm solution is taken. It predicts the orbit exactly, though it
 # is not the cyclic shift matrix entry for entry.
 full = edmd_fit(dataset_from_values(values, p - 2, q_tilde + 1))
-full_report = compare_on_values(full, full_period_system(params).alpha, values, 2 * (p - 1))
+full_report = compare_on_values(full, full_period_alpha(p), values, 2 * (p - 1))
 print(f"\nq = p-2: fit kind {full.fit_kind}, residual^2 = {full.residual_sq}, "
       f"entrywise = {full_report.entrywise_equal}, prediction = {full_report.prediction_equivalent}")
 

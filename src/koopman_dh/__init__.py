@@ -38,13 +38,11 @@ from .edmd import (
     edmd_fit,
 )
 from .lifting import (
-    CompanionSystem,
-    HankelSystem,
     additive_complex_lift,
     affine_augment_system,
     canonical_alpha,
     closing_divisors,
-    full_period_system,
+    full_period_alpha,
     hankel_system,
     index_lookup_attack,
     lift_ciphertext,
@@ -74,17 +72,15 @@ __all__ = [
     "full_period_trajectory",
     "discrete_log_bruteforce",
     "shared_secret_intersection",
-    "CompanionSystem",
-    "HankelSystem",
     "lift_shift",
     "lift_ciphertext",
     "canonical_alpha",
+    "full_period_alpha",
     "verify_closing",
     "hankel_system",
     "solve_alpha_exact",
     "minimal_lifting_dimension",
     "closing_divisors",
-    "full_period_system",
     "index_lookup_attack",
     "affine_augment_system",
     "additive_complex_lift",

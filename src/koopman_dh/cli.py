@@ -324,7 +324,8 @@ def load_config(path: str) -> dict:
     """The sweep config as one validated dict, echoed verbatim as manifest.config.
 
     A wrong shape or type exits 3 (malformed data); a value out of range
-    exits 2. Explicit exponents must lie in [1, p-1] for every prime.
+    exits 2. Explicit exponents must lie in [1, p-1], and explicit generators
+    must be primitive roots, for every prime, so no case runs on a bad config.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -359,8 +360,8 @@ def load_config(path: str) -> dict:
         (
             "generators",
             generators in ("smallest", "all")
-            or (isinstance(generators, list) and all(map(_is_int, generators))),
-            '"smallest", "all" or a list of integers',
+            or (isinstance(generators, list) and generators and all(map(_is_int, generators))),
+            '"smallest", "all" or a nonempty list of integers',
         ),
         (
             "exponent_sweep",
@@ -387,6 +388,8 @@ def load_config(path: str) -> dict:
         for e in exponents if isinstance(exponents, list) else []:
             if not 1 <= e <= p - 1:
                 raise ValueError(f"exponent {e} outside [1, p-1] for p={p}")
+        for m in generators if isinstance(generators, list) else []:
+            DhParams(p, m)  # raises unless m generates the group mod p
     if cfg["output"]["format"] not in ("json", "csv"):
         raise ValueError(f"output format must be json or csv, got {cfg['output']['format']}")
     return cfg

@@ -2,14 +2,17 @@
 
 The shift dictionary stacks future orbit states, turning the nonlinear
 modular map into a companion-form linear system once the recurrence
-coefficients close over the integers. The minimal closing order is the
-linear complexity of one period, read off the cyclotomic factors of the
-period polynomial (closing_divisors); the closing coefficients are then
-solved once from the leading block of the periodic Hankel system (by the
-certified word-size modular solve of linalg_exact) and certified by
-integer substitution (verify_closing). Also here: the
-auxiliary liftings (affine augmentation, additive rotation) and the
-table-lookup attack available at full dictionary length.
+coefficients close over the integers. Such a system is its closing row, a
+tuple of ints alpha with x_{k+q+1} = sum_j alpha_j x_{k+j}
+(companion_matrix(alpha) is its matrix; lfsr_generate(alpha[::-1], ...)
+iterates it). The minimal closing order is the linear complexity of one
+period, read off the cyclotomic factors of the period polynomial
+(closing_divisors); the closing coefficients are then solved once from the
+leading block of the periodic Hankel pair (a_rows, b) (by the certified
+word-size modular solve of linalg_exact) and certified by integer
+substitution (verify_closing). Also here: the auxiliary liftings (affine
+augmentation, additive rotation) and the table-lookup attack available at
+full dictionary length.
 """
 
 from __future__ import annotations
@@ -21,38 +24,11 @@ from .cyclotomic import cyclotomic_poly, cyclotomic_remainder
 from .dynamics import DhParams, ModTrajectory, full_period_trajectory
 from .linalg_exact import annihilates, scale_to_integers, solve_int_with_ranks
 
-def companion_matrix(alpha) -> list[list[Fraction]]:
+
+def companion_matrix(alpha) -> list[list]:
     """Companion matrix with sub-diagonal shift and alpha as the last row."""
     dim = len(alpha)
-    rows = [[Fraction(int(j == i + 1)) for j in range(dim)] for i in range(dim - 1)]
-    rows.append([Fraction(a) for a in alpha])
-    return rows
-
-
-@dataclass(frozen=True)
-class CompanionSystem:
-    """Linear system z_{k+1} = A z_k with A in companion form of order q."""
-
-    q: int
-    alpha: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.alpha) != self.q + 1:
-            raise ValueError(f"alpha must have length q+1={self.q + 1}, got {len(self.alpha)}")
-
-    @property
-    def dimension(self) -> int:
-        return self.q + 1
-
-    @property
-    def matrix(self) -> list[list[Fraction]]:
-        return companion_matrix(self.alpha)
-
-    def step(self, z):
-        """One exact application of the companion matrix."""
-        head = [Fraction(v) for v in z[1:]]
-        head.append(sum(Fraction(a) * Fraction(v) for a, v in zip(self.alpha, z)))
-        return head
+    return [[int(j == i + 1) for j in range(dim)] for i in range(dim - 1)] + [list(alpha)]
 
 
 def lift_shift(traj: ModTrajectory, q: int, k: int) -> tuple[int, ...]:
@@ -80,24 +56,30 @@ def lift_ciphertext(c: int, params: DhParams, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def char_alpha(q: int) -> tuple[Fraction, ...]:
+def char_alpha(q: int) -> tuple[int, ...]:
     """Companion last row whose characteristic polynomial is (x^q + 1)(x - 1)."""
     if q < 1:
         raise ValueError(f"order must be at least 1, got {q}")
-    alpha = [Fraction(0)] * (q + 1)
+    alpha = [0] * (q + 1)
     alpha[0] += 1
     alpha[1] -= 1
     alpha[q] += 1
     return tuple(alpha)
 
 
-def canonical_alpha(p: int, q: int) -> tuple[Fraction, ...]:
+def canonical_alpha(p: int, q: int) -> tuple[int, ...]:
     """The sparse closing coefficients at order q >= (p-1)/2: q - (p-1)/2
     zeros, then the row of (x^((p-1)/2) + 1)(x - 1)."""
     q_tilde = (p - 1) // 2
     if q < q_tilde:
         raise ValueError(f"q must be at least (p-1)/2 = {q_tilde}, got {q}")
-    return (Fraction(0),) * (q - q_tilde) + char_alpha(q_tilde)
+    return (0,) * (q - q_tilde) + char_alpha(q_tilde)
+
+
+def full_period_alpha(p: int) -> tuple[int, ...]:
+    """The order-(p-2) closing row x_{k+p-1} = x_k: the pure cyclic shift,
+    an exact representation at full dictionary length."""
+    return (1,) + (0,) * (p - 2)
 
 
 def _one_period(traj: ModTrajectory) -> tuple[int, ...]:
@@ -130,27 +112,16 @@ def verify_closing(traj: ModTrajectory, alpha) -> bool:
     return annihilates([nums + [-den]], _windows(traj, q)[: traj.params.period + q + 1])
 
 
-@dataclass(frozen=True)
-class HankelSystem:
-    """Periodic Hankel pair (A, b): row r of A is (x_r, ..., x_{r+q}), b_r = x_{r+q+1}."""
+def hankel_system(traj: ModTrajectory, q: int, rows: int | None = None):
+    """The periodic Hankel pair (a_rows, b): row r is (x_r, ..., x_{r+q}), b_r = x_{r+q+1}.
 
-    q: int
-    period: int
-    a_rows: tuple[tuple[int, ...], ...]
-    b: tuple[int, ...]
-
-
-def hankel_system(traj: ModTrajectory, q: int, rows: int | None = None) -> HankelSystem:
-    """Build the full-period Hankel system with wraparound indexing.
-
-    With `rows` set, only the leading rows r < rows are built.
+    Indices wrap around the period. With `rows` set, only the leading rows
+    r < rows are built; otherwise one row per step of the period.
     """
-    period = traj.params.period
     ext = _windows(traj, q)
-    count = period if rows is None else rows
+    count = traj.params.period if rows is None else rows
     a_rows = tuple([ext[r : r + q + 1] for r in range(count)])  # final size: see _windows
-    b = ext[q + 1 : q + 1 + count]
-    return HankelSystem(q=q, period=period, a_rows=a_rows, b=b)
+    return a_rows, ext[q + 1 : q + 1 + count]
 
 
 @dataclass(frozen=True)
@@ -166,13 +137,13 @@ class AlphaSolveResult:
         return self.solution is not None
 
 
-def solve_alpha_exact(sys: HankelSystem) -> AlphaSolveResult:
+def solve_alpha_exact(a_rows, b) -> AlphaSolveResult:
     """Solve b = A alpha over the rationals, or certify rank(A) < rank(A|b).
 
     Unsolvable is an informative outcome (Kronecker-Capelli failure). Both
     ranks are exact.
     """
-    sol, rank_a, rank_aug = solve_int_with_ranks(sys.a_rows, sys.b)
+    sol, rank_a, rank_aug = solve_int_with_ranks(a_rows, b)
     solution = None if sol is None else tuple(sol)
     return AlphaSolveResult(solution=solution, rank_a=rank_a, rank_augmented=rank_aug)
 
@@ -209,7 +180,7 @@ def minimal_lifting_dimension(params: DhParams, traj: ModTrajectory | None = Non
         traj = full_period_trajectory(params)
     divisors = closing_divisors(_one_period(traj))
     q = max(sum(len(cyclotomic_poly(d)) - 1 for d in divisors), 1) - 1
-    result = solve_alpha_exact(hankel_system(traj, q, rows=q + 1))
+    result = solve_alpha_exact(*hankel_system(traj, q, rows=q + 1))
     if not (result.solvable and verify_closing(traj, result.solution)):
         raise RuntimeError(
             f"the order-{q + 1} recurrence from the cyclotomic factors {divisors} "
@@ -218,25 +189,17 @@ def minimal_lifting_dimension(params: DhParams, traj: ModTrajectory | None = Non
     return q + 1
 
 
-def full_period_system(params: DhParams) -> CompanionSystem:
-    """The (p-1)-dimensional pure cyclic shift, always an exact representation."""
-    p = params.p
-    alpha = tuple(Fraction(int(j == 0)) for j in range(p - 1))
-    return CompanionSystem(q=p - 2, alpha=alpha)
-
-
 def index_lookup_attack(c: int, params: DhParams) -> int:
     """Read the exponent straight off the full-length lifted initial state.
 
-    At order q = p-2 the initial lift lists every orbit value in order, so c
-    sits at entry e+1. Index 0 (c = 1) maps to exponent p-1 by periodicity.
+    At order q = p-2 the initial lift lists every orbit value in order, as
+    the full-period trajectory x_0, ..., x_{p-1} = x_0 does, so c sits at
+    index e >= 1 there; c = 1 is exponent p-1.
     """
     p = params.p
     if not 1 <= c <= p - 1:
         raise ValueError(f"c must lie in [1, p-1], got {c}")
-    z0 = lift_shift(full_period_trajectory(params), p - 2, 0)
-    idx = z0.index(c)
-    return idx if idx > 0 else p - 1
+    return full_period_trajectory(params).values.index(c, 1)
 
 
 @dataclass(frozen=True)
@@ -252,8 +215,8 @@ class AffineAugmentSystem:
         return 2
 
     @property
-    def matrix(self) -> list[list[Fraction]]:
-        return [[Fraction(self.m), Fraction(1)], [Fraction(0), Fraction(1)]]
+    def matrix(self) -> list[list[int]]:
+        return [[self.m, 1], [0, 1]]
 
     @property
     def z0(self) -> tuple[int, int]:

@@ -38,7 +38,7 @@ def minimal_lifting_dimension_scan(params, traj=None) -> int:
     if traj is None:
         traj = full_period_trajectory(params)
     for q in range(params.p - 1):
-        result = solve_alpha_exact(hankel_system(traj, q))
+        result = solve_alpha_exact(*hankel_system(traj, q))
         if result.solvable and verify_closing_fractions(traj, result.solution):
             return q + 1
     raise RuntimeError(f"no closing order up to q = p-2 for p={params.p}, m={params.m}")

@@ -29,7 +29,7 @@ from koopman_dh.lifting import (
     additive_complex_lift,
     affine_augment_system,
     canonical_alpha,
-    full_period_system,
+    full_period_alpha,
     lift_ciphertext,
     lift_shift,
     minimal_lifting_dimension,
@@ -134,7 +134,7 @@ def test_criterion_5_edmd_exactness():
 
         full = edmd_fit(dataset_from_values(values, p - 2, qt + 1))
         assert full.residual_sq == 0, p
-        comparison_full = compare_on_values(full, full_period_system(params).alpha, values, horizon)
+        comparison_full = compare_on_values(full, full_period_alpha(p), values, horizon)
         assert comparison_full.prediction_equivalent, p
         entrywise_at_full.append(comparison_full.entrywise_equal)
     observed = sum(entrywise_at_full)
@@ -185,7 +185,7 @@ def check_edmd_exactness(p):
 
     full = edmd_fit(dataset_from_values(values, p - 2, qt + 1))
     assert full.fit_kind == "minimum-norm" and full.residual_sq == 0, p
-    comparison_full = compare_on_values(full, full_period_system(params).alpha, values, horizon)
+    comparison_full = compare_on_values(full, full_period_alpha(p), values, horizon)
     assert comparison_full.prediction_equivalent, p
     return comparison_full.entrywise_equal
 

@@ -494,6 +494,7 @@ class TestSweep:
             {"primes": [5], "seed": True},
             {"primes": "5..x"},
             {"primes": "x,7"},
+            {"primes": [5], "generators": []},
         ],
     )
     def test_malformed_config_shape_exit_3(self, capsys, tmp_path, monkeypatch, config):
@@ -574,6 +575,41 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg_path))
         assert code == 2
         assert "outside [1, p-1] for p=7" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "generators,message",
+        [([2], "2 is not a primitive root mod 223"), ([2, 224], "m must lie in [2, p-1], got 224")],
+        ids=["non-generator", "out-of-range"],
+    )
+    def test_explicit_generator_checked_before_any_case(
+        self, capsys, tmp_path, monkeypatch, generators, message
+    ):
+        # 2 generates the group mod every listed prime but the last, 223
+        from koopman_dh import cli
+        from koopman_dh.dynamics import is_primitive_root
+
+        calls = []
+
+        def spy(params, q, exponents):
+            calls.append(params.p)
+            return real(params, q, exponents)
+
+        real = cli._sweep_case
+        monkeypatch.setattr(cli, "_sweep_case", spy)
+        primes = [p for p in range(5, 198) if cli.is_prime(p) and is_primitive_root(2, p)]
+        cfg_path, out_path = self.write_config(
+            tmp_path,
+            primes=primes + [223],
+            generators=generators,
+            q_policy="p_minus_2",
+            exponent_sweep="all",
+        )
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert calls == []
         assert not out_path.exists()
 
     @pytest.mark.parametrize("q_policy", ["q_tilde", 1])

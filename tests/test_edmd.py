@@ -31,9 +31,9 @@ from koopman_dh.edmd import (
     operator_to_json,
 )
 from koopman_dh.lifting import (
-    CompanionSystem,
     canonical_alpha,
-    full_period_system,
+    companion_matrix,
+    full_period_alpha,
     lift_shift,
 )
 from koopman_dh.serialize import MalformedDataError, frac_json, read_integer_csv
@@ -146,16 +146,12 @@ class TestFit:
         fit = edmd_fit(dataset_from_values(orbit(traj, 11), 3, 7))
         assert fit.fit_kind == "unique"
         assert fit.residual_sq == 0
-        assert [list(r) for r in a_hat(fit)] == CompanionSystem(
-            q=3, alpha=canonical_alpha(7, 3)
-        ).matrix
+        assert [list(r) for r in a_hat(fit)] == companion_matrix(canonical_alpha(7, 3))
 
     def test_exact_fit_p5(self):
         fit = edmd_fit(dataset_from_values(orbit(full_period_trajectory(P5), 7), 2, 4))
         assert fit.residual_sq == 0
-        assert [list(r) for r in a_hat(fit)] == CompanionSystem(
-            q=2, alpha=canonical_alpha(5, 2)
-        ).matrix
+        assert [list(r) for r in a_hat(fit)] == companion_matrix(canonical_alpha(5, 2))
 
     def test_lowest_terms(self):
         # numerators over one positive denominator, reduced on construction
@@ -179,7 +175,7 @@ class TestFit:
         fit = edmd_fit(dataset_from_values(orbit(traj, 13), 5, 7))
         assert fit.fit_kind == "minimum-norm"
         assert fit.residual_sq == 0
-        cyclic = full_period_system(P7).matrix
+        cyclic = companion_matrix(full_period_alpha(7))
         assert frobenius_sq([list(r) for r in a_hat(fit)]) <= frobenius_sq(cyclic)
 
     @settings(max_examples=100, deadline=None)
@@ -387,7 +383,7 @@ class TestCompare:
         values = orbit(full_period_trajectory(P5), 8)
         fit = edmd_fit(dataset_from_values(values, 2, 4))
         with pytest.raises(ValueError):
-            compare_on_values(fit, full_period_system(P5).alpha, values, 4)
+            compare_on_values(fit, full_period_alpha(5), values, 4)
 
     def test_insufficient_data(self):
         values = orbit(full_period_trajectory(P5), 7)
@@ -402,11 +398,11 @@ class TestCompare:
         for params, q, count, n in cases:
             values = orbit(full_period_trajectory(params), count)
             fit = edmd_fit(dataset_from_values(values, q, n))
-            analytic = CompanionSystem(q=q, alpha=canonical_alpha(params.p, q))
+            alpha = canonical_alpha(params.p, q)
             if q == params.p - 2:
-                analytic = full_period_system(params)
-            flag = compare_on_values(fit, analytic.alpha, values, 0).entrywise_equal
-            assert flag == ([list(row) for row in a_hat(fit)] == analytic.matrix)
+                alpha = full_period_alpha(params.p)
+            flag = compare_on_values(fit, alpha, values, 0).entrywise_equal
+            assert flag == ([list(row) for row in a_hat(fit)] == companion_matrix(alpha))
             flags.add(flag)
         assert flags == {True, False}
 
@@ -418,14 +414,14 @@ class TestCompare:
         n = params.q_tilde + 1
         for q in (params.q_tilde, p - 2):
             values = orbit(full_period_trajectory(params), n + q + 1)
-            analytic = CompanionSystem(q=q, alpha=canonical_alpha(p, q))
+            alpha = canonical_alpha(p, q)
             for i in range(-1, len(values)):
                 altered = list(values)
                 if i >= 0:
                     altered[i] += 1
                 fit = edmd_fit(dataset_from_values(altered, q, n))
-                flag = compare_on_values(fit, analytic.alpha, altered, 0).entrywise_equal
-                assert flag == ([list(row) for row in a_hat(fit)] == analytic.matrix), (q, i)
+                flag = compare_on_values(fit, alpha, altered, 0).entrywise_equal
+                assert flag == ([list(row) for row in a_hat(fit)] == companion_matrix(alpha)), (q, i)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -433,15 +429,14 @@ class TestCompare:
         q = data.draw(st.integers(0, 3))
         small = st.builds(F, st.integers(-2, 2), st.integers(1, 2))
         alpha = tuple(data.draw(st.lists(small, min_size=q + 1, max_size=q + 1)))
-        analytic = CompanionSystem(q=q, alpha=alpha)
-        rows = analytic.matrix
+        rows = companion_matrix(alpha)
         rows[data.draw(st.integers(0, q))][data.draw(st.integers(0, q))] += data.draw(small)
         den = lcm(*[a.denominator for row in rows for a in row])
         nums = tuple(tuple(int(a * den) for a in row) for row in rows)
         fit = FittedOperator(den=den, rows=nums, residual_sq=F(0), fit_kind="unique")
         assert a_hat(fit) == tuple(map(tuple, rows))
-        flag = compare_on_values(fit, analytic.alpha, list(range(q + 1)), 0).entrywise_equal
-        assert flag == (rows == analytic.matrix)
+        flag = compare_on_values(fit, alpha, list(range(q + 1)), 0).entrywise_equal
+        assert flag == (rows == companion_matrix(alpha))
 
 
 class TestPredictionOracle:
@@ -457,23 +452,22 @@ class TestPredictionOracle:
         values = orbit(full_period_trajectory(params), top + p - 1)
         for q in (params.q_tilde, p - 2):
             fit = edmd_fit(dataset_from_values(values, q, params.q_tilde + 1))
-            analytic = CompanionSystem(q=q, alpha=canonical_alpha(p, q))
-            yield fit, analytic, values[: top + q + 1], top
+            yield fit, canonical_alpha(p, q), values[: top + q + 1], top
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
     def test_orbit_fits_at_every_horizon(self, p):
-        for fit, analytic, values, top in self.fits(p):
+        for fit, alpha, values, top in self.fits(p):
             prefix = prediction_prefix(a_hat(fit), values, top)
             assert prefix == top
             for horizon in range(top + 1):
-                comparison = compare_on_values(fit, analytic.alpha, values, horizon)
+                comparison = compare_on_values(fit, alpha, values, horizon)
                 assert comparison.prediction_equivalent == (prefix >= horizon)
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_one_altered_value_at_every_index(self, p):
         # altering values[i], i > q, first breaks step i - q, so the first
         # failing step runs through 1..top, the first and last window included
-        for fit, analytic, values, top in self.fits(p):
+        for fit, alpha, values, top in self.fits(p):
             prefixes = set()
             for i in range(len(values)):
                 altered = list(values)
@@ -481,7 +475,7 @@ class TestPredictionOracle:
                 prefix = prediction_prefix(a_hat(fit), altered, top)
                 prefixes.add(prefix)
                 for horizon in range(top + 1):
-                    comparison = compare_on_values(fit, analytic.alpha, altered, horizon)
+                    comparison = compare_on_values(fit, alpha, altered, horizon)
                     assert comparison.prediction_equivalent == (prefix >= horizon), (i, horizon)
             assert set(range(top)) <= prefixes
 
@@ -489,8 +483,8 @@ class TestPredictionOracle:
     def test_one_moved_entry_breaks_predictions(self, p):
         # every entry of the fit, shift rows included, moved by one: the
         # orbit's values are all nonzero, so the moved row fails on a window
-        for fit, analytic, values, top in self.fits(p):
-            assert compare_on_values(fit, analytic.alpha, values, top).prediction_equivalent
+        for fit, alpha, values, top in self.fits(p):
+            assert compare_on_values(fit, alpha, values, top).prediction_equivalent
             entries = [(i, j) for i in range(len(fit.rows)) for j in range(len(fit.rows))]
             if p == 37:
                 entries = entries[:: len(fit.rows) + 1] + entries[7::97]
@@ -500,7 +494,7 @@ class TestPredictionOracle:
                 moved = FittedOperator(
                     fit.den, tuple(map(tuple, rows)), fit.residual_sq, fit.fit_kind
                 )
-                comparison = compare_on_values(moved, analytic.alpha, values, top)
+                comparison = compare_on_values(moved, alpha, values, top)
                 assert not comparison.prediction_equivalent, (i, j)
 
     @settings(max_examples=300, deadline=None)

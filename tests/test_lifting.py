@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_61, PRIMES_TO_199
 from koopman_dh.cli import main as cli_main
+from koopman_dh.complexity import lfsr_generate
 from koopman_dh.cyclotomic import cyclotomic_poly
 from koopman_dh.dynamics import (
     DhParams,
@@ -15,13 +16,13 @@ from koopman_dh.dynamics import (
     full_period_trajectory,
 )
 from koopman_dh.lifting import (
-    CompanionSystem,
     additive_complex_lift,
     affine_augment_system,
     canonical_alpha,
+    char_alpha,
     closing_divisors,
     companion_matrix,
-    full_period_system,
+    full_period_alpha,
     hankel_system,
     index_lookup_attack,
     lift_ciphertext,
@@ -101,6 +102,19 @@ class TestCanonicalAlpha:
     def test_rejects_below_threshold(self):
         with pytest.raises(ValueError):
             canonical_alpha(7, 2)
+
+    @pytest.mark.parametrize("p", PRIMES_TO_61)
+    def test_rows_and_matrices_hold_ints(self, p):
+        # a closing row is a plain tuple of ints, and so is each matrix entry
+        qt = (p - 1) // 2
+        rows = [char_alpha(qt), full_period_alpha(p)]
+        rows += [canonical_alpha(p, q) for q in range(qt, p - 1)]
+        entries = [v for alpha in rows for v in alpha]
+        for alpha in rows:
+            entries += [v for row in companion_matrix(alpha) for v in row]
+        m = find_primitive_root(p)
+        entries += [v for row in affine_augment_system(m, p, 1).matrix for v in row]
+        assert entries and all(type(v) is int for v in entries)
 
 
 class TestVerifyClosing:
@@ -196,7 +210,7 @@ class TestVerifyClosing:
         n = len(values)
         q = max(q, n - 1)
         shift = [F(int(j == q + 1 - n)) for j in range(q + 1)]
-        solution = solve_alpha_exact(hankel_system(traj, q)).solution
+        solution = solve_alpha_exact(*hankel_system(traj, q)).solution
         alpha = [t * a + (1 - t) * b for a, b in zip(solution, shift)]
         for j, delta in noise:
             alpha[j % (q + 1)] += delta
@@ -213,39 +227,39 @@ class TestVerifyClosing:
 
 class TestHankelSystem:
     def test_example_p5(self):
-        sys = hankel_system(full_period_trajectory(P5), 2)
-        assert sys.a_rows == ((1, 2, 4), (2, 4, 3), (4, 3, 1), (3, 1, 2))
-        assert sys.b == (3, 1, 2, 4)
+        a_rows, b = hankel_system(full_period_trajectory(P5), 2)
+        assert a_rows == ((1, 2, 4), (2, 4, 3), (4, 3, 1), (3, 1, 2))
+        assert b == (3, 1, 2, 4)
 
     @pytest.mark.parametrize("q", [0, 1, 2, 3])
     def test_row_count_is_period(self, q):
-        assert len(hankel_system(full_period_trajectory(P7), q).a_rows) == 6
+        a_rows, b = hankel_system(full_period_trajectory(P7), q)
+        assert len(a_rows) == len(b) == 6
 
     def test_order_zero(self):
-        sys = hankel_system(full_period_trajectory(P5), 0)
-        assert sys.a_rows == ((1,), (2,), (4,), (3,))
-        assert sys.b == (2, 4, 3, 1)
+        a_rows, b = hankel_system(full_period_trajectory(P5), 0)
+        assert a_rows == ((1,), (2,), (4,), (3,))
+        assert b == (2, 4, 3, 1)
 
     def test_window_longer_than_period_wraps(self):
-        sys = hankel_system(full_period_trajectory(P5), 5)
-        assert sys.a_rows[:2] == ((1, 2, 4, 3, 1, 2), (2, 4, 3, 1, 2, 4))
-        assert sys.b == (4, 3, 1, 2)
+        a_rows, b = hankel_system(full_period_trajectory(P5), 5)
+        assert a_rows[:2] == ((1, 2, 4, 3, 1, 2), (2, 4, 3, 1, 2, 4))
+        assert b == (4, 3, 1, 2)
 
 
 class TestSolveAlpha:
     def test_solvable_at_threshold(self):
-        sys = hankel_system(full_period_trajectory(P5), 2)
-        result = solve_alpha_exact(sys)
+        result = solve_alpha_exact(*hankel_system(full_period_trajectory(P5), 2))
         assert result.solvable
         assert result.solution == (1, -1, 1)
 
     def test_unsolvable_with_ranks(self):
-        result = solve_alpha_exact(hankel_system(full_period_trajectory(P5), 1))
+        result = solve_alpha_exact(*hankel_system(full_period_trajectory(P5), 1))
         assert not result.solvable
         assert (result.rank_a, result.rank_augmented) == (2, 3)
 
     def test_p7_below_threshold_unsolvable(self):
-        result = solve_alpha_exact(hankel_system(full_period_trajectory(P7), 2))
+        result = solve_alpha_exact(*hankel_system(full_period_trajectory(P7), 2))
         assert not result.solvable
 
     @pytest.mark.parametrize("p", [7, 11, 13, 23])
@@ -253,7 +267,7 @@ class TestSolveAlpha:
         params = DhParams.with_smallest_root(p)
         traj = full_period_trajectory(params)
         for q in range(params.q_tilde):
-            result = solve_alpha_exact(hankel_system(traj, q))
+            result = solve_alpha_exact(*hankel_system(traj, q))
             assert (not result.solvable) or not verify_closing(traj, result.solution)
 
 
@@ -326,27 +340,27 @@ class TestClosingCertificate:
 
 class TestCompanionSystem:
     def test_matrix_structure(self):
-        system = CompanionSystem(q=2, alpha=canonical_alpha(5, 2))
-        assert system.matrix == [
+        assert companion_matrix(canonical_alpha(5, 2)) == [
             [0, 1, 0],
             [0, 0, 1],
             [1, -1, 1],
         ]
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            CompanionSystem(q=3, alpha=(F(1), F(2)))
-
     @pytest.mark.parametrize("p", [5, 7, 23])
     def test_powers_reproduce_trajectory(self, p):
+        # over two periods, each power of the companion matrix applied to the
+        # lifted start state is the register sequence's window at that step
         params = DhParams.with_smallest_root(p)
         traj = full_period_trajectory(params)
         q = params.q_tilde
-        system = CompanionSystem(q=q, alpha=canonical_alpha(p, q))
-        z = [F(v) for v in lift_shift(traj, q, 0)]
+        alpha = canonical_alpha(p, q)
+        matrix = companion_matrix(alpha)
+        z = list(lift_shift(traj, q, 0))
+        seq = lfsr_generate(alpha[::-1], z, 2 * (p - 1) + q + 1)
         for k in range(2 * (p - 1) + 1):
             assert z[0] == traj.value_at(k)
-            z = system.step(z)
+            assert z == seq[k : k + q + 1]
+            z = [sum(a * v for a, v in zip(row, z)) for row in matrix]
 
     def test_companion_matrix_helper(self):
         assert companion_matrix([2]) == [[2]]
@@ -354,10 +368,10 @@ class TestCompanionSystem:
 
 class TestFullPeriodSystem:
     def test_dimension_and_alpha(self):
-        system = full_period_system(P5)
-        assert system.dimension == 4
-        assert system.alpha == (1, 0, 0, 0)
-        assert verify_closing(full_period_trajectory(P5), system.alpha)
+        alpha = full_period_alpha(5)
+        assert len(alpha) == 4
+        assert alpha == (1, 0, 0, 0)
+        assert verify_closing(full_period_trajectory(P5), alpha)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 23])
     def test_reduction_identity(self, p):
@@ -377,11 +391,17 @@ class TestIndexLookup:
         assert index_lookup_attack(3, P7) == 1
         assert index_lookup_attack(1, P7) == 6
 
-    @pytest.mark.parametrize("p", [7, 23])
+    @pytest.mark.parametrize("p", PRIMES_TO_61)
     def test_matches_bruteforce_oracle(self, p):
-        params = DhParams.with_smallest_root(p)
-        for c in range(1, p):
-            assert index_lookup_attack(c, params) == discrete_log_bruteforce(c, params)
+        for m in all_primitive_roots(p):
+            params = DhParams(p, m)
+            for c in range(1, p):
+                assert index_lookup_attack(c, params) == discrete_log_bruteforce(c, params)
+
+    @pytest.mark.parametrize("c", [0, 7, -1])
+    def test_rejects_out_of_range(self, c):
+        with pytest.raises(ValueError, match="c must lie in"):
+            index_lookup_attack(c, P7)
 
 
 class TestAffineAugment:
