@@ -151,7 +151,8 @@ def _edmd_block(params: DhParams, q: int, n: int, values=None) -> tuple[dict, Fi
         # predictions run as far as the data reaches
         under_horizon, compare_horizon = len(values) - 1, len(values) - q - 1
     else:
-        under_horizon, compare_horizon = params.period, 2 * params.period
+        # one period of windows is every window of the orbit
+        under_horizon = compare_horizon = params.period
         traj = full_period_trajectory(params)
         values = [traj.value_at(i) for i in range(max(n, compare_horizon) + q + 1)]
     dataset = dataset_from_values(values, q, n)
@@ -213,8 +214,8 @@ def cmd_recover(args):
         raise ValueError(f"--e must lie in [1, p-1] = [1, {params.p - 1}], got {args.e}")
     c = args.c if args.c is not None else pow(params.m, args.e, params.p)
     q = params.q_tilde
+    ze = lift_ciphertext(c, params, q)  # checks c before the decomposition is built
     dec, z0 = _spectral_start(params)
-    ze = lift_ciphertext(c, params, q)
     report = {"p": params.p, "m": params.m, "c": c, "q": q}
     if args.parity_only:
         report["parity"] = parity(ze, z0, dec)
@@ -280,15 +281,20 @@ def cmd_edmd(args):
 def cmd_complexity(args):
     if (args.sequence is None) == (args.p is None):
         raise ValueError("provide either --p/--m or --sequence FILE")
-    if not args.sequence:
+    if args.p is not None:
         if args.m is None:
             raise ValueError("--p requires --m")
+        for flag, value in (("--field-prime", args.field_prime), ("--expected", args.expected)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only with --sequence")
         comparison = compare_koopman_vs_lfsr(DhParams(args.p, args.m))
         connection = [frac_json(c) for c in comparison.connection]
         report = {"p": args.p, "m": args.m, **_register_block(comparison)}
         report.update(connection=connection, companion_last_row=connection[::-1])
         failure = None if comparison.equal else "register length differs from lifted dimension"
         return report, failure
+    if args.m is not None:
+        raise ValueError("--m applies only with --p")
     terms = read_integer_series(args.sequence)
     rational = berlekamp_massey(SequenceSample(terms=tuple(terms), field=RATIONAL))
     report = {

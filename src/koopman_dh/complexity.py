@@ -104,7 +104,6 @@ class LinearComplexityResult:
 
     length: int
     connection: tuple
-    field: object
 
 
 def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
@@ -135,7 +134,7 @@ def berlekamp_massey(sample: SequenceSample) -> LinearComplexityResult:
         scale, s = scale_to_integers(sample.terms)
         found = _modular_register(s)
         length, connection = found if found is not None else _fraction_free(s, scale)
-    return LinearComplexityResult(length=length, connection=connection, field=sample.field)
+    return LinearComplexityResult(length=length, connection=connection)
 
 
 def _division_form(s, prime: int) -> tuple[int, list[int]]:

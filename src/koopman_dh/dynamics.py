@@ -130,11 +130,9 @@ class DhParams:
 
 @dataclass(frozen=True)
 class ModTrajectory:
-    """Finite orbit of x_{k+1} = multiplier * x_k (mod p), states in [1, p-1]."""
+    """Finite orbit of x_{k+1} = multiplier * x_k (mod p) from values[0], states in [1, p-1]."""
 
     params: DhParams
-    multiplier: int
-    x0: int
     values: tuple[int, ...]
 
     def value_at(self, i: int) -> int:
@@ -168,7 +166,7 @@ def simulate(multiplier: int, params: DhParams, x0: int, steps: int) -> ModTraje
     for _ in range(steps):
         x = (multiplier * x) % p
         values.append(x)
-    return ModTrajectory(params=params, multiplier=multiplier, x0=x0, values=tuple(values))
+    return ModTrajectory(params=params, values=tuple(values))
 
 
 def full_period_trajectory(params: DhParams) -> ModTrajectory:

@@ -17,11 +17,11 @@ A fitted operator is integer numerators over one positive denominator, in
 lowest terms, from the fit through every check to its JSON form, which
 reduces each entry by one gcd. Data enters as a raw integer sequence, an
 orbit as its values. Predictions A^k z_0 = z_k are checked as one-step
-integer identities on each distinct window of the data, every row but the
-shift rows in one linalg_exact.annihilates call, against the closing row
-alpha for entrywise equality. Only the under-parameterized error, whose
-predictions leave the data, iterates A: on its numerators over powers of
-its denominator.
+integer identities on each window up to the horizon (one period holds
+every window of an orbit), every row but the shift rows in one
+linalg_exact.annihilates call, against the closing row alpha for entrywise
+equality. Only the under-parameterized error, whose predictions leave the
+data, iterates A: on its numerators over powers of its denominator.
 """
 
 from __future__ import annotations
@@ -187,25 +187,14 @@ class OperatorComparison:
     prediction_equivalent: bool
 
 
-def _smallest_period(seq) -> int:
-    """Smallest P >= 1 with seq[k] == seq[k+P] wherever both exist (prefix function)."""
-    border = [0] * len(seq)
-    for i in range(1, len(seq)):
-        b = border[i - 1]
-        while b and seq[i] != seq[b]:
-            b = border[b - 1]
-        border[i] = b + (seq[i] == seq[b])
-    return len(seq) - (border[-1] if seq else 0)
-
-
 def compare_on_values(fitted: FittedOperator, alpha, values, horizon: int) -> OperatorComparison:
     """Entrywise equality with the companion matrix of closing row alpha, and
     exact predictions A^k z_0 = z_k for k <= horizon.
 
     z_k = (values[k], ..., values[k+q]). The predictions hold exactly when
     A z_k = z_{k+1} for every k < horizon (induction), so each row A_i = N_i / d
-    is checked as the integer identity N_i z_k = d z_{k+1,i} on every
-    distinct window: those before the smallest period of the checked values.
+    is checked as the integer identity N_i z_k = d z_{k+1,i} on windows
+    0..horizon-1; for data of period N, a horizon of N checks every window.
     """
     if len(fitted.rows) != len(alpha):
         raise ValueError(f"dimension mismatch: fitted {len(fitted.rows)}, analytic {len(alpha)}")
@@ -215,8 +204,6 @@ def compare_on_values(fitted: FittedOperator, alpha, values, horizon: int) -> Op
             f"insufficient data: {len(values)} values cannot reach step {horizon} at order {q}"
         )
     data = values[: horizon + q + 1]
-    # window k repeats window k - P, P the smallest period: the first P windows are all
-    data = data[: min(horizon, _smallest_period(data)) + q + 1]
     # a shift row, den at column i+1 and 0 elsewhere, holds on windows of one sequence
     shift = [row[i + 1] == den and row.count(0) == q for i, row in enumerate(fitted.rows[:q])]
     checked = []

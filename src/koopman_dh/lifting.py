@@ -223,7 +223,7 @@ class AffineAugmentSystem:
         return (self.x0, self.a)
 
     def step(self, z):
-        return (self.m * z[0] + z[1], z[1])
+        return tuple(a * z[0] + b * z[1] for a, b in self.matrix)
 
     def recover(self, z) -> int:
         return z[0]

@@ -59,7 +59,7 @@ def berlekamp_massey_fractions(sample) -> LinearComplexityResult:
     connection = tuple(coeffs if p is None else [v % p for v in coeffs])
     if tuple(lfsr_generate(connection, s[:length], len(s), sample.field)) != s:
         raise RuntimeError("oracle register fails to regenerate input")
-    return LinearComplexityResult(length=length, connection=connection, field=sample.field)
+    return LinearComplexityResult(length=length, connection=connection)
 
 
 def bruteforce_min_lfsr(sample, max_order: int) -> LinearComplexityResult | None:
@@ -75,7 +75,7 @@ def bruteforce_min_lfsr(sample, max_order: int) -> LinearComplexityResult | None
     zero = Fraction(0) if p is None else 0
     s = sample.terms
     if all(v == 0 for v in s):
-        return LinearComplexityResult(length=0, connection=(), field=sample.field)
+        return LinearComplexityResult(length=0, connection=())
     for order in range(1, max_order + 1):
         rows = [[s[k - i] for i in range(1, order + 1)] for k in range(order, len(s))]
         if not rows:
@@ -83,7 +83,5 @@ def bruteforce_min_lfsr(sample, max_order: int) -> LinearComplexityResult | None
         else:
             solution = solve(rows, s[order:], p)[0]
         if solution is not None:
-            return LinearComplexityResult(
-                length=order, connection=tuple(solution), field=sample.field
-            )
+            return LinearComplexityResult(length=order, connection=tuple(solution))
     return None

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from koopman_dh.cli import main
-from koopman_dh.edmd import dataset_from_values, edmd_fit, max_state_error
+from koopman_dh.edmd import compare_on_values, dataset_from_values, edmd_fit, max_state_error
 
 # the least number whose primality koopman_dh.dynamics.is_prime refuses to decide
 PSI_13 = 3317044064679887385961981
@@ -144,6 +144,18 @@ class TestRecover:
         assert out == ""
         assert "[1, p-1]" in err
 
+    @pytest.mark.parametrize("c", ["0", "7"])
+    @pytest.mark.parametrize("parity_only", [False, True])
+    def test_ciphertext_outside_range_exit_2_before_work(self, capsys, monkeypatch, c, parity_only):
+        calls = []
+        monkeypatch.setattr("koopman_dh.cli._spectral_start", lambda params: calls.append(params))
+        argv = ["recover", "--p", "7", "--m", "3", "--c", c] + ["--parity-only"] * parity_only
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "c must lie in [1, p-1]" in err
+        assert calls == []
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, _ = run(capsys, "recover", "--p", "7", "--m", "3")
         assert code == 2
@@ -181,6 +193,21 @@ class TestEdmd:
         assert report["residual_is_zero"] is True
         assert report["assumption_holds"] is True
         assert report["rank_z"] == 4
+
+    def test_orbit_compared_over_one_period(self, capsys, monkeypatch):
+        # one period of windows is every window of the orbit
+        from koopman_dh import cli
+
+        horizons = []
+
+        def spy(fitted, alpha, values, horizon):
+            horizons.append(horizon)
+            return compare_on_values(fitted, alpha, values, horizon)
+
+        monkeypatch.setattr(cli, "compare_on_values", spy)
+        report = run_json(capsys, "edmd", "--p", "23", "--m", "5", "--q", "11", "--n", "12")
+        assert report["prediction_equivalent"] is True
+        assert horizons == [22]
 
     def test_underparameterized_flagged(self, capsys):
         report = run_json(
@@ -402,6 +429,44 @@ class TestComplexity:
     def test_requires_one_source(self, capsys):
         code, _, _ = run(capsys, "complexity")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--field-prime", "5"), "--field-prime"),
+            (("--expected", "99"), "--expected"),
+            (("--field-prime", "5", "--expected", "99"), "--field-prime"),
+        ],
+    )
+    def test_sequence_flags_with_p_exit_2_before_work(self, capsys, monkeypatch, flags, named):
+        def fail(*args):
+            raise AssertionError("the comparison ran before the flags were checked")
+
+        monkeypatch.setattr("koopman_dh.cli.compare_koopman_vs_lfsr", fail)
+        code, out, err = run(capsys, "complexity", "--p", "7", "--m", "3", *flags)
+        assert code == 2
+        assert out == ""
+        assert f"{named} applies only with --sequence" in err
+
+    @pytest.mark.parametrize("m", [[], ["--m", "3"]])
+    def test_empty_sequence_path_selects_the_sequence_mode(self, capsys, m):
+        # an empty path is a missing file (exit 3), not the --p mode
+        code, out, err = run(capsys, "complexity", "--sequence", "", *m)
+        assert code == (2 if m else 3)
+        assert out == ""
+        assert ("--m applies only with --p" if m else "cannot read") in err
+
+    def test_m_with_sequence_exit_2_before_work(self, capsys, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the sequence was read before the flags were checked")
+
+        monkeypatch.setattr("koopman_dh.cli.read_integer_series", fail)
+        path = tmp_path / "seq.csv"
+        path.write_text("0\n1\n2\n0\n1\n2\n")
+        code, out, err = run(capsys, "complexity", "--sequence", str(path), "--m", "3")
+        assert code == 2
+        assert out == ""
+        assert "--m applies only with --p" in err
 
 
 CONFIG = {

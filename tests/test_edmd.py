@@ -22,7 +22,6 @@ from koopman_dh.edmd import (
     EdmdDataset,
     FittedOperator,
     _sliding_gram,
-    _smallest_period,
     check_assumption,
     compare_on_values,
     dataset_from_values,
@@ -500,8 +499,8 @@ class TestPredictionOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_periodic_aperiodic_and_altered_data(self, data):
-        # only the windows before the data's smallest period are checked; the
-        # oracle iterates every step
+        # every window up to the horizon is checked, periodic data included;
+        # the oracle iterates every step
         q = data.draw(st.integers(0, 3))
         horizon = data.draw(st.integers(1, 16))
         count = horizon + q + 1
@@ -520,12 +519,6 @@ class TestPredictionOracle:
         assert comparison.prediction_equivalent == (
             prediction_prefix(a_hat(fit), values, horizon) >= horizon
         )
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 2), min_size=1, max_size=14))
-    def test_smallest_period(self, seq):
-        periods = [p for p in range(1, len(seq) + 1) if seq[p:] == seq[: len(seq) - p]]
-        assert _smallest_period(seq) == periods[0]
 
 
 class TestUnderparameterized:

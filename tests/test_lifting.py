@@ -220,7 +220,7 @@ class TestVerifyClosing:
 
     def test_short_trajectory_rejected(self):
         traj = full_period_trajectory(P7)
-        short = type(traj)(params=P7, multiplier=3, x0=1, values=traj.values[:3])
+        short = type(traj)(params=P7, values=traj.values[:3])
         with pytest.raises(ValueError):
             verify_closing(short, (0,))
 
@@ -424,6 +424,12 @@ class TestAffineAugment:
         system = affine_augment_system(2, 2, 1)
         assert system.matrix == [[2, 1], [0, 1]]
         assert system.recover(system.step(system.z0)) == 4
+
+    def test_generate_runs_through_the_matrix(self, monkeypatch):
+        # x -> 3x + a in place of the stated 2x + a
+        system = affine_augment_system(2, 2, 1)
+        monkeypatch.setattr(type(system), "matrix", property(lambda self: [[3, 1], [0, 1]]))
+        assert system.generate(5) == [1, 5, 17, 53, 161]
 
 
 class TestAdditiveComplex:
