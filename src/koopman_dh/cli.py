@@ -261,10 +261,11 @@ def cmd_edmd(args):
     values = None
     if args.data:
         values = read_integer_csv(args.data)
-        if len(values) < args.q + 2:
+        pairs = max(args.n or 0, 1)  # a non-positive --n is refused below, as a parameter
+        if len(values) < pairs + args.q + 1:
             raise MalformedDataError(
-                f"{args.data}: {len(values)} values cannot form one snapshot pair at "
-                f"order {args.q}; need at least {args.q + 2}"
+                f"{args.data}: {len(values)} values cannot form {pairs} snapshot pair(s) at "
+                f"order {args.q}; need at least {pairs + args.q + 1}"
             )
         source = {"data_file": args.data}
     elif args.n is None:

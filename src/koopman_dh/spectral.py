@@ -2,27 +2,25 @@
 exponent recovery from lifted states.
 
 The canonical closing coefficients give the characteristic polynomial
-(x^q + 1)(x - 1), so the spectrum is {1} plus the odd-indexed 2q-th roots of
-unity, all on the unit circle, with Vandermonde eigenvectors (1, l, ..., l^q).
-Eigenvalue angles are exact rational turns; the eigenvector matrix and its
-inverse are floating mirrors used for recovery, where matching is
-separation-based and therefore tolerance-free.
+P(x) = (x - 1)(x^q + 1), so the spectrum is {1} plus the odd-indexed 2q-th
+roots of unity, with Vandermonde eigenvectors (1, l, ..., l^q). Eigenvalue
+angles are exact rational turns; recovery runs on the floating eigenvector
+inverse Vinv, where matching is separation-based and so tolerance-free.
 
 The exact eigenpair check costs one RootSum zero test per eigenvalue order:
 the shift rows of A v = l v hold for every Vandermonde vector, and the
 closing row holds at an eigenvalue of order d exactly when Phi_d divides
 (x - 1)(x^q + 1), the cyclotomic remainder that also finds closing divisors.
 
-Set-up is O(q^3): every entry of V is one of the 2q roots of turn n/(2q),
-picked by the integer index r*(2k+1) mod 2q, and V is inverted once. A
-recovery query is then one O(q^2) matrix-vector product with Vinv plus O(q)
-array matching in numpy: every eigencoordinate ratio is rounded at once to
-the nearest power of its eigenvalue by angle, the Chinese remainder theorem
-merges one residue per distinct eigenvalue order (a divisor of 2q), and
-every usable eigenvalue is checked against the merged residue. The
-decomposition keeps all that depends on the last start state it was asked
-about (its eigencoordinates, the gathers at the usable eigenvalues and one
-position per order), so only a new start state costs a second product.
+Set-up is O(q^2), as Vinv has a closed form (see SpectralDecomposition). A
+recovery query is one O(q^2) product with Vinv plus O(q) array matching in
+numpy: every eigencoordinate ratio is rounded at once to the nearest power
+of its eigenvalue by angle, the Chinese remainder theorem merges one residue
+per distinct eigenvalue order (a divisor of 2q), and every usable eigenvalue
+is checked against the merged residue. The decomposition keeps all that
+depends on the last start state it was asked about (its eigencoordinates,
+the gathers at the usable eigenvalues and one position per order), so only a
+new start state costs a second product.
 """
 
 from __future__ import annotations
@@ -47,10 +45,13 @@ class SpectralDecomposition:
     """Unit-circle spectrum of the canonical companion matrix of order q.
 
     turns[j] is the exact rational angle of eigenvalue j as a fraction of a
-    full turn; eigenvalues/V/Vinv are the floating mirrors. Column j of V is
-    the Vandermonde eigenvector (1, l_j, ..., l_j^q). turns[j] = index[j] / 2q
-    = n / order[j] in lowest terms, inverse[j] = 1/n mod order[j],
-    separation[j] = sin(pi / order[j]), and roots[n] has turn n / 2q.
+    full turn, index[j] / 2q = n / order[j] in lowest terms; inverse[j] =
+    1/n mod order[j], separation[j] = sin(pi / order[j]), and roots[n] has
+    turn n / 2q. eigenvalues and Vinv are floating mirrors. Row j of Vinv
+    is the Lagrange polynomial P(x) / ((x - l_j) P'(l_j)), so Vinv inverts
+    the Vandermonde matrix of eigenvectors (1, l, ..., l^q): (1 + x^q) / 2
+    at l = 1 and, as P'(l) = -q (l - 1) / l where l^q = -1, l^-k / q at
+    0 < k < q, -1 / (q (l - 1)) at k = 0 and -l / (q (l - 1)) at k = q.
     _start holds, for the last start state that recovery was asked about,
     its key, zt0 and tolerance, the usable indices j, zt0, order, inverse,
     separation and index gathered at j, and one position in j per distinct
@@ -60,7 +61,6 @@ class SpectralDecomposition:
     q: int
     turns: tuple[Fraction, ...]
     eigenvalues: np.ndarray
-    V: np.ndarray
     Vinv: np.ndarray
     index: np.ndarray
     order: np.ndarray
@@ -85,18 +85,18 @@ def eigen_canonical(p: int, q: int) -> SpectralDecomposition:
     if q < 1:
         raise ValueError(f"order must be at least 1, got {q}")
     turns = (Fraction(0),) + tuple(Fraction(2 * k + 1, 2 * q) for k in range(q))
-    # eigenvalue j has turn index[j] / 2q, so entry (r, j) of V has turn
-    # (r * index[j] mod 2q) / 2q: one of 2q roots, each converted once
     roots = np.array([turn_to_complex(Fraction(n, 2 * q)) for n in range(2 * q)])
     index = np.array([0] + [2 * k + 1 for k in range(q)])
     order = np.array([t.denominator for t in turns])
     inverse = np.array([pow(t.numerator, -1, t.denominator) for t in turns])
-    sines = {d: sin(pi / d) for d in set(order.tolist())}
-    separation = np.array([sines[d] for d in order.tolist()])
-    v = roots[np.outer(np.arange(q + 1), index) % (2 * q)]
-    return SpectralDecomposition(
-        q, turns, roots[index], v, np.linalg.inv(v), index, order, inverse, separation, roots
-    )
+    separation = np.array([sin(pi / d) for d in order.tolist()])
+    # row j > 0 of Vinv is l_j^-k / q, of turn (2q - k) * index[j] / 2q, but at k = 0, q
+    at = np.outer(index, np.arange(2 * q, q - 1, -1))
+    vinv = (roots / q)[np.remainder(at, 2 * q, out=at)]
+    vinv[1:, 0] = -1 / (q * (roots[index[1:]] - 1))
+    vinv[1:, q] = roots[index[1:]] * vinv[1:, 0]
+    vinv[0] = np.where(np.arange(q + 1) % q, 0, 0.5)  # (1 + x^q) / 2
+    return SpectralDecomposition(q, turns, roots[index], vinv, index, order, inverse, separation, roots)
 
 
 def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:

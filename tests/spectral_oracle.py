@@ -5,7 +5,7 @@ per-eigenvalue rounding loop over Fraction turns.
 
 The library keeps only the RootSum zero test; these references build whole
 RootSum expressions and zero-test them, so they share the test but none of
-the library's shortcuts (the float Vinv, the untested shift rows).
+the library's shortcuts (the closed-form float Vinv, the untested shift rows).
 """
 
 from cmath import isfinite, phase
@@ -133,10 +133,18 @@ def eigenpair_residuals_by_rootsum(dec) -> bool:
     return True
 
 
+def vandermonde(dec) -> np.ndarray:
+    """Floating eigenvector matrix V: entry (r, j) is l_j^r, the root of turn
+    (r * index[j] mod 2q) / 2q. The library keeps only its inverse."""
+    q = dec.q
+    return dec.roots[np.outer(np.arange(q + 1), dec.index) % (2 * q)]
+
+
 def eigenpair_residual_float(dec) -> float:
     """Max-norm residual of A V - V diag(eigenvalues) in the floating mirror."""
     a = np.array(companion_matrix(char_alpha(dec.q)), dtype=float)
-    return float(np.max(np.abs(a @ dec.V - dec.V * dec.eigenvalues[None, :])))
+    v = vandermonde(dec)
+    return float(np.max(np.abs(a @ v - v * dec.eigenvalues[None, :])))
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int):

@@ -116,6 +116,33 @@ def test_criterion_4_parity():
     print(f"PASS criterion 4: parity exact on {available} cases, unavailable on {unavailable} primes = 1 (mod 4)")
 
 
+def test_criterion_3_exponent_recovery_at_1009():
+    """Criterion 3 at p = 1009, smallest generator: spectral recovery returns
+    every e in [1, p-1], matching the brute-force oracle exactly."""
+    params = DhParams.with_smallest_root(1009)
+    p, q = params.p, params.q_tilde
+    dec = eigen_canonical(p, q)
+    z0 = lift_shift(full_period_trajectory(params), q, 0)
+    for e in range(1, p):
+        c = pow(params.m, e, p)
+        estimate = recover_exponent(lift_ciphertext(c, params, q), z0, dec, p)
+        assert estimate.e == e == discrete_log_bruteforce(c, params), e
+    print(f"PASS criterion 3 at p = {p}: exact recovery of all {p - 1} exponents, smallest generator m = {params.m}")
+
+
+def test_criterion_4_parity_at_1019():
+    """Criterion 4 at p = 1019 = 3 (mod 4), smallest generator: the eigenvalue
+    -1 decides e mod 2 for every e in [1, p-1]."""
+    params = DhParams.with_smallest_root(1019)
+    p, q = params.p, params.q_tilde
+    dec = eigen_canonical(p, q)
+    traj = full_period_trajectory(params)
+    z0 = lift_shift(traj, q, 0)
+    for e in range(1, p):
+        assert parity(lift_shift(traj, q, e), z0, dec) == ("even" if e % 2 == 0 else "odd"), e
+    print(f"PASS criterion 4 at p = {p}: parity exact on all {p - 1} exponents, smallest generator m = {params.m}")
+
+
 def test_criterion_5_edmd_exactness():
     """At q = (p-1)/2 the fitted operator equals the canonical companion
     entrywise with residual exactly 0; at q = p-2 prediction equivalence

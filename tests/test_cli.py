@@ -302,6 +302,19 @@ class TestEdmd:
         assert code == 3
         assert str(path) in err
 
+    def test_data_too_short_for_n_exit_3(self, capsys, tmp_path):
+        # three periods of the p = 23 orbit are 66 values; 100 pairs at q = 11 need 112
+        path = tmp_path / "orbit.csv"
+        path.write_text("".join(f"{pow(5, k, 23)}\n" for k in range(66)))
+        argv = ("edmd", "--p", "23", "--m", "5", "--q", "11", "--data", str(path))
+        code, _, err = run(capsys, *argv, "--n", "100")
+        assert code == 3
+        assert str(path) in err and "need at least 112" in err
+        assert run(capsys, *argv, "--n", "54")[0] == 0  # 54 pairs use all 66 values
+        assert run(capsys, *argv, "--n", "55")[0] == 3
+        # a non-positive --n is a bad parameter, not bad data
+        assert run(capsys, *argv, "--n", "0")[0] == 2
+
 
 def int_str_limit():
     """CPython's int-string digit limit, or None on builds without one."""
@@ -861,8 +874,9 @@ class TestFloatFormatting:
 
 # --- golden report bytes -----------------------------------------------------
 
-# `per_eigenvalue[].match_error` comes from numpy's inverse and may differ in
-# its last bits between BLAS builds; a sweep's wall clock differs every run.
+# `per_eigenvalue[].match_error` comes from the closed-form eigenvector inverse
+# and a BLAS matrix-vector product, which may differ in its last bits between
+# BLAS builds; a sweep's wall clock differs every run.
 UNPINNED_LINE = re.compile(r'^ *"(match_error|wall_clock_s)": [^\n]*\n', re.MULTILINE)
 GOLDEN_FILES = {
     "ramp.csv": "".join(f"{v}\n" for v in range(1, 11)),

@@ -34,6 +34,7 @@ from spectral_oracle import (
     eigenpair_residuals_by_rootsum,
     recover_by_rounding,
     transform_exact,
+    vandermonde,
     vandermonde_exact,
     vinv_exact,
 )
@@ -78,17 +79,24 @@ class TestEigenCanonical:
 
 
 class TestEigenSetupReference:
-    """V, Vinv and the eigenvalues against a build from Fraction turns."""
+    """Vinv and the eigenvalues against a build from Fraction turns."""
 
     @pytest.mark.parametrize("p,q", [(5, 1), (5, 2), (7, 3), (11, 4), (11, 5), (23, 11), (29, 14)])
     def test_bit_equal_to_fraction_build(self, p, q):
         dec = eigen_canonical(p, q)
         turns = (F(0),) + tuple(F(2 * k + 1, 2 * q) for k in range(q))
         v = np.array([[turn_to_complex((r * t) % 1) for t in turns] for r in range(q + 1)])
+        l = np.array([turn_to_complex(t) for t in turns])
+        # the Lagrange rows of (x - 1)(x^q + 1): (1 + x^q) / 2 at l = 1, and
+        # otherwise l^-k / q but -1 / (q (l - 1)) at k = 0 and -l / (q (l - 1)) at k = q
+        vinv = np.array([[turn_to_complex((-k * t) % 1) for k in range(q + 1)] for t in turns]) / q
+        vinv[1:, 0] = -1 / (q * (l[1:] - 1))
+        vinv[1:, q] = l[1:] * vinv[1:, 0]
+        vinv[0] = [0.5] + [0] * (q - 1) + [0.5]
         assert dec.turns == turns
-        assert np.array_equal(dec.eigenvalues, np.array([turn_to_complex(t) for t in turns]))
-        assert np.array_equal(dec.V, v)
-        assert np.array_equal(dec.Vinv, np.linalg.inv(v))
+        assert np.array_equal(dec.eigenvalues, l)
+        assert np.array_equal(dec.Vinv, vinv)
+        assert np.array_equal(vandermonde(dec), v)
         # the integer turn data that recovery matches with
         assert dec.index.tolist() == [t * 2 * q for t in turns]
         assert dec.order.tolist() == [t.denominator for t in turns]
@@ -200,18 +208,23 @@ class TestExactInverse:
                     acc = acc + v[r][k] * vinv[k][c]
                 assert acc == R.root(0, int(r == c))
 
-    @pytest.mark.parametrize("p", [5, 7, 23])
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 23, 29, 41])
     def test_floating_mirror_agrees(self, p):
         q = (p - 1) // 2
         dec = eigen_canonical(p, q)
         exact = np.array([[complex(e) for e in row] for row in vinv_exact(q)])
         assert np.max(np.abs(exact - dec.Vinv)) < 1e-12
 
+    @pytest.mark.parametrize("p", [199, 401, 1009, 4001])
+    def test_inverts_the_eigenvector_matrix(self, p):
+        dec = eigen_canonical(p, (p - 1) // 2)
+        assert np.max(np.abs(vandermonde(dec) @ dec.Vinv - np.eye(dec.dimension))) <= 1e-12
+
 
 class TestTransform:
     def test_round_trip(self):
         params, q, dec, traj, z0 = setup_case(5)
-        assert np.max(np.abs(dec.V @ transform(z0, dec) - np.asarray(z0))) < 1e-9
+        assert np.max(np.abs(vandermonde(dec) @ transform(z0, dec) - np.asarray(z0))) < 1e-9
 
     def test_zero_vector(self):
         dec = eigen_canonical(5, 2)
@@ -570,7 +583,7 @@ def outcome(recover, z_e, z_0, dec, p):
 def eigen_state(dec, coeffs, e=0):
     """State V diag(l^e) c: eigencoordinates c rotated by e steps (one count,
     or one count per coordinate)."""
-    return dec.V @ (dec.eigenvalues**e * np.asarray(coeffs, dtype=complex))
+    return vandermonde(dec) @ (dec.eigenvalues**e * np.asarray(coeffs, dtype=complex))
 
 
 class TestRecoverAgainstScan:
