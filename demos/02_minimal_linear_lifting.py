@@ -25,7 +25,7 @@ from koopman_dh import (
     solve_alpha_exact,
     verify_closing,
 )
-from koopman_dh.cyclotomic import cyclotomic_poly
+from koopman_dh.cyclotomic import cyclotomic_degree
 
 params = DhParams(23, 5)
 p, q_tilde = params.p, params.q_tilde
@@ -44,7 +44,7 @@ for q in range(q_tilde + 2):
 divisors = closing_divisors(traj.values[: p - 1])
 dim = minimal_lifting_dimension(params)
 print(f"\nsurviving cyclotomic factors Phi_d, d in {list(divisors)}: "
-      f"degrees {[len(cyclotomic_poly(d)) - 1 for d in divisors]}")
+      f"degrees {[cyclotomic_degree(d) for d in divisors]}")
 print(f"minimal lifted dimension: {dim} = (p-1)/2 + 1 = {q_tilde + 1}")
 
 # The closure coefficients are sparse and integer valued.

@@ -201,6 +201,8 @@ def cmd_verify_theorem(args):
             params = DhParams(p, m)
             row = _dimension_head(params, minimal_lifting_dimension(params))
             rows.append({**row, "match": row["minimal_dimension"] == row["expected_dimension"]})
+    if not rows:
+        raise ValueError(f"--primes {args.primes!r} selects no prime above 3")
     all_match = all(r["match"] for r in rows)
     failure = None if all_match else "a minimal dimension deviated from (p-1)/2 + 1"
     return {"rows": rows, "skipped": skipped, "all_match": all_match}, failure

@@ -7,12 +7,12 @@ tuple of ints alpha with x_{k+q+1} = sum_j alpha_j x_{k+j}
 (companion_matrix(alpha) is its matrix; lfsr_generate(alpha[::-1], ...)
 iterates it). The minimal closing order is the linear complexity of one
 period, read off the cyclotomic factors of the period polynomial
-(closing_divisors); the closing coefficients are then solved once from the
-leading block of the periodic Hankel pair (a_rows, b) (by the certified
-word-size modular solve of linalg_exact) and certified by integer
-substitution (verify_closing). Also here: the auxiliary liftings (affine
-augmentation, additive rotation) and the table-lookup attack available at
-full dictionary length.
+(closing_divisors, one cyclotomic_divides test per divisor); the closing
+coefficients are then solved once from the leading block of the periodic
+Hankel pair (a_rows, b) (by the certified word-size modular solve of
+linalg_exact) and certified by integer substitution (verify_closing). Also
+here: the auxiliary liftings (affine augmentation, additive rotation) and
+the table-lookup attack available at full dictionary length.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import cyclotomic_poly, cyclotomic_remainder
+from .cyclotomic import cyclotomic_degree, cyclotomic_divides
 from .dynamics import DhParams, ModTrajectory, full_period_trajectory
 from .linalg_exact import annihilates, scale_to_integers, solve_int_with_ranks
 
@@ -156,13 +156,14 @@ def closing_divisors(values) -> tuple[int, ...]:
     d | N; what cancels is exactly the Phi_d that divide S. So the minimal
     polynomial of the sequence is the product of Phi_d over the returned d,
     and its linear complexity is the sum of their degrees phi(d) (Blahut's
-    theorem). These factors are the certificate of a minimal dimension.
+    theorem). One cyclotomic_divides test per d finds these factors, the
+    certificate of a minimal dimension.
     """
     # a list, so the residue-class slices that fold S modulo x^d - 1 are lists:
     # CPython keeps up to 2000 freed tuples of each size below 21 for reuse
     values, n = list(values), len(values)
     return tuple(
-        [d for d in range(1, n + 1) if n % d == 0 and any(cyclotomic_remainder(values, d))]
+        [d for d in range(1, n + 1) if n % d == 0 and not cyclotomic_divides(values, d)]
     )
 
 
@@ -179,7 +180,7 @@ def minimal_lifting_dimension(params: DhParams, traj: ModTrajectory | None = Non
     if traj is None:
         traj = full_period_trajectory(params)
     divisors = closing_divisors(_one_period(traj))
-    q = max(sum(len(cyclotomic_poly(d)) - 1 for d in divisors), 1) - 1
+    q = max(sum(map(cyclotomic_degree, divisors)), 1) - 1
     result = solve_alpha_exact(*hankel_system(traj, q, rows=q + 1))
     if not (result.solvable and verify_closing(traj, result.solution)):
         raise RuntimeError(

@@ -10,7 +10,7 @@ inverse Vinv, where matching is separation-based and so tolerance-free.
 The exact eigenpair check costs one RootSum zero test per eigenvalue order:
 the shift rows of A v = l v hold for every Vandermonde vector, and the
 closing row holds at an eigenvalue of order d exactly when Phi_d divides
-(x - 1)(x^q + 1), the cyclotomic remainder that also finds closing divisors.
+(x - 1)(x^q + 1), the divisibility test that also finds closing divisors.
 
 Set-up is O(q^2), as Vinv has a closed form (see SpectralDecomposition). A
 recovery query is one O(q^2) product with Vinv plus O(q) array matching in

@@ -16,6 +16,7 @@ from conftest import PRIMES_TO_61, PRIMES_TO_199
 from lifting_oracle import minimal_lifting_dimension_scan
 from koopman_dh.cli import main as cli_main
 from koopman_dh.complexity import SequenceSample, berlekamp_massey
+from koopman_dh.cyclotomic import cyclotomic_degree
 from koopman_dh.dynamics import (
     DhParams,
     all_primitive_roots,
@@ -29,10 +30,12 @@ from koopman_dh.lifting import (
     additive_complex_lift,
     affine_augment_system,
     canonical_alpha,
+    closing_divisors,
     full_period_alpha,
     lift_ciphertext,
     lift_shift,
     minimal_lifting_dimension,
+    verify_closing,
 )
 from koopman_dh.spectral import (
     eigen_canonical,
@@ -60,6 +63,25 @@ def test_criterion_1_minimal_dimension_theorem():
     print(
         f"PASS criterion 1: minimal dimension law (library == scan oracle) on {checked} "
         f"(p, m) pairs up to p=61"
+    )
+
+
+def test_criterion_1_certificate_at_10007():
+    """Criterion 1's certificate at p = 10007, smallest generator 5: the
+    surviving cyclotomic factors of one period have degrees summing to
+    (p-1)/2 + 1, the lower bound, and the canonical coefficients of that
+    order close over the whole period, the upper bound."""
+    params = DhParams.with_smallest_root(10007)
+    p, q = params.p, params.q_tilde
+    assert params.m == 5
+    traj = full_period_trajectory(params)
+    divisors = closing_divisors(traj.values[: p - 1])
+    assert divisors == (1, 2, 10006)
+    assert sum(map(cyclotomic_degree, divisors)) == q + 1 == 5004
+    assert verify_closing(traj, canonical_alpha(p, q))
+    print(
+        f"PASS criterion 1 at p = {p}: the factors Phi_d, d in {divisors}, have degrees summing to "
+        f"(p-1)/2 + 1 = {q + 1}, and the canonical recurrence of that order closes (m = {params.m})"
     )
 
 

@@ -84,7 +84,7 @@ class TestVerifyTheorem:
         report = run_json(capsys, "verify-theorem", "--primes", "7", "--generators", "all")
         assert [(r["p"], r["m"]) for r in report["rows"]] == [(7, 3), (7, 5)]
 
-    @pytest.mark.parametrize("primes", ["", "9..8", "8..10", "5..x", "x", "5,y"])
+    @pytest.mark.parametrize("primes", ["", "9..8", "8..10", "5..x", "x", "5,y", "4", "4,9", "2..3"])
     def test_primes_selecting_nothing_exit_2(self, capsys, primes):
         code, out, err = run(capsys, "verify-theorem", "--primes", primes)
         assert code == 2
@@ -96,11 +96,6 @@ class TestVerifyTheorem:
         assert code == 2
         assert out == ""
         assert "primality is decided only below" in err
-
-    def test_non_prime_only_is_skipped(self, capsys):
-        report = run_json(capsys, "verify-theorem", "--primes", "4")
-        assert report["rows"] == []
-        assert report["skipped"] == [{"p": 4, "reason": "not prime"}]
 
     def test_out_in_missing_directory_exit_2_before_work(self, capsys, tmp_path, monkeypatch):
         def fail(*args):

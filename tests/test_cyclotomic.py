@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopman_dh.cyclotomic import RootSum, cyclotomic_poly, turn_to_complex
+from koopman_dh.cyclotomic import RootSum, cyclotomic_degree, cyclotomic_divides, turn_to_complex
 
+from cyclotomic_oracle import cyclotomic_poly, cyclotomic_remainder, poly_mul
 from spectral_oracle import ZERO, inv_root_minus_one
 from spectral_oracle import ExactRootSum as R
 
@@ -19,6 +21,53 @@ def test_cyclotomic_poly_known_values():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+@st.composite
+def divisibility_cases(draw):
+    """(S, d, expected or None): multiples of Phi_d, near misses, zeros and arbitrary S."""
+    d = draw(st.integers(1, 300))
+    rnd = draw(st.randoms(use_true_random=False))
+    lo, hi = draw(st.sampled_from([(0, d - 1), (d, 3 * d), (3 * d + 1, 4 * d)]))
+    length = rnd.randint(lo, hi)
+    bound = draw(st.sampled_from([1, 2**70]))  # small values divide by chance, large pass 2^64
+    cofactor = [rnd.randint(-bound, bound) for _ in range(length)]
+    kind = draw(st.sampled_from(["multiple", "near miss", "zero", "arbitrary"]))
+    if kind == "zero":
+        return [0] * length, d, True
+    if kind == "arbitrary":
+        return cofactor, d, None
+    multiple = poly_mul(cyclotomic_poly(d), cofactor)
+    if kind == "multiple":
+        return multiple, d, True
+    # Phi_d never divides x^i, so moving one coefficient by 1 leaves a non-multiple
+    moved = multiple or [0]
+    moved[rnd.randrange(len(moved))] += rnd.choice((-1, 1))
+    return moved, d, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisibility_cases())
+def test_divisibility_matches_dense_remainder(case):
+    coeffs, d, expected = case
+    divides = cyclotomic_divides(coeffs, d)
+    assert divides == (not any(cyclotomic_remainder(coeffs, d)))
+    assert expected is None or divides == expected
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 30, 210])
+def test_zero_and_empty_polynomials_are_divisible(d):
+    assert cyclotomic_divides([], d)
+    assert cyclotomic_divides([0] * (3 * d + 1), d)
+    assert not cyclotomic_divides([1], d)
+
+
+def test_cyclotomic_degree_is_phi():
+    for d in range(1, 301):
+        assert cyclotomic_degree(d) == len(cyclotomic_poly(d)) - 1, d
+    # the dense oracle takes ~20 s to reach 2000; count the units mod d instead
+    for d in range(1, 2000):
+        assert cyclotomic_degree(d) == sum(gcd(k, d) == 1 for k in range(1, d + 1)), d
 
 
 def test_half_turn_folds_to_negation():

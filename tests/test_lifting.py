@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_61, PRIMES_TO_199
+from cyclotomic_oracle import cyclotomic_poly, poly_mul
 from koopman_dh.cli import main as cli_main
 from koopman_dh.complexity import lfsr_generate
-from koopman_dh.cyclotomic import cyclotomic_poly
 from koopman_dh.dynamics import (
     DhParams,
     all_primitive_roots,
@@ -309,14 +309,6 @@ class TestMinimalDimension:
         assert cli_main(["verify-theorem", "--primes", "5..13"]) == 4
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 class TestClosingCertificate:
     @pytest.mark.parametrize("p", PRIMES_TO_199)
     def test_surviving_divisors(self, p):
@@ -333,8 +325,8 @@ class TestClosingCertificate:
         for m in certified_generators(p):
             product = [1]
             for d in closing_divisors(full_period_trajectory(DhParams(p, m)).values[: p - 1]):
-                product = _poly_mul(product, cyclotomic_poly(d))
-            assert product == _poly_mul([-1, 1], [1] + [0] * (q - 1) + [1])  # (x - 1)(x^q + 1)
+                product = poly_mul(product, cyclotomic_poly(d))
+            assert product == poly_mul([-1, 1], [1] + [0] * (q - 1) + [1])  # (x - 1)(x^q + 1)
             assert tuple(-c for c in product[:-1]) == canonical_alpha(p, q), m
 
 

@@ -155,29 +155,29 @@ class TestEigenpairs:
         assert not eigenpair_residuals_exact_zero(with_turns(dec, [F(1, 2)]))
 
     def test_one_reduction_per_eigenvalue_order(self, monkeypatch):
-        # every zero test reaches Phi_d with terms left: the reduction, not
-        # a cancellation of equal turns, decides each eigenvalue order
-        calls, remainders = [], []
-        is_zero, remainder = cyclotomic.RootSum.is_zero, cyclotomic.cyclotomic_remainder
+        # every zero test reaches Phi_d with terms left: the divisibility
+        # test, not a cancellation of equal turns, decides each eigenvalue order
+        calls, tested = [], []
+        is_zero, divides = cyclotomic.RootSum.is_zero, cyclotomic.cyclotomic_divides
 
         def spy_is_zero(self):
             calls.append(self)
             return is_zero(self)
 
-        def spy_remainder(coeffs, d):
-            remainders.append(list(coeffs))
-            return remainder(coeffs, d)
+        def spy_divides(coeffs, d):
+            tested.append(list(coeffs))
+            return divides(coeffs, d)
 
         monkeypatch.setattr(cyclotomic.RootSum, "is_zero", spy_is_zero)
-        monkeypatch.setattr(cyclotomic, "cyclotomic_remainder", spy_remainder)
+        monkeypatch.setattr(cyclotomic, "cyclotomic_divides", spy_divides)
         for p in PRIMES_TO_199:
             dec = eigen_canonical(p, (p - 1) // 2)
             calls.clear()
-            remainders.clear()
+            tested.clear()
             assert eigenpair_residuals_exact_zero(dec), p
             assert len(calls) == len({t.denominator for t in dec.turns}), p
-            assert len(remainders) == len(calls), p
-            assert all(any(coeffs) for coeffs in remainders), p
+            assert len(tested) == len(calls), p
+            assert all(any(coeffs) for coeffs in tested), p
 
     @pytest.mark.parametrize("p", [61, 199])
     def test_moved_closing_coefficient_is_rejected(self, p, monkeypatch):
