@@ -6,15 +6,19 @@ form of an integer matrix [A | B], as its pivot columns, one denominator
 and integer numerators for every column of B. `solve_int_with_ranks` is its
 one-right-hand-side case. The EDMD fit is one square solve on it, and the
 snapshot rank and left kernel come from the reduced form of the windows.
-Every system is reduced by Gauss-Jordan modulo word-size primes in numpy
+Every system is reduced by Gauss-Jordan modulo primes below 2^26 in numpy
 int64, lifted to Q by CRT and rational reconstruction, and accepted only
-after an integer substitution proves the form. That substitution and, by
-annihilates, its window form, every recurrence identity (the closing row,
-the Berlekamp-Massey registers, the EDMD predictions) are one check,
-_relations_vanish: one numpy int64 product wherever a bound on its partial
-sums proves it exact, Python integers otherwise. No floating point
-anywhere, so rank(...) == k is a theorem about the input, not a tolerance
-call. Rationals enter as integers through scale_to_integers.
+after an integer substitution proves the form. A product of two residues
+is below 2^52, so the elimination sums up to 2^10 of them inside int64
+before it reduces: once per column panel, not once per pivot, and the
+columns after a panel take one int64 product of at most that many terms.
+That substitution and, by annihilates, its window form, every recurrence
+identity (the closing row, the Berlekamp-Massey registers, the EDMD
+predictions) are one check, _relations_vanish: one numpy int64 product
+wherever a bound on its partial sums proves it exact, Python integers
+otherwise. No floating point anywhere, so rank(...) == k is a theorem
+about the input, not a tolerance call. Rationals enter as integers through
+scale_to_integers.
 """
 
 from __future__ import annotations
@@ -79,8 +83,10 @@ def _relations_vanish(rows, support, column, height: int, matrix64, modulus=None
             cols, used = support, r64.any(axis=0)  # a column no row reads stays out
             if not used.all():
                 cols, r64 = np.asarray(support)[used], r64.compress(used, axis=1)
-            # take and compress keep rows contiguous, which numpy's integer matmul needs
-            k, read = len(cols), m64.take([*cols, *own], axis=1)
+            # indexing gathers only the columns read (take first copies all of
+            # a strided view such as annihilates' windows); numpy's integer
+            # matmul wants them in C order
+            k, read = len(cols), np.ascontiguousarray(m64[:, [*cols, *own]])
             if _absmax(read) * max(_absmax(r64), abs(d)) * (k + 1) < _WORD_BOUND:
                 acc = read[:, :k] @ r64.T
                 if d:
@@ -99,6 +105,10 @@ def _relations_vanish(rows, support, column, height: int, matrix64, modulus=None
     return True
 
 
+# _rref_mod's column panel width: at most 2^10, so that its lazy reduction
+# and its product over the rows one panel pivots stay inside int64.
+_PANEL = 128
+
 # The primes _word_primes has reached, largest first: filled only as solves
 # need them, and only appended to, under the lock, so no prime is repeated.
 _word_prime_list: list[int] = []
@@ -106,17 +116,18 @@ _word_prime_lock = threading.Lock()
 
 
 def _word_primes():
-    """Primes below 2^31, largest first: the fixed list the modular solve walks.
+    """Primes below 2^26, largest first: the fixed list the modular solve walks.
 
-    Each prime is searched for once per process, by dynamics.is_prime;
-    later solves read it from _word_prime_list.
+    A product of two residues is below 2^52, so _rref_mod sums up to 2^10 of
+    them inside int64 before it reduces. Each prime is searched for once per
+    process, by dynamics.is_prime; later solves read it from _word_prime_list.
     """
     primes, k = _word_prime_list, 0
     while True:
         if k == len(primes):
             with _word_prime_lock:
                 if k == len(primes):
-                    n = primes[-1] - 2 if primes else (1 << 31) - 1
+                    n = primes[-1] - 2 if primes else (1 << 26) - 1
                     while not is_prime(n):
                         n -= 2
                     primes.append(n)
@@ -125,29 +136,62 @@ def _word_primes():
 
 
 def _rref_mod(a, prime: int) -> list[int]:
-    """Reduce the int64 array a to reduced row echelon form mod prime, in place.
+    """Reduce the int64 array a, entries in [0, prime), to reduced row echelon
+    form mod prime, in place. Returns the pivot columns; row i of a holds pivot i.
 
-    Entries stay in [0, prime) with prime < 2^31, so each product is below 2^62.
-    Returns the pivot columns; row i of a holds pivot i.
+    Columns go in panels of _PANEL. A pivot reduces only its column and its
+    row and subtracts their outer product from the panel, each term below
+    prime^2 < 2^52; an entry gathers at most _PANEL <= 2^10 of them before the
+    panel is reduced once, so it stays above -2^62. When columns follow the
+    panel, identity columns for the rows it can pivot record its row
+    operations G, and those columns T get one product T += (G - I) @ T[R],
+    R the rows pivoted, whose at most _PANEL terms are each below 2^52.
     """
     m, n = a.shape
     pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
+    for c0 in range(0, n, _PANEL):
+        r0, c1 = len(pivots), min(c0 + _PANEL, n)
+        if r0 == m:
             break
-        if not a[r, c]:
-            nz = a[r:, c].nonzero()[0]
-            if not nz.size:
-                continue
-            k = r + int(nz[0])
-            a[[r, k], c:] = a[[k, r], c:]
-        w = a[:, c:]
-        prow = w[r] * pow(int(w[r, 0]), -1, prime) % prime
-        w -= w[:, :1] * prow
-        w %= prime
-        w[r] = prow
-        pivots.append(c)
+        w, rest = c1 - c0, a[:, c1:]
+        k = min(w, m - r0) if c1 < n else 0  # identity columns, one per row it can pivot
+        if k:
+            panel = np.zeros((m, w + k), dtype=np.int64)
+            panel[:, :w] = a[:, c0:c1]
+            panel[range(r0, r0 + k), range(w, w + k)] = 1
+        else:
+            panel = a[:, c0:]
+        for c in range(w):
+            r = len(pivots)
+            if r == m:
+                break
+            col = panel[:, c]
+            col %= prime
+            if not col[r]:
+                nz = col[r:].nonzero()[0]
+                if not nz.size:
+                    continue
+                j = r + int(nz[0])
+                # rows r and j trade places in every column but the identity
+                # columns of rows not yet pivoted, so G stays relative to the
+                # swapped rows, and those columns stay I
+                panel[[r, j], c : w + r - r0] = panel[[j, r], c : w + r - r0]
+                if k:
+                    rest[[r, j]] = rest[[j, r]]
+            prow = panel[r, c:] % prime
+            prow *= pow(int(col[r]), -1, prime)
+            prow %= prime
+            panel[:, c:] -= panel[:, c : c + 1] * prow
+            panel[r, c:] = prow
+            pivots.append(c0 + c)
+        panel %= prime
+        if k:
+            a[:, c0:c1] = panel[:, :w]
+            k = len(pivots) - r0
+            g = panel[:, w : w + k]  # G's columns for the rows pivoted; G - I is 0 elsewhere
+            g[range(r0, r0 + k), range(k)] -= 1
+            rest += g @ rest[r0 : r0 + k]
+            rest %= prime
     return pivots
 
 

@@ -1,6 +1,7 @@
 """Test-only oracles: the fraction-free integer echelon, the rational solve
 and the reduced echelon form on it, the rank profile of a sequence's
-windows, and the prime search that the modular solve walked on every call.
+windows, the prime search that the modular solve walked on every call, and
+the per-pivot modular Gauss-Jordan that the panel kernel replaced.
 
 The package solved every rational system, and took every snapshot rank,
 this way before its solves moved to the word-size modular solve; they stay
@@ -118,9 +119,9 @@ def window_profile(values, q, n):
 
 
 def word_primes_by_search(count):
-    """The first count primes below 2^31, largest first, by a fresh
-    Miller-Rabin search (bases 2, 7, 61) from 2^31 - 1 down."""
-    primes, n = [], (1 << 31) - 1
+    """The first count primes below 2^26, largest first, by a fresh
+    Miller-Rabin search (bases 2, 7, 61) from 2^26 - 1 down."""
+    primes, n = [], (1 << 26) - 1
     while len(primes) < count:
         d, s = n - 1, 0
         while d % 2 == 0:
@@ -139,3 +140,32 @@ def word_primes_by_search(count):
             primes.append(n)
         n -= 2
     return primes
+
+
+def rref_mod_reference(a, prime):
+    """Reduce the int64 array a to reduced row echelon form mod prime, in place,
+    one pivot at a time: every pivot eliminates its column from the whole
+    remaining block and reduces all of it mod prime.
+
+    Entries stay in [0, prime) with prime < 2^31, so each product is below 2^62.
+    Returns the pivot columns; row i of a holds pivot i.
+    """
+    m, n = a.shape
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        if not a[r, c]:
+            nz = a[r:, c].nonzero()[0]
+            if not nz.size:
+                continue
+            k = r + int(nz[0])
+            a[[r, k], c:] = a[[k, r], c:]
+        w = a[:, c:]
+        prow = w[r] * pow(int(w[r, 0]), -1, prime) % prime
+        w -= w[:, :1] * prow
+        w %= prime
+        w[r] = prow
+        pivots.append(c)
+    return pivots

@@ -304,6 +304,16 @@ def test_criterion_6_rank_law_at_401():
     print(f"PASS criterion 6 at p=401: exact rank law on {cases} (p, q) cases, q from 200 to 399")
 
 
+def test_criterion_6_rank_law_at_1009():
+    """Criterion 6 at p = 1009, smallest generator (m = 11): rank(Z) = 505
+    exactly at q = 504, 630, 756, 882 and 1007 under the data-richness
+    condition, and rank(Z) <= 505 below it. Each snapshot rank is one reduced
+    echelon form of up to 505 windows of 1008 values, past one column panel."""
+    qs = (504, 630, 756, 882, 1007)
+    cases = check_rank_law(1009, qs)
+    print(f"PASS criterion 6 at p=1009: exact rank law on {cases} (p, q) cases, q in {qs}")
+
+
 def test_criterion_7_linear_complexity_attainment():
     """Berlekamp-Massey over the rationals on two periods returns exactly
     (p-1)/2 + 1, matching the lifted dimension, for every generator of

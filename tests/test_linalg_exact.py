@@ -12,7 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from echelon_oracle import echelon_rref, echelon_solve, window_profile, word_primes_by_search
+from echelon_oracle import (
+    echelon_rref,
+    echelon_solve,
+    rref_mod_reference,
+    window_profile,
+    word_primes_by_search,
+)
 from field_oracle import (
     frobenius_sq,
     inverse,
@@ -27,6 +33,7 @@ from koopman_dh import linalg_exact
 from koopman_dh.linalg_exact import (
     _int64,
     _relations_vanish,
+    _rref_mod,
     _word_primes,
     annihilates,
     reduced_echelon,
@@ -194,12 +201,12 @@ def test_modular_solve_matches_integer_echelon(system):
     assert solve_int_with_ranks(a_rows, b) == echelon_solve(a_rows, b)
 
 
-def test_word_primes_are_the_primes_below_2_31():
+def test_word_primes_are_the_primes_below_2_26():
     primes = first_primes(6)
-    assert primes == sorted(primes, reverse=True) and primes[0] == 2**31 - 1
+    assert primes == sorted(primes, reverse=True) and primes[0] == 2**26 - 5
     assert all(is_prime_by_trial_division(v) for v in primes)
     assert not any(
-        is_prime_by_trial_division(v) for v in range(primes[-1] + 1, primes[0]) if v not in primes
+        is_prime_by_trial_division(v) for v in range(primes[-1] + 1, 2**26) if v not in primes
     )
 
 
@@ -253,17 +260,17 @@ assert len(linalg_exact._word_prime_list) == 1
 big = 2**40 + 1
 for _ in range(2):
     assert linalg_exact.reduced_echelon([[big, 1]], 1) == ([0], big, [[1]])
-    assert len(linalg_exact._word_prime_list) == 3
+    assert len(linalg_exact._word_prime_list) == 4
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def test_denominators_beyond_one_prime():
-    big = 2**40 + 1  # 1/big needs a modulus above 2 * big^2: three primes
+    big = 2**40 + 1  # 1/big needs a modulus above 2 * big^2 > 2^81: four primes
     (got, used) = primes_used([[big]], [1])
     assert got == echelon_solve([[big]], [1]) == ([Fraction(1, big)], 1, 1)
-    assert used == 3
+    assert used == 4
     a_rows = [[2**64 + 3, 2**70 - 1], [-(2**66), 5]]
     got, used = primes_used(a_rows, [1, 2**65])
     assert got == echelon_solve(a_rows, [1, 2**65]) and used > 2
@@ -329,17 +336,21 @@ def echelon_systems(draw):
 
     A is square, tall or wide. Entries are small (singular and inconsistent
     systems are common), mixed with entries up to 2^80 (whose solutions need
-    several primes and the Python substitution), or near 2^31 (whose
-    substitution products straddle the int64 bound). Up to two extra rows are
-    integer combinations of the others, their right-hand sides kept or moved
-    by 1.
+    several primes and the Python substitution), or near 2^26, where the
+    word primes lie, and near 2^31 (whose substitution products straddle the
+    int64 bound). Up to two extra rows are integer combinations of the
+    others, their right-hand sides kept or moved by 1.
     """
     m, nvars, rhs = draw(st.integers(1, 7)), draw(st.integers(0, 7)), draw(st.integers(1, 40))
     kind = draw(st.sampled_from(["small", "huge", "word"]))
     entry = {
         "small": small_int,
         "huge": st.one_of(small_int, st.integers(-(2**80), 2**80)),
-        "word": st.one_of(small_int, st.integers(2**29, 2**33).map(lambda v: v * (-1) ** v)),
+        "word": st.one_of(
+            small_int,
+            st.integers(2**24, 2**28).map(lambda v: v * (-1) ** v),
+            st.integers(2**29, 2**33).map(lambda v: v * (-1) ** v),
+        ),
     }[kind]
     width = nvars + rhs
     rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=m, max_size=m))
@@ -357,6 +368,63 @@ def test_reduced_echelon_matches_integer_echelon(system):
     """Pivots, denominator and numerators of the certified reduced echelon
     form equal the integer echelon's."""
     check_rref(*system)
+
+
+@st.composite
+def residue_matrices(draw):
+    """An int64 matrix of residues mod FIRST_PRIME with 1-12 rows and 1-12
+    columns: square, tall or wide.
+
+    Entries are 0, 1, p - 1 or any residue. Sparse matrices (most entries 0)
+    often hold a zero where a column's pivot goes, so a row from below is
+    swapped in; all-zero ones come up too. Up to three rows are combinations
+    of others, so the rank falls short, and a few rows under many columns
+    are used up mid-panel.
+    """
+    prime = FIRST_PRIME
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    nonzero = st.one_of(st.sampled_from([1, prime - 1]), st.integers(1, prime - 1))
+    zeros = draw(st.sampled_from([0, 1, 3, 8]))  # zeros per nonzero draw
+    entry = st.one_of(nonzero, *[st.just(0)] * zeros) if zeros else nonzero
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 3))):
+        coef = st.sampled_from([0, 1, 2, prime - 1])
+        coefs = draw(st.lists(coef, min_size=len(rows), max_size=len(rows)))
+        row = [sum(c * r[j] for c, r in zip(coefs, rows)) % prime for j in range(n)]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return np.array(rows, dtype=np.int64)
+
+
+def check_rref_mod(a, prime):
+    """_rref_mod against the per-pivot reference: the same pivots and the
+    same first len(pivots) rows."""
+    want, got = a.copy(), a.copy()
+    pivots = rref_mod_reference(want, prime)
+    assert _rref_mod(got, prime) == pivots
+    assert (got[: len(pivots)] == want[: len(pivots)]).all()
+
+
+@pytest.mark.parametrize("panel", [1, 2, 3, 8, linalg_exact._PANEL])
+@settings(max_examples=120, deadline=None)
+@given(a=residue_matrices())
+def test_panel_kernel_matches_per_pivot_reference(panel, a):
+    """The lazy panel kernel reduces exactly as the per-pivot one did, at the
+    default panel width and at widths that split every matrix into panels."""
+    with patch.object(linalg_exact, "_PANEL", panel):
+        check_rref_mod(a, FIRST_PRIME)
+
+
+@pytest.mark.parametrize("shape", [(140, 300), (300, 140), (200, 200)])
+def test_panel_kernel_past_one_default_panel(shape):
+    """Wide, tall and square systems with more columns than one default
+    panel, sparse and rank-deficient: pivot rows come from below, and the
+    columns after the first panel take its product."""
+    rng, prime = np.random.default_rng(sum(shape)), FIRST_PRIME
+    m, n = shape
+    a = np.where(rng.random((m, n)) < 0.05, rng.integers(0, prime, (m, n)), 0)
+    a[: m // 3] = (a[m // 3 : 2 * (m // 3)] * 2 + a[-(m // 3) :]) % prime
+    a[:, ::7] = prime - 1
+    check_rref_mod(a, prime)
 
 
 @settings(max_examples=60, deadline=None)
