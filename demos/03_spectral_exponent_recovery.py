@@ -4,17 +4,16 @@ With the lifting closed at order q = (p-1)/2, the companion matrix has
 characteristic polynomial (x^q + 1)(x - 1): eigenvalue 1 plus the
 odd-indexed 2q-th roots of unity, all on the unit circle with Vandermonde
 eigenvectors. In eigencoordinates one step multiplies coordinate j by its
-eigenvalue, so e steps leave a per-eigenvalue angular fingerprint e * angle.
-Rounding each observed rotation to the nearest of the eigenvalue's finitely
-many powers and merging the residue constraints pins e modulo p-1.
+eigenvalue, so e steps multiply it by l_j^e. All eigenvalues of one order d
+say the same thing, e mod d, and the residues of all orders merge by the
+Chinese remainder theorem; an integer certificate then proves z_e = A^e z_0.
 
 Run: python demos/03_spectral_exponent_recovery.py
 """
 
-import numpy as np
-
 from koopman_dh import (
     DhParams,
+    RecoveryError,
     discrete_log_bruteforce,
     eigen_canonical,
     full_period_trajectory,
@@ -22,7 +21,6 @@ from koopman_dh import (
     lift_shift,
     parity,
     recover_exponent,
-    transform,
 )
 from koopman_dh.spectral import eigenpair_residuals_exact_zero
 
@@ -44,17 +42,27 @@ c = pow(params.m, e_secret, p)
 ze = lift_ciphertext(c, params, q)
 print(f"\nobserved ciphertext c = {c}")
 
-# The transformed magnitudes are conserved (unit-circle spectrum); only the
-# angles move, by e times each eigenvalue angle.
-zt0, zte = transform(z0, dec), transform(ze, dec)
-print(f"magnitude drift |z~_e| vs |z~_0|: {np.max(np.abs(np.abs(zte) - np.abs(zt0))):.2e}")
-
 estimate = recover_exponent(ze, z0, dec, p)
 print(f"recovered exponent: {estimate.e} (oracle: {discrete_log_bruteforce(c, params)})")
-print("per-eigenvalue evidence (index, matched power, match error):")
-for j, t, err in estimate.per_eigenvalue_residues[:5]:
-    print(f"  eigenvalue {j:2d}: power {t:2d}, error {err:.2e}")
-print(f"  ... {len(estimate.per_eigenvalue_residues)} eigenvalues total, all consistent")
+residues = {}
+for j, t in estimate.per_eigenvalue_residues:
+    residues.setdefault(dec.turns[j].denominator, set()).add(t)
+print("per-order residues (every eigenvalue of an order gives the same one):")
+for d, ts in sorted(residues.items()):
+    print(f"  order {d:2d}: e = {ts.pop()} (mod {d})")
+count = len(estimate.per_eigenvalue_residues)
+print(f"  {count} eigenvalues, merged by the Chinese remainder theorem")
+
+# The certificate: e steps of the companion recurrence carry z_0 to z_e over
+# the integers, which recover_exponent proves as G_e = x^e G_0 (mod x^q + 1).
+stepped = list(z0)
+for _ in range(estimate.e):
+    stepped = stepped[1:] + [stepped[0] - stepped[1] + stepped[q]]
+print(f"certificate: A^{estimate.e} z_0 == z_e over the integers: {stepped == list(ze)}")
+try:
+    recover_exponent([v + (k == 3) for k, v in enumerate(ze)], z0, dec, p)
+except RecoveryError as exc:
+    print(f"a state one unit off the orbit is refused: {exc}")
 
 # p = 23 has (p-1)/2 odd, so -1 is an eigenvalue and already its sign flip
 # reveals the exponent's parity.

@@ -18,7 +18,7 @@ from .complexity import (
     compare_koopman_vs_lfsr,
     lfsr_generate,
 )
-from .cyclotomic import RootSum, turn_to_complex
+from .cyclotomic import RootSum
 from .dynamics import (
     DhParams,
     IntersectionResult,
@@ -58,7 +58,6 @@ from .spectral import (
     eigen_canonical,
     parity,
     recover_exponent,
-    transform,
 )
 
 __all__ = [
@@ -88,7 +87,6 @@ __all__ = [
     "ExponentEstimate",
     "RecoveryError",
     "eigen_canonical",
-    "transform",
     "recover_exponent",
     "parity",
     "EdmdDataset",
@@ -103,5 +101,4 @@ __all__ = [
     "lfsr_generate",
     "compare_koopman_vs_lfsr",
     "RootSum",
-    "turn_to_complex",
 ]

@@ -231,8 +231,8 @@ def cmd_recover(args):
             "oracle_match": estimate.e == oracle,
             "parity": estimate.parity,
             "per_eigenvalue": [
-                {"eigenvalue_index": j, "matched_power": t, "match_error": float15(err)}
-                for j, t, err in estimate.per_eigenvalue_residues
+                {"eigenvalue_index": j, "matched_power": t}
+                for j, t in estimate.per_eigenvalue_residues
             ],
         }
     )

@@ -14,22 +14,15 @@ exp(2*pi*i*t). A RootSum is a finite rational combination of such points,
 kept only to be tested for zero: scaled to integers, it is S(w) for an
 integer polynomial S and w a primitive n-th root of unity, n the lcm of the
 turn denominators, and it is zero exactly when Phi_n, the minimal polynomial
-of w, divides S. Conversion to complex floats happens only at output
-boundaries.
+of w, divides S.
 """
 
 from __future__ import annotations
 
-from cmath import exp as cexp
 from fractions import Fraction
-from math import pi
 
 from .dynamics import prime_factors
 from .linalg_exact import scale_to_integers
-
-
-def turn_to_complex(turn: Fraction) -> complex:
-    return cexp(2j * pi * float(turn))
 
 
 def cyclotomic_degree(d: int) -> int:

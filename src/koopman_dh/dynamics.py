@@ -13,8 +13,8 @@ from math import gcd
 
 # The first 13 primes: the trial divisors, then the Miller-Rabin bases.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# The least strong pseudoprime to all 13 bases (Sorenson & Webster 2017).
-_PSI_13 = 3317044064679887385961981
+# The least strong pseudoprimes to all 13 bases (Sorenson & Webster 2017) and to the first 4.
+_PSI_13, _PSI_4 = 3317044064679887385961981, 3215031751
 
 
 def is_prime(n: int) -> bool:
@@ -23,8 +23,8 @@ def is_prime(n: int) -> bool:
     Trial division by the first 13 primes settles n below 41^2 and n with
     one of them as a factor. Other n get Miller-Rabin with those 13 bases,
     which no composite below psi_13 passes ("Strong pseudoprimes to twelve
-    prime bases", Math. Comp. 2017). psi_13 passes all 13, so any other n
-    at or above it raises ValueError rather than get an unproven answer.
+    prime bases", Math. Comp. 2017); below psi_4 the first 4 suffice (Jaeschke
+    1993). psi_13 passes all 13, so any n at or above it raises ValueError.
     """
     if n < 2:
         return False
@@ -38,7 +38,7 @@ def is_prime(n: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_PRIMES[: 4 if n < _PSI_4 else 13]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

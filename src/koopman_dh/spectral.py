@@ -1,38 +1,35 @@
-"""Analytic eigendecomposition of the canonical companion system and
+"""Analytic eigendecomposition of the canonical companion system and exact
 exponent recovery from lifted states.
 
 The canonical closing coefficients give the characteristic polynomial
 P(x) = (x - 1)(x^q + 1), so the spectrum is {1} plus the odd-indexed 2q-th
-roots of unity, with Vandermonde eigenvectors (1, l, ..., l^q). Eigenvalue
-angles are exact rational turns; recovery runs on the floating eigenvector
-inverse Vinv, where matching is separation-based and so tolerance-free.
+roots of unity, with Vandermonde eigenvectors (1, l, ..., l^q) and exact
+rational angles (turns).
 
-The exact eigenpair check costs one RootSum zero test per eigenvalue order:
-the shift rows of A v = l v hold for every Vandermonde vector, and the
-closing row holds at an eigenvalue of order d exactly when Phi_d divides
-(x - 1)(x^q + 1), the divisibility test that also finds closing divisors.
-
-Set-up is O(q^2), as Vinv has a closed form (see SpectralDecomposition). A
-recovery query is one O(q^2) product with Vinv plus O(q) array matching in
-numpy: every eigencoordinate ratio is rounded at once to the nearest power
-of its eigenvalue by angle, the Chinese remainder theorem merges one residue
-per distinct eigenvalue order (a divisor of 2q), and every usable eigenvalue
-is checked against the merged residue. The decomposition keeps all that
-depends on the last start state it was asked about (its eigencoordinates,
-the gathers at the usable eigenvalues and one position per order), so only a
-new start state costs a second product.
+Recovery is exact, with no floating point and no tolerance. Row j of the
+inverse eigenvector matrix is the Lagrange polynomial P(x) / ((x - l_j) P'(l_j)),
+so the eigencoordinate of a state z at an eigenvalue l with l^q = -1 is
+G_z(l) / P'(l), where G_z modulo x^q + 1 has z[q-s] - z[q-1-s] at x^s, and at
+l = 1 it is (z[0] + z[q]) / 2. Phi_d is irreducible over Q, so one residue per
+eigenvalue order d says what all eigenvalues of that order say: it is read in
+a word prime field F_ell, ell = 1 (mod 2q), at a primitive d-th root w_d
+(Pollard, Math. Comp. 1971), and the residues merge by the Chinese remainder
+theorem, as Pohlig & Hellman (IEEE Trans. Inf. Theory 1978) do. An order d is
+usable when Phi_d does not divide G_0; G_0(w_d) != 0 (mod ell) proves it, and
+where G_0(w_d) = 0 (mod ell) although Phi_d does not divide G_0
+(cyclotomic_divides decides), the start state is read in the next such ell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, pi, sin
+from math import gcd, isqrt
 
 import numpy as np
 
-from .cyclotomic import RootSum, turn_to_complex
-from .dynamics import is_prime
+from .cyclotomic import RootSum, cyclotomic_divides
+from .dynamics import is_prime, prime_factors
 from .lifting import char_alpha
 
 
@@ -40,33 +37,51 @@ class RecoveryError(RuntimeError):
     """Recovery could not pin a unique exponent consistent with all eigenvalues."""
 
 
+def _field(q: int, below: int = 2**63) -> tuple:
+    """(ell, orders, powers, log) for the largest prime ell below `below` with
+    ell = 1 (mod 2q) and ell^2 (q + 1) < 2^63 (every int64 sum of q + 1
+    products of residues is exact) and a primitive 2q-th root w mod ell:
+    orders are the eigenvalue orders d > 1 (2q/d odd), ascending, row i of
+    powers is w_d^s for s < q, d = orders[i], w_d = w^(2q/d), and log[w^n] = n.
+    """
+    n = 2 * q
+    top = min(below - 1, isqrt((2**63 - 1) // (q + 1)))
+    ell = top - (top - 1) % n  # the largest ell <= top with ell = 1 (mod n)
+    while not is_prime(ell):
+        ell -= n
+        if ell < n:
+            raise ValueError(f"no word prime ell = 1 (mod {n}) is left")
+    w = 1
+    for r in prime_factors(n):  # w times an element of order r^k, the power of r in n
+        rk = r
+        while n % (rk * r) == 0:
+            rk *= r
+        a = 2
+        while pow(a, (ell - 1) // r, ell) == 1:  # then a^((ell-1)/r^k) has a smaller order
+            a += 1
+        w = w * pow(a, (ell - 1) // rk, ell) % ell
+    pw = [1] * n
+    for k in range(1, n):
+        pw[k] = pw[k - 1] * w % ell
+    orders = np.array([d for d in range(1, n + 1) if n % d == 0 and n // d % 2])
+    powers = np.array(pw)[np.outer(n // orders, np.arange(q)) % n]
+    return ell, orders, powers, dict(zip(pw, range(n)))
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Unit-circle spectrum of the canonical companion matrix of order q.
 
-    turns[j] is the exact rational angle of eigenvalue j as a fraction of a
-    full turn, index[j] / 2q = n / order[j] in lowest terms; inverse[j] =
-    1/n mod order[j], separation[j] = sin(pi / order[j]), and roots[n] has
-    turn n / 2q. eigenvalues and Vinv are floating mirrors. Row j of Vinv
-    is the Lagrange polynomial P(x) / ((x - l_j) P'(l_j)), so Vinv inverts
-    the Vandermonde matrix of eigenvectors (1, l, ..., l^q): (1 + x^q) / 2
-    at l = 1 and, as P'(l) = -q (l - 1) / l where l^q = -1, l^-k / q at
-    0 < k < q, -1 / (q (l - 1)) at k = 0 and -l / (q (l - 1)) at k = q.
-    _start holds, for the last start state that recovery was asked about,
-    its key, zt0 and tolerance, the usable indices j, zt0, order, inverse,
-    separation and index gathered at j, and one position in j per distinct
-    order (see _prepared_start).
+    turns[j] is the exact angle of eigenvalue j as a fraction of a full turn,
+    (2j - 1) / 2q in lowest terms for j > 0, and order[j] its denominator.
+    _field is the prime field recovery reads residues in (see _field), and
+    _start what it needs of the last start state it was asked about.
     """
 
     q: int
     turns: tuple[Fraction, ...]
-    eigenvalues: np.ndarray
-    Vinv: np.ndarray
-    index: np.ndarray
     order: np.ndarray
-    inverse: np.ndarray
-    separation: np.ndarray
-    roots: np.ndarray
+    _field: tuple
     _start: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -85,18 +100,7 @@ def eigen_canonical(p: int, q: int) -> SpectralDecomposition:
     if q < 1:
         raise ValueError(f"order must be at least 1, got {q}")
     turns = (Fraction(0),) + tuple(Fraction(2 * k + 1, 2 * q) for k in range(q))
-    roots = np.array([turn_to_complex(Fraction(n, 2 * q)) for n in range(2 * q)])
-    index = np.array([0] + [2 * k + 1 for k in range(q)])
-    order = np.array([t.denominator for t in turns])
-    inverse = np.array([pow(t.numerator, -1, t.denominator) for t in turns])
-    separation = np.array([sin(pi / d) for d in order.tolist()])
-    # row j > 0 of Vinv is l_j^-k / q, of turn (2q - k) * index[j] / 2q, but at k = 0, q
-    at = np.outer(index, np.arange(2 * q, q - 1, -1))
-    vinv = (roots / q)[np.remainder(at, 2 * q, out=at)]
-    vinv[1:, 0] = -1 / (q * (roots[index[1:]] - 1))
-    vinv[1:, q] = roots[index[1:]] * vinv[1:, 0]
-    vinv[0] = np.where(np.arange(q + 1) % q, 0, 0.5)  # (1 + x^q) / 2
-    return SpectralDecomposition(q, turns, roots[index], vinv, index, order, inverse, separation, roots)
+    return SpectralDecomposition(q, turns, np.array([t.denominator for t in turns]), _field(q))
 
 
 def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:
@@ -117,107 +121,113 @@ def eigenpair_residuals_exact_zero(dec: SpectralDecomposition) -> bool:
     )
 
 
-def transform(z, dec: SpectralDecomposition) -> np.ndarray:
-    """Eigencoordinates z~ = Vinv z (floating mirror)."""
-    a = np.asarray(z)
-    # numpy promotes a float64 state inside the product to the same complex
-    # values, so an integer state skips the slower complex conversion
-    z = a.astype(float) if a.dtype.kind in "biu" else np.asarray(z, dtype=complex)
-    if z.shape != (dec.dimension,):
-        raise ValueError(f"state has dimension {z.shape}, expected ({dec.dimension},)")
-    return dec.Vinv @ z
-
-
 @dataclass(frozen=True)
 class ExponentEstimate:
-    """Recovered exponent with the per-eigenvalue matching evidence."""
+    """Recovered exponent with its evidence: (j, e mod order[j]) for every
+    eigenvalue j of a usable order."""
 
     e: int
-    per_eigenvalue_residues: tuple[tuple[int, int, float], ...]
+    per_eigenvalue_residues: tuple[tuple[int, int], ...]
     parity: str
 
 
-def _prepared_start(z_0, dec: SpectralDecomposition):
-    """What recovery needs of the start state z_0 alone: (zt0, tolerance,
-    usable indices j, j as a list, then zt0, order, inverse, separation and
-    index gathered at j, and reps: per distinct order among j, in order of
-    first occurrence, the position of its last occurrence).
+def _coefficients(z, q: int) -> tuple[np.ndarray, int]:
+    """(G_z modulo x^q + 1, z[0] + z[q]) for an integer state z of any size.
 
-    dec keeps them for the last start it was asked about, keyed by the
-    state's values: a repeated start costs one O(q) tuple comparison (by
-    identity for the same tuple) instead of an O(q^2) transform. The entry is
-    replaced in one assignment, so a concurrent reader never sees half of it.
+    G_z is int64 when every sum recovery takes of it is exact in int64 (each
+    |z[k]| at most 2^62 / (q + 1)), else Python ints in an object array.
+    """
+    a = np.asarray(z)
+    if a.dtype.kind not in "biu" and not isinstance(z, np.ndarray):
+        a = np.array(z, dtype=object)  # numpy turns ints past int64 into floats
+    if a.shape != (q + 1,):
+        raise ValueError(f"state has dimension {a.shape}, expected ({q + 1},)")
+    bound = 2**62 // (q + 1)
+    if a.dtype.kind == "b" or (a.dtype.kind in "iu" and -bound <= a.min() and a.max() <= bound):
+        a = a.astype(np.int64)
+    elif a.dtype.kind in "iuO" and all(isinstance(v, (int, np.integer)) for v in a.tolist()):
+        a = np.array([int(v) for v in a.tolist()], dtype=object)
+    else:
+        raise ValueError(f"state entries must be integers, got {a.dtype} entries")
+    return (a[1:] - a[:-1])[::-1], int(a[0] + a[-1])
+
+
+def _prepared_start(z_0, dec: SpectralDecomposition):
+    """What recovery needs of the start state z_0 alone: (field, usable orders,
+    their rows of powers, 1 / G_0(w_d) mod ell at them, G_0, z_0[0] + z_0[q],
+    the eigenvalues j of usable order as a list, order[j], G_0(-1)).
+
+    dec keeps them for the last start it was asked about, keyed by the state's
+    values: a repeated start costs an O(q) check, the same tuple nothing. The
+    entry is replaced in one assignment, so no reader sees half of it.
     """
     try:  # an array's own tuple would hold its rows
         key = tuple(z_0.tolist() if isinstance(z_0, np.ndarray) else z_0)
     except TypeError:
-        key = None  # not a sequence; transform raises the dimension error
+        key = None  # not a sequence; _coefficients raises the dimension error
     start = dec._start
-    if start is not None and key is not None and (
-        start[0] is key
-        # an array entry would equal a scalar by broadcasting: never a hit
-        or (not any(isinstance(v, np.ndarray) for v in key) and start[0] == key)
-    ):
+    if start is not None and start[0] is key:
         return start[1:]
-    zt0 = transform(z_0, dec)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(zt0))))
-    usable = np.array(list(map(abs, zt0.tolist()))) >= tol
-    j = np.flatnonzero(usable[1:]) + 1  # eigenvalue 0 is l = 1
-    order = dec.order[j]
-    # a later occurrence replaces the value but keeps the key's first position
-    last = {d: k for k, d in enumerate(order.tolist())}
-    reps = np.array(list(last.values()), dtype=int)
-    gathered = (zt0[j], order, dec.inverse[j], dec.separation[j], dec.index[j], reps)
-    start = (key, zt0, tol, j, j.tolist(), *gathered)
+    g0, fixed = _coefficients(z_0, dec.q)
+    if start is not None and start[0] == key:  # equal values of a checked state
+        return start[1:]
+    fld = dec._field
+    while True:
+        ell, orders, powers, _ = fld
+        at = powers @ np.remainder(g0, ell).astype(np.int64) % ell
+        vanish = at == 0
+        coeffs = g0.tolist() if vanish.any() else []
+        if all(cyclotomic_divides(coeffs, d) for d in orders[vanish].tolist()):
+            break
+        fld = _field(dec.q, below=ell)  # G_0(w_d) = 0 (mod ell) only by chance
+    orders, powers = orders[~vanish], powers[~vanish]
+    inverse = np.array([pow(v, -1, ell) for v in at[~vanish].tolist()], dtype=np.int64)
+    j = np.flatnonzero(np.bincount(orders, minlength=2 * dec.q + 1)[dec.order])
+    at0 = int(g0[::2].sum() - g0[1::2].sum())
+    start = (key, fld, orders, powers, inverse, g0, fixed, j.tolist(), dec.order[j], at0)
     object.__setattr__(dec, "_start", start)
     return start[1:]
 
 
 def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEstimate:
-    """Recover e in [1, p-1] from lifted terminal and initial states.
+    """Recover e in [1, p-1] from integer lifted terminal and initial states.
 
-    For each eigenvalue except l = 1 (zero angle, no information) and except
-    coordinates where the initial eigencoordinate vanishes, the ratio
-    z~_e,j / z~_0,j must equal l_j^e. Each ratio is matched to the power of
-    l_j nearest in angle (on a circle of any radius, the nearest root in
-    angle is also the nearest in distance), accepted only within half the
-    minimum separation of distinct powers, and the matches are merged as
-    residue constraints on e. All usable eigenvalues must agree on a single
-    exponent; anything less raises RecoveryError.
+    Every usable eigenvalue order d gives t = e mod d, the power of w_d that
+    G_e(w_d) / G_0(w_d) is in F_ell; the residues merge by the Chinese
+    remainder theorem, and the one exponent they leave in [1, p-1] is
+    certified over the integers: G_e = x^e G_0 (mod x^q + 1), a negacyclic
+    rotation, and z_e[0] + z_e[q] = z_0[0] + z_0[q] say z~_e = l^e z~_0 at
+    every eigenvalue l, that is z_e = A^e z_0. Anything less raises
+    RecoveryError.
     """
-    zt0, tol, j, js, zt0_j, order, inverse, separation, index, reps = _prepared_start(z_0, dec)
-    zte = transform(z_e, dec)
-    if not j.size:
+    ge, fixed_e = _coefficients(z_e, dec.q)
+    start = _prepared_start(z_0, dec)
+    (ell, _, _, log), orders, powers, inverse, g0, fixed, js, order_j, at0 = start
+    if not orders.size:
         raise RecoveryError("no usable eigenvalues: initial eigencoordinates all vanish")
-    ratio = zte[j] / zt0_j
-    # np.angle may differ from cmath.phase in the last ulp; that moves the rounding
-    # only at a half step, where the separation test rejects both nearest powers
-    steps = np.rint(np.where(np.isfinite(ratio), order * np.angle(ratio) / (2 * pi), 0.0))
-    # l_j^t has turn numerator * t / order; invert that at the rounded angle
-    t = steps.astype(np.int64) % order * inverse % order
-    # scalar abs, not np.abs: the two differ in the last ulp, and match errors are reported
-    dist = list(map(abs, (ratio - dec.roots[index * t % (2 * dec.q)]).tolist()))
-    unmatched = np.flatnonzero(~(np.array(dist) < separation))
-    if unmatched.size:
-        k = unmatched[0]
-        raise RecoveryError(
-            f"eigenvalue {js[k]}: ratio {ratio[k]:.6g} matches no power within separation"
-        )
-    residue, modulus = 0, 1
-    for d, r in zip(order[reps].tolist(), t[reps].tolist()):
-        residue, modulus = _crt(residue, modulus, r, d)  # a conflict fails the check below
-    if np.any((residue - t) % order):
+    q, n = dec.q, 2 * dec.q
+    ratios = powers @ np.remainder(ge, ell).astype(np.int64) % ell * inverse % ell
+    residue, modulus, steps = 0, 1, []
+    for d, ratio in zip(orders.tolist(), ratios.tolist()):
+        k = log.get(ratio)  # ratio = w^k = w_d^t exactly when k = t 2q/d
+        if k is None or k % (n // d):
+            raise RecoveryError(f"eigenvalue order {d}: ratio {ratio} in F_{ell} matches no power")
+        steps.append(k // (n // d))
+        residue, modulus = _crt(residue, modulus, steps[-1], d)  # a conflict fails below
+    if any((residue - t) % d for t, d in zip(steps, orders.tolist())):
         raise RecoveryError("eigenvalue constraints are mutually inconsistent")
     admissible = range(residue or modulus, p, modulus)
     if not admissible:
         raise RecoveryError("no exponent in [1, p-1] meets the eigenvalue constraints")
     if len(admissible) > 1:
         raise RecoveryError(f"constraints leave {len(admissible)} admissible exponents")
-    return ExponentEstimate(
-        e=admissible[0],
-        per_eigenvalue_residues=tuple(zip(js, t.tolist(), dist)),
-        parity=_parity_of(zte, zt0, tol, dec),
-    )
+    e = admissible[0]
+    r = e % n  # x^q = -1: x^e G_0 is G_0 turned by e mod q places, negated past each wrap
+    turned = -g0 if r >= q else g0
+    turned = np.concatenate((-turned[q - r % q :], turned[: q - r % q]))
+    if fixed_e != fixed or not np.array_equal(ge, turned):
+        raise RecoveryError(f"certificate failed: z_e is not A^{e} z_0")
+    return ExponentEstimate(e, tuple(zip(js, (e % order_j).tolist())), _parity_of(ge, at0, q))
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
@@ -233,18 +243,18 @@ def parity(z_e, z_0, dec: SpectralDecomposition) -> str:
     """Parity of the exponent from the eigenvalue -1, when it is present.
 
     -1 is an eigenvalue exactly when q is odd; its eigencoordinate flips
-    sign once per step, so the ratio is +1 for even e and -1 for odd e.
+    sign once per step, so G_e(-1) is G_0(-1) for even e and -G_0(-1) for odd e.
     """
-    zte = transform(z_e, dec)
-    zt0, tol, *_ = _prepared_start(z_0, dec)
-    return _parity_of(zte, zt0, tol, dec)
+    ge, _ = _coefficients(z_e, dec.q)
+    return _parity_of(ge, _prepared_start(z_0, dec)[-1], dec.q)
 
 
-def _parity_of(zte: np.ndarray, zt0: np.ndarray, tol: float, dec: SpectralDecomposition) -> str:
-    if dec.q % 2 == 0:
+def _parity_of(ge: np.ndarray, at0: int, q: int) -> str:
+    if q % 2 == 0:
         return "unavailable"
-    j = (dec.q + 1) // 2  # index[j] = 2j - 1 = q: the eigenvalue -1
-    if abs(zt0[j]) < tol:
+    if at0 == 0:
         raise RecoveryError("initial eigencoordinate at -1 vanishes; parity unreadable")
-    ratio = zte[j] / zt0[j]
-    return "even" if ratio.real > 0 else "odd"
+    at = int(ge[::2].sum() - ge[1::2].sum())  # G_e(-1), as (-1)^q = -1
+    if abs(at) != abs(at0):
+        raise RecoveryError(f"eigencoordinate ratio at -1 is {at}/{at0}, not +1 or -1")
+    return "even" if (at > 0) == (at0 > 0) else "odd"

@@ -1,13 +1,14 @@
 """Acceptance suite: every criterion at its stated scope and tolerance.
 
 All claims are exact algebraic identities at desk scale, so almost every
-assertion is an exact integer/rational comparison; the only floating checks
-are the declared mirrors (1e-9) and the separation-based matcher inside
-exponent recovery. Run with `pytest tests/test_acceptance.py -v -s` to see
-one PASS line per criterion.
+assertion is an exact integer/rational comparison, exponent recovery
+included; the only floating checks are criterion 10's declared mirrors
+(1e-9), which the test computes from the exact turns. Run with
+`pytest tests/test_acceptance.py -v -s` to see one PASS line per criterion.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +44,7 @@ from koopman_dh.spectral import (
     parity,
     recover_exponent,
 )
-from spectral_oracle import eigenpair_residual_float
+from spectral_oracle import eigenpair_residual_float, eigenvalues
 
 F = Fraction
 
@@ -163,6 +164,56 @@ def test_criterion_4_parity_at_1019():
     for e in range(1, p):
         assert parity(lift_shift(traj, q, e), z0, dec) == ("even" if e % 2 == 0 else "odd"), e
     print(f"PASS criterion 4 at p = {p}: parity exact on all {p - 1} exponents, smallest generator m = {params.m}")
+
+
+def exponents_at_10007():
+    """The smallest generator 5 of p = 10007, and 100 seeded exponents plus 1, 2, p-2, p-1."""
+    params = DhParams.with_smallest_root(10007)
+    assert params.m == 5
+    p = params.p
+    return params, sorted(set(random.Random(p).sample(range(3, p - 2), 100)) | {1, 2, p - 2, p - 1})
+
+
+def test_criterion_3_exponent_recovery_at_10007():
+    """Criterion 3 at p = 10007, generator 5: exact spectral recovery of 104
+    exponents (100 seeded, and both ends of the range), each matching the
+    brute-force oracle."""
+    params, exponents = exponents_at_10007()
+    p, q = params.p, params.q_tilde
+    dec = eigen_canonical(p, q)
+    z0 = lift_shift(full_period_trajectory(params), q, 0)
+    for e in exponents:
+        c = pow(params.m, e, p)
+        estimate = recover_exponent(lift_ciphertext(c, params, q), z0, dec, p)
+        assert estimate.e == e == discrete_log_bruteforce(c, params), e
+        assert len(estimate.per_eigenvalue_residues) == q
+    print(f"PASS criterion 3 at p = {p}: exact recovery of {len(exponents)} exponents, m = {params.m}")
+
+
+def test_criterion_4_parity_at_10007():
+    """Criterion 4 at p = 10007 = 3 (mod 4), generator 5: q = 5003 is odd, so
+    the eigenvalue -1 decides e mod 2 on the same 104 exponents."""
+    params, exponents = exponents_at_10007()
+    p, q = params.p, params.q_tilde
+    assert q % 2 == 1
+    dec = eigen_canonical(p, q)
+    traj = full_period_trajectory(params)
+    z0 = lift_shift(traj, q, 0)
+    for e in exponents:
+        assert parity(lift_shift(traj, q, e), z0, dec) == ("even" if e % 2 == 0 else "odd"), e
+    print(f"PASS criterion 4 at p = {p}: parity exact on {len(exponents)} exponents, m = {params.m}")
+
+
+def test_criterion_10_eigenstructure_at_10007():
+    """Criterion 10's exact check at q = 5003: the eigenvalues are 1 and the
+    odd-index 10006-th roots of unity, of orders 1, 2 and 10006, and the
+    eigenpair residual is exactly zero."""
+    p, q = 10007, 5003
+    dec = eigen_canonical(p, q)
+    assert dec.turns == (F(0),) + tuple(F(2 * k + 1, 2 * q) for k in range(q))
+    assert {t.denominator for t in dec.turns} == {1, 2, 2 * q}
+    assert eigenpair_residuals_exact_zero(dec)
+    print(f"PASS criterion 10 at p = {p}: exact eigenstructure at q = {q}")
 
 
 def test_criterion_5_edmd_exactness():
@@ -402,7 +453,7 @@ def test_criterion_10_eigenstructure():
         expected = {F(0)} | {F(2 * k + 1, 2 * q) % 1 for k in range(q)}
         assert set(dec.turns) == expected, p
         assert F(0) in dec.turns
-        assert np.max(np.abs(np.abs(dec.eigenvalues) - 1.0)) < 1e-12, p
+        assert np.max(np.abs(np.abs(eigenvalues(dec)) - 1.0)) < 1e-12, p
         assert eigenpair_residuals_exact_zero(dec), p
         assert eigenpair_residual_float(dec) <= 1e-9, p
     print(f"PASS criterion 10: exact eigenstructure for all {len(PRIMES_TO_199)} primes up to 199")

@@ -859,20 +859,10 @@ class TestParser:
         assert cli.build_parser() is cli.build_parser()
 
 
-class TestFloatFormatting:
-    def test_match_errors_have_15_significant_digits(self, capsys):
-        report = run_json(capsys, "recover", "--p", "7", "--m", "3", "--c", "4")
-        for entry in report["per_eigenvalue"]:
-            value = entry["match_error"]
-            assert value == float(f"{value:.15g}")
-
-
 # --- golden report bytes -----------------------------------------------------
 
-# `per_eigenvalue[].match_error` comes from the closed-form eigenvector inverse
-# and a BLAS matrix-vector product, which may differ in its last bits between
-# BLAS builds; a sweep's wall clock differs every run.
-UNPINNED_LINE = re.compile(r'^ *"(match_error|wall_clock_s)": [^\n]*\n', re.MULTILINE)
+# a sweep's wall clock differs every run
+UNPINNED_LINE = re.compile(r'^ *"wall_clock_s": [^\n]*\n', re.MULTILINE)
 GOLDEN_FILES = {
     "ramp.csv": "".join(f"{v}\n" for v in range(1, 11)),
     "seq.csv": "".join(f"{v}\n" for v in (0, 1, 2) * 3),

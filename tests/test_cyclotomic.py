@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopman_dh.cyclotomic import RootSum, cyclotomic_degree, cyclotomic_divides, turn_to_complex
+from koopman_dh.cyclotomic import RootSum, cyclotomic_degree, cyclotomic_divides
 
 from cyclotomic_oracle import cyclotomic_poly, cyclotomic_remainder, poly_mul
-from spectral_oracle import ZERO, inv_root_minus_one
+from spectral_oracle import ZERO, inv_root_minus_one, turn_to_complex
 from spectral_oracle import ExactRootSum as R
 
 F = Fraction

@@ -270,6 +270,7 @@ def test_is_prime_matches_trial_division():
         PSI_12,  # a strong pseudoprime to the bases 2..37: only base 41 catches it
         3825123056546413051,  # a strong pseudoprime to the bases 2..31
         3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        25326001,  # a strong pseudoprime to the bases 2, 3 and 5: below it, base 7 catches it
         43 * 43,  # the least composite past the trial divisors
     ],
 )

@@ -3,38 +3,41 @@ import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction
-from math import pi, sin
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from conftest import PRIMES_TO_61, PRIMES_TO_199
+from cyclotomic_oracle import cyclotomic_poly, poly_mul
 from koopman_dh import cyclotomic, spectral
-from koopman_dh.cyclotomic import turn_to_complex
 from koopman_dh.dynamics import (
     DhParams,
     all_primitive_roots,
     discrete_log_bruteforce,
     full_period_trajectory,
+    is_prime,
 )
 from koopman_dh.lifting import canonical_alpha, lift_ciphertext, lift_shift
 from koopman_dh.spectral import (
-    ExponentEstimate,
     RecoveryError,
     char_alpha,
     eigen_canonical,
     eigenpair_residuals_exact_zero,
     parity,
     recover_exponent,
-    transform,
 )
 from spectral_oracle import (
     ZERO,
     eigenpair_residual_float,
     eigenpair_residuals_by_rootsum,
+    eigenvalues,
+    g_of,
+    mirror,
     recover_by_rounding,
+    recover_by_scan,
+    state_from_g,
     transform_exact,
-    vandermonde,
     vandermonde_exact,
     vinv_exact,
 )
@@ -52,6 +55,41 @@ def setup_case(p):
     return params, q, dec, traj, z0
 
 
+def orders_of(dec):
+    """The eigenvalue orders other than 1, ascending."""
+    return sorted({t.denominator for t in dec.turns} - {1})
+
+
+def class_states(dec, classes, base=(1,)):
+    """(z_0, z_e) with G_0 = sum_i A_i and G_e = sum_i x^(t_i) A_i, where A_i
+    is base times Phi_d for every eigenvalue order d outside the i-th class.
+
+    classes lists disjoint (orders, t_i): at an order of class i the
+    eigencoordinates turn by t_i steps, at an order in no class both vanish,
+    and z_e[0] + z_e[q] = z_0[0] + z_0[q], as the coefficient sums of G_0 and
+    G_e modulo x^q + 1 agree in parity.
+    """
+    g0, ge = [0], [0]
+    for members, t in classes:
+        a = list(base)
+        for d in orders_of(dec):
+            if d not in members:
+                a = poly_mul(a, cyclotomic_poly(d))
+        g0 = [x + y for x, y in zip(g0 + [0] * len(a), a + [0] * len(g0))]
+        shifted = [0] * t + a
+        ge = [x + y for x, y in zip(ge + [0] * len(shifted), shifted + [0] * len(ge))]
+    z0 = state_from_g(g0, dec.q)
+    return z0, state_from_g(ge, dec.q, fixed=z0[0] + z0[-1])
+
+
+def outcome(recover, z_e, z_0, dec, p):
+    """The estimate, or the error message up to its first colon."""
+    try:
+        return recover(z_e, z_0, dec, p)
+    except RecoveryError as exc:
+        return str(exc).split(":")[0]
+
+
 class TestEigenCanonical:
     def test_p5_eigenvalues(self):
         dec = eigen_canonical(5, 2)
@@ -65,7 +103,7 @@ class TestEigenCanonical:
     def test_one_always_present_unit_modulus(self, p):
         dec = eigen_canonical(p, (p - 1) // 2)
         assert F(0) in dec.turns
-        assert np.allclose(np.abs(dec.eigenvalues), 1.0)
+        assert np.allclose(np.abs(eigenvalues(dec)), 1.0)
 
     def test_char_alpha_matches_canonical_at_threshold(self):
         assert char_alpha(3) == canonical_alpha(7, 3)
@@ -79,33 +117,26 @@ class TestEigenCanonical:
 
 
 class TestEigenSetupReference:
-    """Vinv and the eigenvalues against a build from Fraction turns."""
+    """The turns, the orders and the word prime field against a build from
+    Fraction turns and pow."""
 
     @pytest.mark.parametrize("p,q", [(5, 1), (5, 2), (7, 3), (11, 4), (11, 5), (23, 11), (29, 14)])
     def test_bit_equal_to_fraction_build(self, p, q):
         dec = eigen_canonical(p, q)
         turns = (F(0),) + tuple(F(2 * k + 1, 2 * q) for k in range(q))
-        v = np.array([[turn_to_complex((r * t) % 1) for t in turns] for r in range(q + 1)])
-        l = np.array([turn_to_complex(t) for t in turns])
-        # the Lagrange rows of (x - 1)(x^q + 1): (1 + x^q) / 2 at l = 1, and
-        # otherwise l^-k / q but -1 / (q (l - 1)) at k = 0 and -l / (q (l - 1)) at k = q
-        vinv = np.array([[turn_to_complex((-k * t) % 1) for k in range(q + 1)] for t in turns]) / q
-        vinv[1:, 0] = -1 / (q * (l[1:] - 1))
-        vinv[1:, q] = l[1:] * vinv[1:, 0]
-        vinv[0] = [0.5] + [0] * (q - 1) + [0.5]
         assert dec.turns == turns
-        assert np.array_equal(dec.eigenvalues, l)
-        assert np.array_equal(dec.Vinv, vinv)
-        assert np.array_equal(vandermonde(dec), v)
-        # the integer turn data that recovery matches with
-        assert dec.index.tolist() == [t * 2 * q for t in turns]
         assert dec.order.tolist() == [t.denominator for t in turns]
-        assert all(
-            t.numerator * inv % t.denominator == 1 % t.denominator
-            for t, inv in zip(turns, dec.inverse.tolist())
-        )
-        assert dec.separation.tolist() == [sin(pi / t.denominator) for t in turns]
-        assert dec.roots.tolist() == [turn_to_complex(F(n, 2 * q)) for n in range(2 * q)]
+        ell, orders, powers, log = dec._field
+        n, top = 2 * q, isqrt((2**63 - 1) // (q + 1))
+        # the largest prime ell = 1 (mod 2q) whose int64 sums are exact
+        assert is_prime(ell) and ell % n == 1 and ell**2 * (q + 1) < 2**63
+        assert not any(is_prime(c) for c in range(ell + n, top + 1, n))
+        assert orders.tolist() == orders_of(dec)
+        w = next(v for v, k in log.items() if k == 1)
+        assert log == {pow(w, k, ell): k for k in range(n)}  # n distinct powers: order n
+        assert pow(w, n, ell) == 1
+        for d, row in zip(orders.tolist(), powers.tolist()):
+            assert row == [pow(w, n // d * s, ell) for s in range(q)]
 
 
 def with_turns(dec, turns):
@@ -211,64 +242,100 @@ class TestExactInverse:
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 23, 29, 41])
     def test_floating_mirror_agrees(self, p):
         q = (p - 1) // 2
-        dec = eigen_canonical(p, q)
         exact = np.array([[complex(e) for e in row] for row in vinv_exact(q)])
-        assert np.max(np.abs(exact - dec.Vinv)) < 1e-12
+        assert np.max(np.abs(exact - mirror(q)[2])) < 1e-12
 
     @pytest.mark.parametrize("p", [199, 401, 1009, 4001])
     def test_inverts_the_eigenvector_matrix(self, p):
-        dec = eigen_canonical(p, (p - 1) // 2)
-        assert np.max(np.abs(vandermonde(dec) @ dec.Vinv - np.eye(dec.dimension))) <= 1e-12
+        # in the library's field: the eigencoordinates G_z(l) / P'(l) at l^q = -1,
+        # with P'(l) = -q (l - 1) / l, and (z[0] + z[q]) / 2 at 1, give z back
+        # through the Vandermonde matrix, so they are Vinv z
+        q = (p - 1) // 2
+        dec = eigen_canonical(p, q)
+        ell, _, _, log = dec._field
+        pw = sorted(log, key=log.get)  # w^n for n < 2q
+        l = np.array([pw[int(t * 2 * q)] for t in dec.turns], dtype=np.int64)
+        rng = random.Random(p)
+        z = [rng.randrange(-(10**6), 10**6) for _ in range(q + 1)]
+        g, fixed = spectral._coefficients(z, q)
+        at = np.zeros(q + 1, dtype=np.int64)  # G_z(l) by Horner's rule
+        for c in (g % ell).tolist()[::-1]:
+            at = (at * l + c) % ell
+        derivative = [(-q * (v - 1) * pow(v, -1, ell)) % ell for v in l.tolist()[1:]]
+        coords = [fixed * pow(2, -1, ell) % ell]
+        coords += [a * pow(d, -1, ell) % ell for a, d in zip(at.tolist()[1:], derivative)]
+        column, back = np.array(coords, dtype=np.int64), []
+        for _ in range(q + 1):  # entry r of V c is sum_j l_j^r c_j
+            back.append(int(column.sum() % ell))
+            column = column * l % ell
+        assert back == [v % ell for v in z]
 
 
 class TestTransform:
+    """The state transform z -> (G_z modulo x^q + 1, z[0] + z[q]) that recovery reads."""
+
     def test_round_trip(self):
         params, q, dec, traj, z0 = setup_case(5)
-        assert np.max(np.abs(vandermonde(dec) @ transform(z0, dec) - np.asarray(z0))) < 1e-9
+        g, fixed = spectral._coefficients(z0, q)
+        assert state_from_g(g.tolist(), q, fixed) == list(z0)
+        # and through the floating mirror: V (G_z(l) / P'(l)) = z
+        lam, v, _ = mirror(q)
+        coords = [fixed / 2] + [
+            np.polyval(g.tolist()[::-1], x) * x / (-q * (x - 1)) for x in lam[1:].tolist()
+        ]
+        assert np.max(np.abs(v @ np.array(coords) - np.asarray(z0))) < 1e-9
 
     def test_zero_vector(self):
-        dec = eigen_canonical(5, 2)
-        assert np.allclose(transform([0, 0, 0], dec), 0)
+        g, fixed = spectral._coefficients([0, 0, 0], 2)
+        assert g.tolist() == [0, 0] and fixed == 0
 
     def test_dimension_mismatch(self):
+        params, q, dec, traj, z0 = setup_case(5)
         with pytest.raises(ValueError):
-            transform([1, 2], eigen_canonical(5, 2))
+            recover_exponent([1, 2], z0, dec, 5)
+        with pytest.raises(ValueError):
+            parity(z0, [1, 2], dec)
 
     def test_diagonal_propagation_float(self):
-        # z~_e = Lambda^e z~_0 for the true exponent
+        # z~_e = Lambda^e z~_0 for the true exponent, in the floating mirror
         params, q, dec, traj, z0 = setup_case(7)
+        lam, _, vinv = mirror(q)
         e = 4
         ze = lift_ciphertext(pow(params.m, e, 7), params, q)
-        lhs = transform(ze, dec)
-        rhs = (dec.eigenvalues**e) * transform(z0, dec)
+        lhs = vinv @ np.asarray(ze, dtype=complex)
+        rhs = (lam**e) * (vinv @ np.asarray(z0, dtype=complex))
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_diagonal_propagation_exact(self, p):
-        # the exact eigencoordinates rotate by e times the eigenvalue turn
+        # the exact eigencoordinates rotate by e times the eigenvalue turn, and
+        # G_e is x^e G_0 modulo x^q + 1
         params, q, dec, traj, z0 = setup_case(p)
         for e in (1, 2, p - 1):
             ze = lift_shift(traj, q, e)
             lhs = transform_exact(ze, q)
             rhs = [coord.rotated(t * e) for coord, t in zip(transform_exact(z0, q), dec.turns)]
             assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
+            turned = state_from_g([0] * e + g_of(list(z0)), q, z0[0] + z0[q])
+            assert turned == list(ze)
 
     def test_conservation_of_magnitudes(self):
         params, q, dec, traj, z0 = setup_case(23)
-        zt0 = np.abs(transform(z0, dec))
+        _, _, vinv = mirror(q)
+        zt0 = np.abs(vinv @ np.asarray(z0, dtype=complex))
         for e in (1, 7, 22):
-            ze = lift_shift(traj, q, e)
-            assert np.max(np.abs(np.abs(transform(ze, dec)) - zt0)) < 1e-9
+            zte = vinv @ np.asarray(lift_shift(traj, q, e), dtype=complex)
+            assert np.max(np.abs(np.abs(zte) - zt0)) < 1e-9
 
     @pytest.mark.parametrize("p", [23, 199, 1009])
     def test_equals_the_complex_product_on_every_input_kind(self, p):
-        # an integer state goes to float64 and every other to complex128;
-        # both must give the complex128 product's values exactly
+        # every integer input kind gives the Python-int differences exactly, and
+        # on the orbit states their eigencoordinates are the complex128 product
+        # of the mirror's Vinv with the state
         params, q, dec, traj, z0 = setup_case(p)
         ze = lift_ciphertext(pow(params.m, p // 3, p), params, q)
-        # entries of up to 62 bits: exact in float64 below 2^53, rounded above it
-        wide = [v << (40 + k % 13) | k for k, v in enumerate(ze)]
-        big = [v * 2**70 + k for k, v in enumerate(ze)]  # past uint64: an object array
+        wide = [v << (40 + k % 13) | k for k, v in enumerate(ze)]  # past 2^62 / (q + 1)
+        big = [v * 2**70 + k for k, v in enumerate(ze)]  # past uint64
         states = [
             z0,
             list(ze),
@@ -279,17 +346,28 @@ class TestTransform:
             np.array(wide, dtype=np.uint64) + np.uint64(2**63),
             big,
             [-v for v in big],
-            [2**63 + v if k % 2 else -v for k, v in enumerate(ze)],  # int64 and uint64: float64
-            [v / 3 if k % 3 else (0.0, -0.0)[k % 2] for k, v in enumerate(ze)],
-            np.array(ze) * (0.75 - 1.5j),
+            [2**63 + v if k % 2 else -v for k, v in enumerate(ze)],  # numpy makes it float64
+            np.array([np.int64(v) for v in ze], dtype=object),
+            # int64 entries whose differences and sums would wrap in int64
+            np.array([(2**62 + v) * (-1) ** k for k, v in enumerate(ze)], dtype=np.int64),
         ]
-        assert {np.asarray(z).dtype.kind for z in states} == set("biufcO")
+        assert {np.asarray(z).dtype.kind for z in states} == set("biufO")
         for z in states:
-            assert np.array_equal(transform(z, dec), dec.Vinv @ np.asarray(z, dtype=complex))
+            ints = [int(v) for v in np.asarray(z, dtype=object).tolist()]
+            g, fixed = spectral._coefficients(z, q)
+            assert g.tolist() == [ints[q - s] - ints[q - 1 - s] for s in range(q)]
+            assert fixed == ints[0] + ints[q]
+        lam, _, vinv = mirror(q)
+        for z in (z0, ze):
+            g, fixed = spectral._coefficients(z, q)
+            at = np.polyval(g.tolist()[::-1], lam[1:])
+            coords = np.concatenate(([fixed / 2], at * lam[1:] / (-q * (lam[1:] - 1))))
+            product = vinv @ np.asarray(z, dtype=complex)
+            assert np.max(np.abs(coords - product)) <= 1e-9 * np.max(np.abs(product))
 
     @pytest.mark.parametrize("p", [23, 199, 1009])
     def test_dimension_message_on_every_input_kind(self, p):
-        dec = eigen_canonical(p, (p - 1) // 2)
+        params, q, dec, traj, z0 = setup_case(p)
         n = dec.dimension
         bad = [
             tuple(range(n - 1)),
@@ -302,9 +380,10 @@ class TestTransform:
             5,
         ]
         for z in bad:
-            with pytest.raises(ValueError) as info:
-                transform(z, dec)
-            assert str(info.value) == f"state has dimension {np.shape(z)}, expected ({n},)"
+            for call in (lambda z: recover_exponent(z, z0, dec, p), lambda z: parity(z, z0, dec)):
+                with pytest.raises(ValueError) as info:
+                    call(z)
+                assert str(info.value) == f"state has dimension {np.shape(z)}, expected ({n},)"
 
 
 class TestRecoverExponent:
@@ -332,32 +411,72 @@ class TestRecoverExponent:
             assert estimate.e == e == discrete_log_bruteforce(c, params)
 
     def test_scale_invariance(self):
+        # one integer scale on both states, as Python ints past int64 too,
+        # leaves every eigencoordinate ratio; a scale on one state alone does not
         params, q, dec, traj, z0 = setup_case(11)
         ze = lift_shift(traj, q, 7)
-        scale = 2.375 - 1.25j
-        scaled = recover_exponent(
-            [scale * v for v in ze], [scale * v for v in z0], dec, 11
-        )
-        assert scaled.e == recover_exponent(ze, z0, dec, 11).e == 7
+        want = recover_exponent(ze, z0, dec, 11)
+        assert want.e == 7
+        for scale in (3, -5, 2**40, 2**70, -(2**70) - 1):
+            scaled = recover_exponent([scale * v for v in ze], [scale * v for v in z0], dec, 11)
+            assert scaled == want, scale
+            with pytest.raises(RecoveryError):
+                recover_exponent([scale * v for v in ze], z0, dec, 11)
 
     def test_residue_evidence_consistent(self):
         params, q, dec, traj, z0 = setup_case(11)
         e = 7
         estimate = recover_exponent(lift_shift(traj, q, e), z0, dec, 11)
-        for j, t, err in estimate.per_eigenvalue_residues:
+        assert [j for j, _ in estimate.per_eigenvalue_residues] == list(range(1, q + 1))
+        for j, t in estimate.per_eigenvalue_residues:
             order = dec.turns[j].denominator
-            assert (e - t) % order == 0
-            assert err < 1e-9
+            assert 0 <= t < order and (e - t) % order == 0
 
     def test_off_orbit_state_raises(self):
         params, q, dec, traj, z0 = setup_case(7)
         with pytest.raises(RecoveryError):
-            recover_exponent([1.0, 100.0, -3.0, 0.5], z0, dec, 7)
+            recover_exponent([1, 100, -3, 5], z0, dec, 7)
 
     def test_all_coordinates_vanishing_raises(self):
         dec = eigen_canonical(7, 3)
         with pytest.raises(RecoveryError):
             recover_exponent([0, 0, 0, 0], [0, 0, 0, 0], dec, 7)
+
+    @pytest.mark.parametrize("p", [7, 23, 101])
+    def test_equal_mod_ell_fails_the_certificate(self, p):
+        # a state equal to the true one modulo ell reads the same residues in F_ell;
+        # only the certificate over the integers tells it apart
+        params, q, dec, traj, z0 = setup_case(p)
+        ell = dec._field[0]
+        rng = random.Random(p)
+        for e in rng.sample(range(1, p), min(p - 1, 6)):
+            ze = list(lift_shift(traj, q, e))
+            k = rng.randrange(q + 1)
+            for step in (ell, -ell, ell**3):
+                moved = ze[:k] + [ze[k] + step] + ze[k + 1 :]
+                with pytest.raises(RecoveryError, match="certificate failed"):
+                    recover_exponent(moved, z0, dec, p)
+            assert recover_exponent(ze, z0, dec, p).e == e
+
+    @pytest.mark.parametrize("p,q", [(13, 6), (23, 11), (101, 50), (61, 30)])
+    def test_start_vanishing_mod_ell_moves_to_the_next_prime(self, p, q):
+        # G_0 = x - w_d vanishes at w_d modulo ell, but Phi_d does not divide it:
+        # the start is read in the next prime, and dec keeps its own field
+        dec = eigen_canonical(p, q)
+        ell, orders, powers, _ = dec._field
+        for i, d in enumerate(orders.tolist()):
+            g0 = [-int(powers[i, 1]), 1]
+            z0 = state_from_g(g0, q)
+            g, _ = spectral._coefficients(z0, q)
+            assert int(powers[i] @ (g % ell) % ell) == 0
+            for e in (1, 2, 2 * q - 1):
+                ze = state_from_g([0] * e + g0, q, z0[0] + z0[q])
+                estimate = recover_exponent(ze, z0, dec, 2 * q + 1)
+                assert estimate == recover_by_scan(ze, z0, dec, 2 * q + 1)
+                assert estimate.e == e
+                moved = dec._start[1][0]
+                assert moved < ell and moved % (2 * q) == 1 and is_prime(moved)
+            assert dec._field[0] == ell
 
 
 class TestParity:
@@ -377,6 +496,10 @@ class TestParity:
         dec = eigen_canonical(7, 3)
         with pytest.raises(RecoveryError):
             parity([1, 2, 3, 4], [0, 0, 0, 0], dec)
+        # a ratio at -1 other than +1 or -1 is no parity either
+        params, q, dec, traj, z0 = setup_case(7)
+        with pytest.raises(RecoveryError, match="not \\+1 or -1"):
+            parity([2 * v for v in z0], z0, dec)
 
     @pytest.mark.parametrize("p", [7, 11, 19, 23])
     def test_matches_exponent_parity(self, p):
@@ -395,13 +518,13 @@ def warm(call, z_e, z_0, dec, *rest):
 
 
 def cold(call, z_e, z_0, p, *rest):
-    """warm on a decomposition that has seen no start state, so the transform
-    of z_0 is computed: the answer without the start memo."""
+    """warm on a decomposition that has seen no start state, so the start is
+    prepared afresh: the answer without the start memo."""
     return warm(call, z_e, z_0, eigen_canonical(p, (p - 1) // 2), *rest)
 
 
 class TestPreparedStart:
-    """The decomposition keeps the last start state's eigencoordinates."""
+    """The decomposition keeps what recovery needs of the last start state."""
 
     @pytest.mark.parametrize("p", [7, 11, 13, 23, 101])
     def test_hit_equals_cold_estimate(self, p):
@@ -411,7 +534,7 @@ class TestPreparedStart:
             ze = lift_ciphertext(pow(params.m, e, p), params, q)
             hit = recover_exponent(ze, z0, dec, p)
             assert dec._start[0] is z0
-            # dataclass == compares e, parity and every (j, t, match error)
+            # dataclass == compares e, parity and every (j, t)
             assert hit == cold(recover_exponent, ze, z0, p, p)
             assert repr(hit) == repr(cold(recover_exponent, ze, z0, p, p))
 
@@ -424,14 +547,16 @@ class TestPreparedStart:
             z0,
             lift_shift(full_period_trajectory(other), q, 0),
             lift_shift(traj, q, 3),
-            [2.5 * v for v in z0],
-            [(0.75 - 1.5j) * v for v in z0],
+            [3 * v for v in z0],
+            [-(2**70) * v for v in z0],
             list(z0),
             np.array(z0),
-            np.array(z0, dtype=float) / 7,
+            np.array(z0, dtype=object),
+            [v / 1 for v in z0],  # equal values as floats: no integer state
+            [0] * (q + 1),
         ]
         rng = random.Random(p)
-        for _ in range(60):
+        for _ in range(80):
             z_0 = rng.choice(starts)
             ze = lift_ciphertext(pow(params.m, rng.randrange(1, p), p), params, q)
             assert warm(recover_exponent, ze, z_0, dec, p) == cold(recover_exponent, ze, z_0, p, p)
@@ -455,7 +580,7 @@ class TestPreparedStart:
             with pytest.raises(RecoveryError, match="no usable eigenvalues"):
                 recover_exponent(ze, [0, 0, 0, 0], dec, 7)
             with pytest.raises(RecoveryError, match="parity unreadable"):
-                parity(ze, (0.0, 0.0, 0.0, 0.0), dec)
+                parity(ze, (0, 0, 0, 0), dec)
         assert recover_exponent(ze, z0, dec, 7).e == 4
 
     def test_wrong_dimension_keeps_its_message(self):
@@ -483,7 +608,7 @@ class TestPreparedStart:
     def test_concurrent_queries_with_alternating_starts(self):
         p = 23
         params, q, dec, traj, z0 = setup_case(p)
-        starts = [z0, lift_shift(traj, q, 5), [0.5 * v for v in z0]]
+        starts = [z0, lift_shift(traj, q, 5), [3 * v for v in z0]]
         lifts = [lift_ciphertext(pow(params.m, e, p), params, q) for e in range(1, p)]
         queries = [(ze, z_0) for ze in lifts for z_0 in starts]
         expected = [cold(recover_exponent, ze, z_0, p, p) for ze, z_0 in queries]
@@ -510,109 +635,54 @@ class TestPreparedStart:
 
     def test_one_transform_per_query_after_the_first(self, monkeypatch):
         calls = []
-        original = spectral.transform
+        original = spectral._coefficients
 
-        def counting(z, dec):
+        def counting(z, q):
             calls.append(z)
-            return original(z, dec)
+            return original(z, q)
 
-        monkeypatch.setattr(spectral, "transform", counting)
+        monkeypatch.setattr(spectral, "_coefficients", counting)
         params, q, dec, traj, z0 = setup_case(23)
         k = 7
         for e in range(1, k + 1):
             recover_exponent(lift_ciphertext(pow(params.m, e, 23), params, q), z0, dec, 23)
         assert len(calls) == k + 1
         parity(z0, list(z0), dec)
-        assert len(calls) == k + 2  # an equal list is the same start
-
-
-def recover_by_scan(z_e, z_0, dec, p):
-    """Reference matcher: scan every power of each eigenvalue, then every e.
-
-    O(q * order) per query; recover_exponent must agree with it exactly,
-    float match errors included. Like recover_by_rounding, it takes the
-    eigencoordinates as the complex128 product, not from spectral.transform.
-    """
-    zt0 = dec.Vinv @ np.asarray(z_0, dtype=complex)
-    zte = dec.Vinv @ np.asarray(z_e, dtype=complex)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(zt0))))
-    constraints = []
-    residues = []
-    for j, turn in enumerate(dec.turns):
-        if turn == 0 or abs(zt0[j]) < tol:
-            continue
-        order = turn.denominator
-        ratio = zte[j] / zt0[j]
-        best_t, best_dist = 0, abs(ratio - 1.0)
-        for t in range(1, order):
-            dist = abs(ratio - turn_to_complex((turn * t) % 1))
-            if dist < best_dist:
-                best_t, best_dist = t, dist
-        if best_dist >= sin(pi / order):
-            raise RecoveryError(
-                f"eigenvalue {j}: ratio {ratio:.6g} matches no power within separation"
-            )
-        constraints.append((best_t, order))
-        residues.append((j, best_t, best_dist))
-    if not constraints:
-        raise RecoveryError("no usable eigenvalues: initial eigencoordinates all vanish")
-    candidates = [
-        e for e in range(1, p) if all((e - t) % order == 0 for t, order in constraints)
-    ]
-    if not candidates:
-        # every order divides 2q, so consistent constraints have a solution below 2q
-        if any(all((e - t) % order == 0 for t, order in constraints) for e in range(2 * dec.q)):
-            raise RecoveryError("no exponent in [1, p-1] meets the eigenvalue constraints")
-        raise RecoveryError("eigenvalue constraints are mutually inconsistent")
-    if len(candidates) > 1:
-        raise RecoveryError(f"constraints leave {len(candidates)} admissible exponents")
-    return ExponentEstimate(
-        e=candidates[0],
-        per_eigenvalue_residues=tuple(residues),
-        parity=parity(z_e, z_0, dec),
-    )
-
-
-def outcome(recover, z_e, z_0, dec, p):
-    try:
-        return recover(z_e, z_0, dec, p)
-    except RecoveryError as exc:
-        return str(exc)
-
-
-def eigen_state(dec, coeffs, e=0):
-    """State V diag(l^e) c: eigencoordinates c rotated by e steps (one count,
-    or one count per coordinate)."""
-    return vandermonde(dec) @ (dec.eigenvalues**e * np.asarray(coeffs, dtype=complex))
+        # an equal list is the same start, after one check that it holds integers
+        assert len(calls) == k + 3
+        assert dec._start[0] is z0
 
 
 class TestRecoverAgainstScan:
+    """recover_exponent against the exact scan over powers and exponents."""
+
     @pytest.mark.parametrize(
         "p,count", [(5, 4), (7, 6), (11, 10), (23, 22), (61, 12), (101, 8), (199, 4), (401, 2)]
     )
     def test_sampled_exponents_and_perturbed_states(self, p, count):
+        # moving entries by +-1 takes a state off the orbit; moving all of them
+        # by the same step moves only the eigencoordinate at 1
         params, q, dec, traj, z0 = setup_case(p)
         rng = random.Random(p)
         for e in rng.sample(range(1, p), count):
-            ze = lift_ciphertext(pow(params.m, e, p), params, q)
-            states = [ze] + [
-                [v + rng.gauss(0.0, scale * p) for v in ze] for scale in (1e-6, 1e-3, 0.02, 0.3)
-            ]
-            for z in states:
-                assert outcome(recover_exponent, z, z0, dec, p) == outcome(
-                    recover_by_scan, z, z0, dec, p
-                ), (p, e)
+            ze = list(lift_ciphertext(pow(params.m, e, p), params, q))
+            assert outcome(recover_exponent, ze, z0, dec, p) == recover_by_scan(ze, z0, dec, p)
+            everywhere = list(range(q + 1))
+            one = [rng.randrange(1, q + 1)]
+            for moves in ([0], [q], one, rng.sample(everywhere, 2), everywhere):
+                z, step = list(ze), rng.choice((1, -1))
+                for k in moves:
+                    z[k] += step if moves is everywhere else rng.choice((1, -1))
+                got = outcome(recover_exponent, z, z0, dec, p)
+                assert isinstance(got, str), (p, e, moves)
+                assert got == outcome(recover_by_scan, z, z0, dec, p), (p, e, moves)
 
     def test_one_eigenpair_leaves_several_exponents(self):
-        # p = 13, q = 6: turns 1/4 and 3/4 are a conjugate pair of order 4,
-        # so their coordinates fix e only mod 4: three exponents in [1, 12]
+        # p = 13, q = 6: G_0 = Phi_12 vanishes at the order-12 eigenvalues, so
+        # the order-4 pair fixes e only mod 4: three exponents in [1, 12]
         dec = eigen_canonical(13, 6)
-        pair = [j for j, t in enumerate(dec.turns) if t.denominator == 4]
-        coeffs = np.zeros(dec.dimension)
-        coeffs[pair] = 1.0
-        z0 = eigen_state(dec, coeffs)
         for e in range(1, 13):
-            ze = eigen_state(dec, coeffs, e)
+            z0, ze = class_states(dec, [({4}, e)])
             got = outcome(recover_exponent, ze, z0, dec, 13)
             assert got == "constraints leave 3 admissible exponents"
             assert got == outcome(recover_by_scan, ze, z0, dec, 13)
@@ -621,10 +691,8 @@ class TestRecoverAgainstScan:
         # 2q = 8 does not divide p - 1 = 10: e and e + 8 both lie in [1, 10]
         # for e = 1, 2, and the count must come out exact
         dec = eigen_canonical(11, 4)
-        coeffs = [0.5, 1.0, 2.0 - 1.0j, 0.75j, 1.5]
-        z0 = eigen_state(dec, coeffs)
         for e in range(1, 11):
-            ze = eigen_state(dec, coeffs, e)
+            z0, ze = class_states(dec, [({8}, e)], base=(2, -1, 3))
             got = outcome(recover_exponent, ze, z0, dec, 11)
             assert got == outcome(recover_by_scan, ze, z0, dec, 11)
             if e % 8 in (1, 2):
@@ -633,47 +701,46 @@ class TestRecoverAgainstScan:
                 assert got.e == e
 
     def test_non_finite_state_raises(self):
+        # floats (finite, integral, infinite or NaN), complex numbers and other
+        # numbers are no integer state, whichever of the two states they are in
         params, q, dec, traj, z0 = setup_case(7)
-        for bad in (float("nan"), float("inf")):
-            with np.errstate(invalid="ignore"), pytest.raises(RecoveryError, match="matches no power"):
-                recover_exponent([bad, 1.0, 2.0, 3.0], z0, dec, 7)
+        for bad in (float("nan"), float("inf"), 2.0, 1.5, 1j, F(1, 2), None, "1"):
+            state = [bad, 1, 2, 3]
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="integers"):
+                recover_exponent(state, z0, dec, 7)
+            with pytest.raises(ValueError, match="integers"):
+                recover_exponent(z0, state, dec, 7)
+            with pytest.raises(ValueError, match="integers"):
+                parity(state, z0, dec)
+        assert recover_exponent(z0, z0, dec, 7).e == 6
 
     def test_constraints_inconsistent_or_outside_range(self):
-        # p = 7, q = 4: every nonzero turn has order 8 > p - 1, so e = 7 and 8
-        # give consistent residues 7 and 0 mod 8 that no exponent in [1, 6] meets
+        # p = 7, q = 4: the one order 8 exceeds p - 1, so e = 7 and 8 give
+        # consistent residues 7 and 0 mod 8 that no exponent in [1, 6] meets
         dec = eigen_canonical(7, 4)
-        coeffs = [0.5, 1.0, 2.0 - 1.0j, 0.75j, 1.5]
-        z0 = eigen_state(dec, coeffs)
         for e in (7, 8):
-            ze = eigen_state(dec, coeffs, e)
+            z0, ze = class_states(dec, [({8}, e)], base=(1, 1, 2))
             got = outcome(recover_exponent, ze, z0, dec, 7)
             assert got == "no exponent in [1, p-1] meets the eigenvalue constraints"
             assert got == outcome(recover_by_scan, ze, z0, dec, 7)
-        # coordinate 1 turned one step, the others two: 1 and 2 mod 8 conflict
-        ze = eigen_state(dec, coeffs, np.array([0, 1, 2, 2, 2]))
-        got = outcome(recover_exponent, ze, z0, dec, 7)
-        assert got == "eigenvalue constraints are mutually inconsistent"
-        assert got == outcome(recover_by_scan, ze, z0, dec, 7)
         # p = 13, q = 6: orders 12 and 4 turned 1 and 2 steps conflict mod gcd = 4
         dec = eigen_canonical(13, 6)
-        steps = np.array([1 if t.denominator == 12 else 2 for t in dec.turns])
-        z0 = eigen_state(dec, np.ones(dec.dimension))
-        ze = eigen_state(dec, np.ones(dec.dimension), steps)
+        z0, ze = class_states(dec, [({12}, 1), ({4}, 2)])
         got = outcome(recover_exponent, ze, z0, dec, 13)
         assert got == "eigenvalue constraints are mutually inconsistent"
         assert got == outcome(recover_by_scan, ze, z0, dec, 13)
 
 
 def assert_same_as_rounding(z_e, z_0, dec, p):
-    """Equal estimates, with e, parity and every (j, t, match error) compared by
-    ==, or equal error messages."""
+    """Equal estimates, with e, parity and every (j, t) compared by ==, or
+    equal error messages, against the floating rounding loop."""
     assert outcome(recover_exponent, z_e, z_0, dec, p) == outcome(
         recover_by_rounding, z_e, z_0, dec, p
     ), p
 
 
 class TestRecoverAgainstRounding:
-    """The array pass against the per-eigenvalue Fraction loop it replaced."""
+    """The exact path against the per-eigenvalue float rounding loop it replaced."""
 
     @pytest.mark.parametrize("p", PRIMES_TO_61)
     def test_every_exponent_of_every_generator(self, p):
@@ -697,31 +764,42 @@ class TestRecoverAgainstRounding:
     @pytest.mark.parametrize("p,count", [(5, 4), (7, 6), (11, 10), (23, 22), (61, 12), (101, 8)])
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.02, 0.3])
     def test_perturbed_states(self, p, count, scale):
+        # a share `scale` of the entries, at least one, moved by +-1: the
+        # rounding loop may still round such a state onto the orbit, but the
+        # exact path refuses it, as the exact scan does
         params, q, dec, traj, z0 = setup_case(p)
         rng = random.Random(p)
         for e in rng.sample(range(1, p), count):
-            ze = lift_ciphertext(pow(params.m, e, p), params, q)
-            assert_same_as_rounding([v + rng.gauss(0.0, scale * p) for v in ze], z0, dec, p)
+            z = list(lift_ciphertext(pow(params.m, e, p), params, q))
+            for k in rng.sample(range(q + 1), max(1, round(scale * (q + 1)))):
+                z[k] += rng.choice((1, -1))
+            got = outcome(recover_exponent, z, z0, dec, p)
+            assert isinstance(got, str) and got == outcome(recover_by_scan, z, z0, dec, p)
 
     @pytest.mark.parametrize("p,q", [(7, 4), (11, 4), (13, 6)])
     def test_orders_not_matching_p(self, p, q):
-        # random eigencoordinates, some zeroed, each turned by one exponent
-        # or, for the last states, by two exponents that may conflict
+        # random integer G_0, some orders vanishing, each order turned by one
+        # exponent or, for the last states, by two exponents that may conflict
         dec = eigen_canonical(p, q)
-        rng = np.random.default_rng(p * q)
+        orders = orders_of(dec)
+        rng = random.Random(p * q)
         for _ in range(20):
-            coeffs = rng.standard_normal(dec.dimension) + 1j * rng.standard_normal(dec.dimension)
-            coeffs[rng.random(dec.dimension) < 0.3] = 0.0
-            z0 = eigen_state(dec, coeffs)
+            base = [rng.randint(-9, 9) for _ in range(3)] + [rng.randint(1, 9)]
+            kept = {d for d in orders if rng.random() < 0.7}
             for e in range(1, 2 * q + 1):
-                assert_same_as_rounding(eigen_state(dec, coeffs, e), z0, dec, p)
-            steps = rng.integers(1, 2 * q + 1, size=2)[rng.integers(0, 2, size=dec.dimension)]
-            assert_same_as_rounding(eigen_state(dec, coeffs, steps), z0, dec, p)
+                z0, ze = class_states(dec, [(kept, e)], base)
+                assert_same_as_rounding(ze, z0, dec, p)
+                assert outcome(recover_exponent, ze, z0, dec, p) == outcome(
+                    recover_by_scan, ze, z0, dec, p
+                )
+            split = rng.sample(orders, rng.randint(0, len(orders)))
+            classes = [(set(split), rng.randint(1, 2 * q)), (set(orders) - set(split), 1)]
+            z0, ze = class_states(dec, classes, base)
+            assert_same_as_rounding(ze, z0, dec, p)
 
 
 class TestPerOrderMerge:
-    """recover_exponent merges one residue per distinct eigenvalue order and
-    checks every usable eigenvalue against the merged residue."""
+    """recover_exponent merges one residue per usable eigenvalue order."""
 
     @pytest.mark.parametrize("p", [101, 127, 151, 199, 251, 307, 401, 1009])
     def test_one_crt_step_per_eigenvalue_order(self, p, monkeypatch):
@@ -738,39 +816,45 @@ class TestPerOrderMerge:
             moduli.clear()
             estimate = recover_exponent(lift_ciphertext(pow(params.m, e, p), params, q), z0, dec, p)
             assert estimate.e == e
-            orders = [dec.turns[j].denominator for j, _, _ in estimate.per_eigenvalue_residues]
+            orders = [dec.turns[j].denominator for j, _ in estimate.per_eigenvalue_residues]
             assert len(orders) == q
-            # the distinct orders, in order of first occurrence
-            assert moduli == list(dict.fromkeys(orders))
+            # the distinct orders, ascending
+            assert moduli == sorted(set(orders))
 
     @pytest.mark.parametrize("p,q", [(7, 3), (11, 4), (13, 6), (23, 11), (31, 15), (61, 30)])
     def test_disagreement_within_an_order_and_dropped_indices(self, p, q):
-        # random eigencoordinates, a few zeroed and, where another order is
-        # left, every one of some order; turned by one exponent, or with the
-        # first or the last eigenvalue of an order turned further than the rest
+        # integer states with some orders dropped (G_0 vanishes there), turned
+        # by one exponent, or with one order turned further than the rest, or
+        # with a ratio at one order that is no power at all. An integer state
+        # cannot turn the conjugate eigenvalues of one order by different steps
+        # (the ratio G_e / G_0 modulo Phi_d is one element of Q(w_d)), so a
+        # disagreement within an order shows as a ratio that is no power
         dec = eigen_canonical(p, q)
-        orders = dec.order
-        distinct = sorted(set(orders[1:].tolist()))
-        rng = np.random.default_rng(p * q)
+        orders = orders_of(dec)
+        rng = random.Random(p * q)
         messages = set()
         for _ in range(10):
-            coeffs = rng.standard_normal(dec.dimension) + 1j * rng.standard_normal(dec.dimension)
-            zeroed = rng.random(dec.dimension) < 0.2
-            if len(distinct) > 1:
-                zeroed |= orders == rng.choice(distinct)
-            coeffs[zeroed] = 0.0
-            z0 = eigen_state(dec, coeffs)
-            e = int(rng.integers(1, 2 * q + 1))
-            states = [eigen_state(dec, coeffs, e)]
-            for d in distinct:
-                members = np.flatnonzero(orders == d)
-                for k in {members[0], members[-1]} if members.size > 1 else ():
-                    steps = np.full(dec.dimension, e)
-                    steps[k] += int(rng.integers(1, d))
-                    states.append(eigen_state(dec, coeffs, steps))
-            for ze in states:
+            base = [rng.randint(-9, 9) for _ in range(2)] + [rng.randint(1, 9)]
+            kept = set(orders)
+            if len(orders) > 1 and rng.random() < 0.5:
+                kept -= {rng.choice(orders)}
+            e = rng.randint(1, 2 * q)
+            states = [class_states(dec, [(kept, e)], base)]
+            for d in kept:
+                further = e + rng.randint(1, d - 1)
+                states.append(class_states(dec, [(kept - {d}, e), ({d}, further)], base))
+                z0, ze = states[0]
+                nudge = [2]  # vanishes at every order but d, where it breaks the ratio
+                for other in orders:
+                    if other != d:
+                        nudge = poly_mul(nudge, cyclotomic_poly(other))
+                g = [a + b for a, b in zip(g_of(ze) + [0] * len(nudge), nudge + [0] * (q + 1))]
+                states.append((z0, state_from_g(g, q, ze[0] + ze[-1])))
+            for z0, ze in states:
                 got = outcome(recover_exponent, ze, z0, dec, p)
-                assert got == outcome(recover_by_rounding, ze, z0, dec, p)
                 assert got == outcome(recover_by_scan, ze, z0, dec, p)
                 messages.add(got if isinstance(got, str) else "estimate")
-        assert "eigenvalue constraints are mutually inconsistent" in messages
+        assert "estimate" in messages
+        assert any(m.startswith("eigenvalue order") for m in messages)
+        if len(orders) > 1:
+            assert "eigenvalue constraints are mutually inconsistent" in messages
