@@ -110,7 +110,9 @@ def _is_int(value) -> bool:
 
 
 def _check_report_dir(path: str | None) -> None:
-    """Refuse a report path in a missing directory before any work; create nothing."""
+    """Refuse a report path that names no file or a missing directory; create nothing."""
+    if path is not None and (not os.path.basename(path) or os.path.isdir(path)):
+        raise ValueError(f"cannot write report {path!r}: the path names no file")
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         raise ValueError(f"cannot write report {path}: {missing}")
@@ -355,6 +357,8 @@ def load_config(path: str) -> dict:
     }
     if isinstance(cfg["primes"], str):
         cfg["primes"] = _parse_primes(cfg["primes"])
+        if cfg["primes"] == []:
+            raise ValueError(f"config primes {raw['primes']!r} selects no prime")
     primes, generators, exponents = cfg["primes"], cfg["generators"], cfg["exponent_sweep"]
     for key, ok, shape in (
         (

@@ -219,23 +219,12 @@ class AffineAugmentSystem:
     def matrix(self) -> list[list[int]]:
         return [[self.m, 1], [0, 1]]
 
-    @property
-    def z0(self) -> tuple[int, int]:
-        return (self.x0, self.a)
-
-    def step(self, z):
-        return tuple(a * z[0] + b * z[1] for a, b in self.matrix)
-
-    def recover(self, z) -> int:
-        return z[0]
-
     def generate(self, count: int) -> list[int]:
-        """First `count` states produced by iterating the linear system."""
-        out = []
-        z = self.z0
+        """First `count` states x_k = z_k[0], iterating z_{k+1} = matrix z_k."""
+        out, z = [], (self.x0, self.a)
         for _ in range(count):
-            out.append(self.recover(z))
-            z = self.step(z)
+            out.append(z[0])
+            z = tuple(a * z[0] + b * z[1] for a, b in self.matrix)
         return out
 
 
@@ -258,29 +247,13 @@ class AdditiveComplexSystem:
     def dimension(self) -> int:
         return 1
 
-    @property
-    def multiplier_turn(self) -> Fraction:
-        return Fraction(1, self.modulus)
-
-    @property
-    def z0_turn(self) -> Fraction:
-        return Fraction(self.x0 % self.modulus, self.modulus)
-
-    def step_turn(self, turn: Fraction) -> Fraction:
-        return (turn + self.multiplier_turn) % 1
-
-    def recover(self, turn: Fraction) -> int:
-        state = turn * self.modulus
-        if state.denominator != 1:
-            raise ValueError(f"turn {turn} is not a multiple of 1/{self.modulus}")
-        return int(state) % self.modulus
-
     def generate(self, count: int) -> list[int]:
-        out = []
-        turn = self.z0_turn
+        """First `count` states, n times the turn, which each step advances by 1/n."""
+        n, out = self.modulus, []
+        turn = Fraction(self.x0 % n, n)
         for _ in range(count):
-            out.append(self.recover(turn))
-            turn = self.step_turn(turn)
+            out.append(int(turn * n))
+            turn = (turn + Fraction(1, n)) % 1
         return out
 
 

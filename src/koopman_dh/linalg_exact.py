@@ -253,15 +253,12 @@ def reduced_echelon(rows, nvars: int):
     E is found by Gauss-Jordan mod one word-size prime after another, merged
     by CRT and lifted to Q by rational reconstruction. A prime whose pivot
     set is worse (fewer pivots, or lexicographically later) is unlucky and
-    skipped; a better one restarts the merge. The rank mod a prime is at
-    most the rank over Q of every leading block of columns, so pivots
-    0..r-1 with r = min(rows, columns) are the profile over Q too; then
-    only the non-pivot columns from nvars on need values. Any other pivot
-    set P is accepted only if d * M[:, c] == M[:, P] @ y_c over the
-    integers for every non-pivot column c: every such column then lies in
-    the span of the pivot columns before it, and those are independent over
-    Q (their rank mod a prime is |P|). The values from nvars on pass the
-    same substitution.
+    skipped; a better one restarts the merge. Every non-pivot column is
+    proven by substitution: a pivot set P is accepted only if
+    d * M[:, c] == M[:, P] @ y_c over the integers for every non-pivot
+    column c. Every such column then lies in the span of the pivot columns
+    before it, and those are independent over Q (their rank mod a prime is
+    |P|), so P is the profile over Q and the values from nvars on are exact.
     """
     if not rows or not rows[0]:
         return [], 1, []
@@ -275,11 +272,9 @@ def reduced_echelon(rows, nvars: int):
             a = np.array([[v % prime for v in row] for row in rows], dtype=np.int64)
         pivots = _rref_mod(a, prime)
         if best is None or (-len(pivots), pivots) < (-len(best), best):
-            best = pivots
-            forced = pivots == list(range(min(m, ncols)))
-            pivot_set = set(pivots)
-            free = [c for c in range(nvars if forced else 0, ncols) if c not in pivot_set]
-            if not free:  # every column is a pivot, or forced ones take all from nvars on
+            best, pivot_set = pivots, set(pivots)
+            free = [c for c in range(ncols) if c not in pivot_set]
+            if not free:
                 d, y = 1, [[] for _ in pivots]
                 break
             merged, modulus = a[: len(pivots)][:, free].ravel().tolist(), prime

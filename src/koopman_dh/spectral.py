@@ -51,15 +51,11 @@ def _field(q: int, below: int = 2**63) -> tuple:
         ell -= n
         if ell < n:
             raise ValueError(f"no word prime ell = 1 (mod {n}) is left")
-    w = 1
-    for r in prime_factors(n):  # w times an element of order r^k, the power of r in n
-        rk = r
-        while n % (rk * r) == 0:
-            rk *= r
-        a = 2
-        while pow(a, (ell - 1) // r, ell) == 1:  # then a^((ell-1)/r^k) has a smaller order
-            a += 1
-        w = w * pow(a, (ell - 1) // rk, ell) % ell
+    # a^((ell-1)/r) != 1 for every prime r | 2q: then a^((ell-1)/2q) has order 2q
+    a, factors = 2, prime_factors(n)
+    while any(pow(a, (ell - 1) // r, ell) == 1 for r in factors):
+        a += 1
+    w = pow(a, (ell - 1) // n, ell)
     pw = [1] * n
     for k in range(1, n):
         pw[k] = pw[k - 1] * w % ell
@@ -83,10 +79,6 @@ class SpectralDecomposition:
     order: np.ndarray
     _field: tuple
     _start: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.q + 1
 
 
 def eigen_canonical(p: int, q: int) -> SpectralDecomposition:

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import re
 import sys
@@ -108,6 +109,11 @@ class TestVerifyTheorem:
         assert out == ""
         assert f"cannot write report {path}: [Errno 2] No such file or directory" in err
         assert not path.parent.exists()
+        # a path that names no file: empty, a directory, or ending in a separator
+        for named in ("", str(tmp_path), str(tmp_path) + os.sep, "./"):
+            code, out, err = run(capsys, "verify-theorem", "--primes", "5..199", "--out", named)
+            assert (code, out) == (2, "")
+            assert f"cannot write report {named!r}: the path names no file" in err
 
 
 class TestRecover:
@@ -625,6 +631,24 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert str(tmp_path / "gone" / "report.json") in err
+        # an output path that names no file, alone or under $KOOPMAN_DH_OUT_DIR
+        for out_dir, named in (("", ""), ("", "./"), ("", str(tmp_path)), (str(tmp_path), "")):
+            monkeypatch.setenv("KOOPMAN_DH_OUT_DIR", out_dir)
+            cfg["output"]["path"] = named
+            cfg_path.write_text(json.dumps(cfg))
+            code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+            assert (code, out) == (2, "")
+            assert "the path names no file" in err
+
+    @pytest.mark.parametrize("primes", ["90..96", "4..4", "13..11"])
+    def test_range_selecting_no_prime_exit_2(self, capsys, tmp_path, monkeypatch, primes):
+        monkeypatch.chdir(tmp_path)  # a config that is wrongly accepted writes report.json
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"primes": primes}))
+        code, out, err = run(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert f"config primes {primes!r} selects no prime" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_invalid_prime_exit_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -412,10 +412,11 @@ class TestAffineAugment:
             x = 3 * x + 1
         assert affine_augment_system(3, 1, 0).generate(9) == oracle
 
-    def test_matrix_and_recovery(self):
+    def test_matrix_and_first_step(self):
         system = affine_augment_system(2, 2, 1)
         assert system.matrix == [[2, 1], [0, 1]]
-        assert system.recover(system.step(system.z0)) == 4
+        # z_1 = matrix (x0, a) = (4, 2), and x_1 is its first entry
+        assert system.generate(2) == [1, 4]
 
     def test_generate_runs_through_the_matrix(self, monkeypatch):
         # x -> 3x + a in place of the stated 2x + a
@@ -440,9 +441,10 @@ class TestAdditiveComplex:
         seq = system.generate(9)
         assert system.dimension == 1 < berlekamp_massey(SequenceSample(terms=seq)).length
 
-    def test_recovery_is_exact_angle_readout(self):
-        system = additive_complex_lift(5, 3)
-        turn = system.z0_turn
-        for expected in system.generate(7):
-            assert system.recover(turn) == expected
-            turn = system.step_turn(turn)
+    @pytest.mark.parametrize("modulus, x0", [(1, 0), (5, 3), (7, -2), (6, 15)])
+    def test_matches_the_additive_recursion(self, modulus, x0):
+        x, oracle = x0 % modulus, []
+        for _ in range(3 * modulus + 2):
+            oracle.append(x)
+            x = (x + 1) % modulus
+        assert additive_complex_lift(modulus, x0).generate(3 * modulus + 2) == oracle

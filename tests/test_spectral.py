@@ -368,7 +368,7 @@ class TestTransform:
     @pytest.mark.parametrize("p", [23, 199, 1009])
     def test_dimension_message_on_every_input_kind(self, p):
         params, q, dec, traj, z0 = setup_case(p)
-        n = dec.dimension
+        n = q + 1
         bad = [
             tuple(range(n - 1)),
             np.ones(n + 1, dtype=np.int64),
