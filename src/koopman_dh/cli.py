@@ -99,10 +99,10 @@ def _parse_primes(text: str) -> list[int] | None:
 
 
 def _generators(p: int, which) -> list[int]:
-    """The smallest primitive root of p, all of them, or an explicit list."""
+    """The smallest primitive root of p, all of them, or an explicit list; ascending, once each."""
     if which == "smallest":
         return [DhParams.with_smallest_root(p).m]
-    return all_primitive_roots(p) if which == "all" else list(which)
+    return all_primitive_roots(p) if which == "all" else sorted(set(which))
 
 
 def _is_int(value) -> bool:
@@ -479,7 +479,7 @@ def run_sweep(cfg: dict) -> dict:
                     k = min(exponent_sweep["sample"], p - 1)
                     exponents = sorted(rng.sample(range(1, p), k))
                 else:
-                    exponents = sorted(exponent_sweep)
+                    exponents = sorted(set(exponent_sweep))
             records.append(_sweep_case(DhParams(p, m), q, exponents))
     manifest = {"config": cfg, "wall_clock_s": float15(time.time() - started)}
     return {"manifest": manifest, "records": records}

@@ -23,7 +23,8 @@ scale_to_integers.
 
 from __future__ import annotations
 
-import threading
+import functools
+import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -109,30 +110,16 @@ def _relations_vanish(rows, support, column, height: int, matrix64, modulus=None
 # and its product over the rows one panel pivots stay inside int64.
 _PANEL = 128
 
-# The primes _word_primes has reached, largest first: filled only as solves
-# need them, and only appended to, under the lock, so no prime is repeated.
-_word_prime_list: list[int] = []
-_word_prime_lock = threading.Lock()
 
-
-def _word_primes():
-    """Primes below 2^26, largest first: the fixed list the modular solve walks.
-
-    A product of two residues is below 2^52, so _rref_mod sums up to 2^10 of
-    them inside int64 before it reduces. Each prime is searched for once per
-    process, by dynamics.is_prime; later solves read it from _word_prime_list.
-    """
-    primes, k = _word_prime_list, 0
-    while True:
-        if k == len(primes):
-            with _word_prime_lock:
-                if k == len(primes):
-                    n = primes[-1] - 2 if primes else (1 << 26) - 1
-                    while not is_prime(n):
-                        n -= 2
-                    primes.append(n)
-        yield primes[k]
-        k += 1
+@functools.cache
+def _word_prime(k: int) -> int:
+    """The k-th prime below 2^26, largest first (2^26 - 5 at k = 0), found once
+    per process from the one before it by dynamics.is_prime. The modular solve
+    walks k in order, so each call searches past one prime at most."""
+    n = _word_prime(k - 1) - 2 if k else (1 << 26) - 1
+    while not is_prime(n):
+        n -= 2
+    return n
 
 
 def _rref_mod(a, prime: int) -> list[int]:
@@ -154,7 +141,9 @@ def _rref_mod(a, prime: int) -> list[int]:
         if r0 == m:
             break
         w, rest = c1 - c0, a[:, c1:]
-        k = min(w, m - r0) if c1 < n else 0  # identity columns, one per row it can pivot
+        # identity columns, one per row it can pivot; the last panel feeds no product, so it
+        # is reduced in place: every sweep and certify system is one panel, and G slows them
+        k = min(w, m - r0) if c1 < n else 0
         if k:
             panel = np.zeros((m, w + k), dtype=np.int64)
             panel[:, :w] = a[:, c0:c1]
@@ -265,7 +254,7 @@ def reduced_echelon(rows, nvars: int):
     m, ncols = len(rows), len(rows[0])
     m64 = _int64(rows)
     best = None
-    for prime in _word_primes():
+    for prime in map(_word_prime, itertools.count()):
         if m64 is not None:
             a = m64 % prime
         else:
@@ -274,9 +263,6 @@ def reduced_echelon(rows, nvars: int):
         if best is None or (-len(pivots), pivots) < (-len(best), best):
             best, pivot_set = pivots, set(pivots)
             free = [c for c in range(ncols) if c not in pivot_set]
-            if not free:
-                d, y = 1, [[] for _ in pivots]
-                break
             merged, modulus = a[: len(pivots)][:, free].ravel().tolist(), prime
             count = attempt = 1
         elif pivots == best:

@@ -747,6 +747,23 @@ class TestSweep:
         assert all(r["method"] == "index-lookup" for r in record["recovery"])
         assert "eigenvalue_turns" not in record
 
+    def test_explicit_lists_run_ascending_once_each(self, capsys, tmp_path):
+        # records come ordered by (p, m, e) whatever order the config lists them in;
+        # the manifest echoes the config as given
+        cfg_path, out_path = self.write_config(
+            tmp_path, primes=[7], generators=[5, 3, 5], exponent_sweep=[4, 2, 2]
+        )
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 0
+        assert out == f"wrote {out_path} with 2 records\n"
+        report = json.loads(out_path.read_text())
+        assert [r["m"] for r in report["records"]] == [3, 5]
+        for record in report["records"]:
+            assert [r["e"] for r in record["recovery"]] == [2, 4]
+            assert record["recovery_all_match"]
+        assert report["manifest"]["config"]["generators"] == [5, 3, 5]
+        assert report["manifest"]["config"]["exponent_sweep"] == [4, 2, 2]
+
     def test_underparameterized_q_policy(self, capsys, tmp_path):
         cfg_path, out_path = self.write_config(tmp_path, q_policy=1, primes=[7])
         code, _, _ = run(capsys, "sweep", "--config", str(cfg_path))

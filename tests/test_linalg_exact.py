@@ -3,7 +3,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import gcd
 from unittest.mock import patch
 
@@ -34,7 +34,7 @@ from koopman_dh.linalg_exact import (
     _int64,
     _relations_vanish,
     _rref_mod,
-    _word_primes,
+    _word_prime,
     annihilates,
     reduced_echelon,
     solve_int_with_ranks,
@@ -149,24 +149,27 @@ def test_matvec_and_frobenius():
     assert frobenius_sq([[Fraction(1, 2)]]) == Fraction(1, 4)
 
 
-def first_primes(count):
-    primes = _word_primes()
-    return [next(primes) for _ in range(count)]
+def walk():
+    """The modular solve's walk over the word primes."""
+    return map(_word_prime, count())
+
+
+def first_primes(n):
+    return list(islice(walk(), n))
 
 
 FIRST_PRIME = first_primes(1)[0]
 
 
 def primes_used(a_rows, b):
-    """The modular solve's answer and how many primes of the list it read."""
-    seen = []
+    """The modular solve's answer and how many word primes it read."""
+    seen = set()  # a set: finding prime k reads prime k - 1, which the walk read already
 
-    def counting():
-        for prime in _word_primes():
-            seen.append(prime)
-            yield prime
+    def counting(k):
+        seen.add(k)
+        return _word_prime(k)
 
-    with patch.object(linalg_exact, "_word_primes", counting):
+    with patch.object(linalg_exact, "_word_prime", counting):
         got = solve_int_with_ranks(a_rows, b)
     return got, len(seen)
 
@@ -213,36 +216,37 @@ def test_word_primes_are_the_primes_below_2_26():
 def test_word_primes_walk_the_searched_sequence():
     expected = word_primes_by_search(20)
     assert first_primes(20) == expected
-    assert linalg_exact._word_prime_list[:20] == expected
     assert all(is_prime_by_trial_division(v) for v in expected)
-    # two walks at once read the same list, and a walk searches only past its end
-    a, b = _word_primes(), _word_primes()
+    # two walks at once read the same cache, and primes found once are not searched again
+    a, b = walk(), walk()
     assert [(next(a), next(b)) for _ in range(22)] == [(v, v) for v in first_primes(22)]
     with patch.object(linalg_exact, "is_prime", side_effect=AssertionError):
-        assert list(islice(_word_primes(), 22)) == first_primes(22)
+        assert first_primes(22) == word_primes_by_search(22)
 
 
 def test_concurrent_walks_share_one_list():
-    """Walks in many threads from an empty list each see the searched sequence,
-    and the list holds every prime once."""
+    """Walks in many threads from a cleared cache each see the searched
+    sequence, and the cache then holds exactly those primes."""
     expected = word_primes_by_search(40)
     seen, threads = [], []
     barrier = threading.Barrier(8, timeout=60)
 
-    def walk():
+    def walk_40():
         barrier.wait()
         seen.append(first_primes(40))
 
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        with patch.object(linalg_exact, "_word_prime_list", []):
-            for _ in range(8):
-                threads.append(threading.Thread(target=walk))
-                threads[-1].start()
-            for t in threads:
-                t.join(timeout=60)
-            assert linalg_exact._word_prime_list == expected
+        _word_prime.cache_clear()
+        for _ in range(8):
+            threads.append(threading.Thread(target=walk_40))
+            threads[-1].start()
+        for t in threads:
+            t.join(timeout=60)
+        assert _word_prime.cache_info().currsize == 40
+        with patch.object(linalg_exact, "is_prime", side_effect=AssertionError):
+            assert first_primes(40) == expected
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
@@ -254,13 +258,14 @@ def test_word_primes_are_found_on_demand():
     script = """
 from fractions import Fraction
 from koopman_dh import linalg_exact
-assert linalg_exact._word_prime_list == []
+found = lambda: linalg_exact._word_prime.cache_info().currsize
+assert found() == 0
 assert linalg_exact.reduced_echelon([[3, 1]], 1) == ([0], 3, [[1]])
-assert len(linalg_exact._word_prime_list) == 1
+assert found() == 1
 big = 2**40 + 1
 for _ in range(2):
     assert linalg_exact.reduced_echelon([[big, 1]], 1) == ([0], big, [[1]])
-    assert len(linalg_exact._word_prime_list) == 4
+    assert found() == 4
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
