@@ -300,6 +300,8 @@ def cmd_complexity(args):
         return report, failure
     if args.m is not None:
         raise ValueError("--m applies only with --p")
+    if args.expected is not None and args.expected < 0:
+        raise ValueError(f"--expected must be nonnegative, got {args.expected}")
     terms = read_integer_series(args.sequence)
     rational = berlekamp_massey(SequenceSample(terms=tuple(terms), field=RATIONAL))
     report = {

@@ -196,6 +196,8 @@ def compare_on_values(fitted: FittedOperator, alpha, values, horizon: int) -> Op
     is checked as the integer identity N_i z_k = d z_{k+1,i} on windows
     0..horizon-1; for data of period N, a horizon of N checks every window.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     if len(fitted.rows) != len(alpha):
         raise ValueError(f"dimension mismatch: fitted {len(fitted.rows)}, analytic {len(alpha)}")
     q, den = len(alpha) - 1, fitted.den
@@ -225,6 +227,8 @@ def max_state_error(fitted: FittedOperator, values, horizon: int) -> Fraction:
     |w_k[0] - d^k values[k]| / d^k. Zero entries of N are skipped: a fit whose
     first q rows are the shift costs about 2q products a step.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     dim = len(fitted.rows)
     if len(values) <= max(horizon, dim - 1):
         raise ValueError(

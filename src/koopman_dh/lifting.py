@@ -49,6 +49,8 @@ def lift_ciphertext(c: int, params: DhParams, q: int) -> tuple[int, ...]:
     p, m = params.p, params.m
     if not 1 <= c <= p - 1:
         raise ValueError(f"c must lie in [1, p-1], got {c}")
+    if q < 0:
+        raise ValueError(f"dictionary order must be nonnegative, got {q}")
     x, out = c, [c]
     for _ in range(q):
         x = x * m % p

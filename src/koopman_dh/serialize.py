@@ -1,7 +1,8 @@
 """Shared I/O helpers: integer CSV ingestion and lossless JSON encoding.
 
 Exact rationals serialize as {"num": ..., "den": ...} string pairs so they
-round-trip without loss; floating mirrors are cut to 15 significant digits.
+round-trip without loss; the one float, manifest.wall_clock_s, is cut to 15
+significant digits.
 """
 
 from __future__ import annotations

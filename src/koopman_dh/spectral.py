@@ -71,7 +71,7 @@ class SpectralDecomposition:
     turns[j] is the exact angle of eigenvalue j as a fraction of a full turn,
     (2j - 1) / 2q in lowest terms for j > 0, and order[j] its denominator.
     _field is the prime field recovery reads residues in (see _field), and
-    _start what it needs of the last start state it was asked about.
+    _start what it needs of the last tuple start (see _prepared_start).
     """
 
     q: int
@@ -149,20 +149,14 @@ def _prepared_start(z_0, dec: SpectralDecomposition):
     their rows of powers, 1 / G_0(w_d) mod ell at them, G_0, z_0[0] + z_0[q],
     the eigenvalues j of usable order as a list, order[j], G_0(-1)).
 
-    dec keeps them for the last start it was asked about, keyed by the state's
-    values: a repeated start costs an O(q) check, the same tuple nothing. The
-    entry is replaced in one assignment, so no reader sees half of it.
+    dec keeps them for the last tuple start, keyed by the tuple itself. A list
+    or an array can change in place, so it is prepared anew on every call; the
+    kept entry is replaced in one assignment, so no reader sees half of it.
     """
-    try:  # an array's own tuple would hold its rows
-        key = tuple(z_0.tolist() if isinstance(z_0, np.ndarray) else z_0)
-    except TypeError:
-        key = None  # not a sequence; _coefficients raises the dimension error
     start = dec._start
-    if start is not None and start[0] is key:
+    if start is not None and start[0] is z_0:
         return start[1:]
     g0, fixed = _coefficients(z_0, dec.q)
-    if start is not None and start[0] == key:  # equal values of a checked state
-        return start[1:]
     fld = dec._field
     while True:
         ell, orders, powers, _ = fld
@@ -176,9 +170,10 @@ def _prepared_start(z_0, dec: SpectralDecomposition):
     inverse = np.array([pow(v, -1, ell) for v in at[~vanish].tolist()], dtype=np.int64)
     j = np.flatnonzero(np.bincount(orders, minlength=2 * dec.q + 1)[dec.order])
     at0 = int(g0[::2].sum() - g0[1::2].sum())
-    start = (key, fld, orders, powers, inverse, g0, fixed, j.tolist(), dec.order[j], at0)
-    object.__setattr__(dec, "_start", start)
-    return start[1:]
+    prepared = (fld, orders, powers, inverse, g0, fixed, j.tolist(), dec.order[j], at0)
+    if isinstance(z_0, tuple):
+        object.__setattr__(dec, "_start", (z_0, *prepared))
+    return prepared
 
 
 def recover_exponent(z_e, z_0, dec: SpectralDecomposition, p: int) -> ExponentEstimate:

@@ -391,6 +391,18 @@ class TestComplexity:
         assert report["matches_expected"] is False
         assert "not reproducible" in report["note"]
 
+    def test_negative_expected_length_exit_2_before_work(self, capsys, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("Berlekamp-Massey ran before --expected was checked")
+
+        monkeypatch.setattr("koopman_dh.cli.berlekamp_massey", fail)
+        path = tmp_path / "seq.csv"
+        path.write_text("1\n4\n10\n22\n46\n")
+        code, out, err = run(capsys, "complexity", "--sequence", str(path), "--expected", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--expected must be nonnegative, got -1" in err
+
     def test_json_sequence_input(self, capsys, tmp_path):
         path = tmp_path / "seq.json"
         path.write_text(json.dumps([0, 1, 2, 0, 1, 2, 0, 1, 2]))

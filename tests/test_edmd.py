@@ -390,6 +390,14 @@ class TestCompare:
         with pytest.raises(ValueError, match="cannot reach step 5"):
             compare_on_values(fit, canonical_alpha(5, 2), values, 5)
 
+    def test_negative_horizon_is_refused(self):
+        # horizon -1 checks no window, which is no evidence of equivalence
+        values = orbit(full_period_trajectory(P5), 7)
+        fit = edmd_fit(dataset_from_values(values, 2, 4))
+        with pytest.raises(ValueError, match="horizon must be nonnegative, got -1"):
+            compare_on_values(fit, canonical_alpha(5, 2), values, -1)
+        assert compare_on_values(fit, canonical_alpha(5, 2), values, 0).prediction_equivalent
+
     def test_entrywise_flag_matches_matrix_comparison(self):
         # the fits above, and a full-order one against the cyclic shift
         cases = [(P7, 3, 16, 7), (P7, 4, 17, 7), (P5, 2, 11, 4), (P5, 3, 8, 3)]
@@ -640,6 +648,12 @@ class TestStateErrorOracle:
             max_state_error(fit, [1, 2, 4, 8, 16], 5)
         with pytest.raises(ValueError, match="cannot reach step 0 at order 2"):
             max_state_error(fit, [1, 2], 0)
+
+    def test_negative_horizon_is_refused(self):
+        fit = edmd_fit(dataset_from_values([1, 2, 4, 8, 16], 2, 2))
+        with pytest.raises(ValueError, match="horizon must be nonnegative, got -1"):
+            max_state_error(fit, [1, 2, 4, 8, 16], -1)
+        assert max_state_error(fit, [1, 2, 4, 8, 16], 0) == 0
 
 
 class TestExternalInterfaces:

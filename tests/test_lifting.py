@@ -91,6 +91,9 @@ class TestLiftCiphertext:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             lift_ciphertext(0, P7, 2)
+        # a negative order is no lifting, as in lift_shift
+        with pytest.raises(ValueError, match="dictionary order must be nonnegative, got -1"):
+            lift_ciphertext(4, P7, -1)
 
 
 class TestCanonicalAlpha:

@@ -466,7 +466,7 @@ class TestRecoverExponent:
         ell, orders, powers, _ = dec._field
         for i, d in enumerate(orders.tolist()):
             g0 = [-int(powers[i, 1]), 1]
-            z0 = state_from_g(g0, q)
+            z0 = tuple(state_from_g(g0, q))  # dec keeps a tuple start
             g, _ = spectral._coefficients(z0, q)
             assert int(powers[i] @ (g % ell) % ell) == 0
             for e in (1, 2, 2 * q - 1):
@@ -648,9 +648,24 @@ class TestPreparedStart:
             recover_exponent(lift_ciphertext(pow(params.m, e, 23), params, q), z0, dec, 23)
         assert len(calls) == k + 1
         parity(z0, list(z0), dec)
-        # an equal list is the same start, after one check that it holds integers
+        # an equal list is prepared anew and leaves the kept tuple start as it is
         assert len(calls) == k + 3
         assert dec._start[0] is z0
+
+    def test_equal_list_start_is_prepared_on_every_call(self):
+        params, q, dec, traj, z0 = setup_case(23)
+        ze = lift_ciphertext(pow(params.m, 5, 23), params, q)
+        assert recover_exponent(ze, z0, dec, 23).e == 5
+        kept = dec._start
+        starts = [list(z0), list(z0)]
+        prepared = [spectral._prepared_start(start, dec) for start in starts]
+        for fresh in prepared:
+            # the list's own arrays, not the kept tuple's
+            assert all(a is not b for a, b in zip(fresh[1:5], kept[2:6]))
+            assert all(np.array_equal(a, b) for a, b in zip(fresh[1:5], kept[2:6]))
+        assert prepared[0][4] is not prepared[1][4]
+        assert all(recover_exponent(ze, start, dec, 23).e == 5 for start in starts)
+        assert dec._start is kept and dec._start[0] is z0
 
 
 class TestRecoverAgainstScan:
