@@ -3,11 +3,43 @@
 Snapshot matrices hold lifted states as columns with exact integer entries,
 so the Frobenius objective is a rational number and every claim (rank
 identities, operator equality, zero residual) is decided exactly. A dataset
-holds the n+q+1 integers whose windows are the columns of Z and Z_plus, so
-the pair is shift-consistent by construction and every Gram entry is a
-sliding sum of those integers. One reduced echelon form of the windows
-gives the snapshot rank and a basis of Z's left kernel, and the fit
-Z_plus Z^+ (unique under full row rank, of minimum Frobenius norm
+holds the N = n+q+1 integers whose windows are the columns of Z and Z_plus,
+so the pair is shift-consistent by construction and every Gram entry is a
+sliding sum of those integers.
+
+Register path. The data's minimal register M (monic, of length L) is sought
+by complexity._modular_register on the first min(N, 2(q+1)) values, since a
+register longer than q+1 is never used; it never runs the fraction-free
+loop. M is accepted only if L <= n and M annihilates all N values over the
+integers (linalg_exact.annihilates). Then L is the complexity of the whole
+input, 2L <= N and L <= q+1, and rank(Z) = L:
+
+- rank(Z) <= L: the k = q+1-L shifts of M's coefficients are independent
+  integer vectors of Z's left kernel;
+- rank(Z) >= L: the leading L x L block H_L of Z is nonsingular. If
+  H_L c = 0 for some c != 0, j the last nonzero index of c, the first L+j
+  values obey the register c of length j < L. Past them a length change
+  from j or less gives a length of at least L+1 (Massey 1969,
+  "Shift-register synthesis and BCH decoding"), so the complexity of all
+  N values could not be L.
+
+So rows 0..L-1 of Z are its pivot rows, and row c >= L is the combination
+x^c mod M of them: its kernel vector is d (e_c - (x^c mod M)), d the lcm of
+the remainders' denominators, the basis the reduced echelon form gives. The
+recurrence gives Z_plus = C Z exactly, C the companion matrix of M padded
+to order q, so the fit is Z_plus Z^+ = C P with P = I - T^T (T T^T)^-1 T
+the projector onto Z's column space, T the k x (q+1) matrix of M's shifts,
+and its residual is exactly 0. With k = 0 the fit is C. When M's
+autocorrelation at lags 0..k-1 reads a (1, -1/2, 0, ..., 0), as
+(4, -2, 0, ..., 0) for an orbit's (x-1)(x^((p-1)/2) + 1), T T^T is
+a/2 tridiag(-1, 2, -1), whose inverse is closed: entry
+min(i, j)(k+1-max(i, j)) / (k+1), i and j from 1. T then enters as shifted
+adds of its few nonzeros per row, never as a dense product.
+
+Elimination path, for every other input (no register, L > n, a failed
+check, or another M with k > 0 for the fit). One reduced echelon form of
+the windows gives the snapshot rank and a basis of Z's left kernel, and the
+fit Z_plus Z^+ (unique under full row rank, of minimum Frobenius norm
 otherwise) is one square solve: the normal equations on Z's independent
 rows above that kernel, or the shift above one last-row solve when it is
 empty. Both are linalg_exact.reduced_echelon's certified form (word-size
@@ -28,10 +60,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
-from .linalg_exact import annihilates, reduced_echelon
+import numpy as np
+
+from .complexity import _modular_register
+from .linalg_exact import annihilates, reduced_echelon, scale_to_integers
 from .serialize import frac_json
 
 
@@ -42,6 +77,9 @@ class EdmdDataset:
     Column k of Z is the window values[k..k+q] and column k of Z_plus is window
     k+1, so rows 0..q-1 of Z_plus are rows 1..q of Z by construction. Z and
     Z_plus are never stored: the fit works from sliding sums of the values.
+    When the data's minimal register M is certified (module docstring), the
+    pivot rows are 0..L-1 and the kernel comes from M with no elimination;
+    otherwise both come from one reduced echelon form of the windows.
     """
 
     values: tuple[int, ...]
@@ -50,25 +88,33 @@ class EdmdDataset:
     pivot_rows: tuple[int, ...] = field(init=False, repr=False)
     # one integer vector k with k Z = 0 per other row: a basis of Z's left kernel
     kernel: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    # M's primitive integer coefficients, oldest first and the leading one
+    # last and positive, when the register path holds; else None
+    register: tuple[int, ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.q < 0:
             raise ValueError(f"dictionary order must be nonnegative, got {self.q}")
         if self.n < 1:
             raise ValueError(f"need at least one snapshot pair, got n={self.n}")
-        # the reduced form y / d of Z^T, whose row k is window k: row c of Z
-        # is the sum of y[i][c] / d times row pivots[i], so each other row c
-        # gives the kernel vector d e_c - sum_i y[i][c] e_{pivots[i]}
         dim, v = self.q + 1, self.values
-        pivots, d, y = reduced_echelon([v[k : k + dim] for k in range(self.n)], 0)
-        at = dict(zip(pivots, y))
-        kernel = tuple(
-            tuple(d if j == c else -at[j][c] if j in at else 0 for j in range(dim))
-            for c in range(dim)
-            if c not in at
-        )
+        m = _certified_register(v, dim, self.n)
+        if m is not None:
+            pivots, kernel = range(len(m) - 1), _register_kernel(m, dim)
+        else:
+            # the reduced form y / d of Z^T, whose row k is window k: row c of Z
+            # is the sum of y[i][c] / d times row pivots[i], so each other row c
+            # gives the kernel vector d e_c - sum_i y[i][c] e_{pivots[i]}
+            pivots, d, y = reduced_echelon([v[k : k + dim] for k in range(self.n)], 0)
+            at = dict(zip(pivots, y))
+            kernel = tuple(
+                tuple(d if j == c else -at[j][c] if j in at else 0 for j in range(dim))
+                for c in range(dim)
+                if c not in at
+            )
         object.__setattr__(self, "pivot_rows", tuple(pivots))
         object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "register", m)
 
     @property
     def n(self) -> int:
@@ -77,6 +123,47 @@ class EdmdDataset:
     @property
     def rank_z(self) -> int:
         return len(self.pivot_rows)
+
+
+def _certified_register(v, dim: int, n: int) -> tuple[int, ...] | None:
+    """The minimal register M of all of v, as EdmdDataset.register, or None.
+
+    The register comes from the first 2 * dim values alone; it must be no
+    longer than n and annihilate every value over the integers.
+    """
+    found = _modular_register(v[: 2 * dim])
+    if found is None or found[0] > n:
+        return None
+    e, nums = scale_to_integers(found[1])
+    m = (*[-c for c in reversed(nums)], e)
+    return m if annihilates([m], v) else None
+
+
+def _register_kernel(m, dim: int) -> tuple[tuple[int, ...], ...]:
+    """d (e_c - (x^c mod M)) for c = L..dim-1, M = m the monic register of
+    length L scaled by its leading coefficient e, d the lcm of the
+    remainders' denominators.
+
+    x^(c+1) mod M is x (x^c mod M) less its top coefficient times M, so each
+    remainder is integer numerators over a divisor of a power of e.
+    """
+    length, e, low = len(m) - 1, m[-1], m[:-1]
+    r, s = [0] * length, 1  # x^(L-1) mod M = numerators r over s
+    if length:
+        r[-1] = 1
+    remainders = []
+    for _ in range(length, dim):
+        top = r[-1] if length else 0
+        r, s = [e * a - top * b for a, b in zip([0, *r], low)], s * e
+        g = gcd(s, *r)
+        if g > 1:
+            r, s = [a // g for a in r], s // g
+        remainders.append((s, r))
+    d = lcm(*[den for den, _ in remainders])
+    return tuple(
+        (*[-(d // den) * a for a in r], *[d if j == c else 0 for j in range(length, dim)])
+        for c, (den, r) in enumerate(remainders, length)
+    )
 
 
 def dataset_from_values(values, q: int, n: int) -> EdmdDataset:
@@ -149,16 +236,66 @@ def _sliding_gram(v, size: int, length: int) -> list[list[int]]:
     return g
 
 
+def _register_fit(m, q: int) -> FittedOperator | None:
+    """C P from the certified register M = m (module docstring), or None when
+    M leaves k = q+1-L > 0 shifts whose autocorrelation is not a (1, -1/2, 0, ...).
+
+    With T T^T = a/2 K, K = tridiag(-1, 2, -1) and K^-1 = W / (k+1), P is
+    I - 2 T^T W T / (a (k+1)), over 2(k+1) for an orbit (a = 4). W T puts W's
+    columns at the offsets of m's nonzeros, T^T (W T) its rows likewise.
+    Every partial sum is at most |m|_1^3 (k+1)^2 in absolute value, so the
+    numerators are int64 below 2^62 and Python ints past it.
+    """
+    dim, e = q + 1, m[-1]
+    length = len(m) - 1
+    k = dim - length
+    # row q of C, numerators over e: s_(q+1) = -sum_(i<L) m_i s_(q+1-L+i) / e
+    last = [0] * k + [-a for a in m[:-1]]
+    if not k:
+        shift = [tuple([e if j == i + 1 else 0 for j in range(dim)]) for i in range(q)]
+        return FittedOperator(e, (*shift, tuple(last)), Fraction(0), "unique")
+    acf = [sum(map(mul, m, m[j:])) for j in range(k)]
+    if k > 1 and (2 * acf[1] != -acf[0] or any(acf[2:])):
+        return None
+    norm = sum(map(abs, m))
+    dtype = np.int64 if norm**3 * (k + 1) ** 2 < 1 << 62 else object
+    at = np.arange(1, k + 1)
+    w = (np.minimum.outer(at, at) * (k + 1 - np.maximum.outer(at, at))).astype(dtype)
+    taps = [(i, a) for i, a in enumerate(m) if a]
+    wt = np.zeros((k, dim), dtype=dtype)
+    for i, a in taps:
+        wt[:, i : i + k] += a * w
+    # P = (D I - (2 / h) T^T W T) / D, D = a (k+1) / h: h = 2 for an even a
+    # leaves an orbit's P over 2(k+1) in lowest terms, so no gcd pass divides it
+    h = 2 - acf[0] % 2
+    den = acf[0] * (k + 1) // h
+    p = np.zeros((dim, dim), dtype=dtype)
+    for i, a in taps:
+        p[i : i + k] -= 2 // h * a * wt
+    p[range(dim), range(dim)] += den
+    rows = np.empty_like(p)
+    rows[:q] = e * p[1:]
+    rows[q] = sum(a * p[j] for j, a in enumerate(last) if a)
+    return FittedOperator(e * den, tuple(map(tuple, rows.tolist())), Fraction(0), "minimum-norm")
+
+
 def edmd_fit(dataset: EdmdDataset) -> FittedOperator:
     """Exact least squares for Z_plus ~ A Z: Z_plus Z^+, of minimum Frobenius norm.
 
-    That is the one A with A Z Z^T = Z_plus Z^T and A k = 0 for every k in
+    On the register path it is C P in closed form (module docstring): C
+    itself when Z has full row rank, else C times the projector onto Z's
+    column space, wherever M's shifts have the tridiagonal Gram. Otherwise
+    it is the one A with A Z Z^T = Z_plus Z^T and A k = 0 for every k in
     Z's left kernel (Penrose), so A^T solves one square nonsingular system:
     the normal equations on Z's independent rows above one row [k | 0] per
     kernel vector. Without a kernel the fit is unique and rows 0..q-1 are
     the shift, so only the last row is solved.
     """
     q, kernel = dataset.q, dataset.kernel
+    if dataset.register is not None:
+        fitted = _register_fit(dataset.register, q)
+        if fitted is not None:
+            return fitted
     # g = W W^T, W being Z above s, the last row of Z_plus: row i of
     # [Z Z^T | Z Z_plus^T] is g[i][:q+1] + g[i][1:]. Row j of A takes the
     # right-hand side column j + 1, so columns first.. solve rows first-1..q

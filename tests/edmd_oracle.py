@@ -9,6 +9,14 @@ G_S^-1 C^T and a second solve for the last row), each solve on the
 fraction-free integer echelon, and every product in Python integers. The
 library fit must equal it exactly: den, rows, residual_sq and fit_kind.
 
+`elimination_dataset` and `elimination_fit` are the library's dataset and
+fit as they were before the register path: the rank profile and left
+kernel from one reduced echelon form of the windows, and the fit as one
+square solve of the normal equations on Z's independent rows above that
+kernel (or the shift above one last-row solve). The library must equal
+them exactly on every input: pivot_rows, kernel, den, rows, residual_sq
+and fit_kind, whichever path it takes.
+
 The library fits from sliding Gram sums of the data's windows, one solve
 of the normal equations on Z's independent rows above Z's left kernel;
 `normal_equations_fit` builds Z and Z_plus, forms the dense Gram products
@@ -26,6 +34,46 @@ from operator import mul
 from echelon_oracle import IntegerEchelon, window_profile
 from field_oracle import frobenius_sq, matmul, transpose
 from koopman_dh.edmd import EdmdDataset, FittedOperator, _sliding_gram
+from koopman_dh.linalg_exact import reduced_echelon
+
+
+def elimination_dataset(values, q: int):
+    """(pivot_rows, kernel) of the n = len(values) - q - 1 windows of values at
+    order q by one reduced echelon form of Z^T: row c of Z is the sum of y[i][c] / d times row
+    pivots[i], so each other row c gives the kernel vector
+    d e_c - sum_i y[i][c] e_{pivots[i]}."""
+    dim = q + 1
+    pivots, d, y = reduced_echelon([values[k : k + dim] for k in range(len(values) - dim)], 0)
+    at = dict(zip(pivots, y))
+    kernel = tuple(
+        tuple(d if j == c else -at[j][c] if j in at else 0 for j in range(dim))
+        for c in range(dim)
+        if c not in at
+    )
+    return tuple(pivots), kernel
+
+
+def elimination_fit(dataset: EdmdDataset) -> FittedOperator:
+    """Z_plus Z^+ as one square solve: the normal equations on Z's independent
+    rows above one row [k | 0] per kernel vector k, or without a kernel the
+    shift above one last-row solve; rank profile and kernel by elimination."""
+    q, v = dataset.q, dataset.values
+    pivot_rows, kernel = elimination_dataset(v, q)
+    g = _sliding_gram(v, q + 2, dataset.n)
+    first = 1 if kernel else q + 1
+    _, den, y = reduced_echelon(
+        [g[i][: q + 1] + g[i][first:] for i in pivot_rows]
+        + [[*k] + [0] * (q + 2 - first) for k in kernel],
+        q + 1,
+    )
+    shift = [tuple([den if j == i + 1 else 0 for j in range(q + 1)]) for i in range(first - 1)]
+    rows = (*shift, *zip(*y))
+    return FittedOperator(
+        den=den,
+        rows=rows,
+        residual_sq=Fraction(den * g[q + 1][q + 1] - sum(map(mul, rows[q], g[q + 1])), den),
+        fit_kind="minimum-norm" if kernel else "unique",
+    )
 
 
 def echelon_fit(dataset: EdmdDataset) -> FittedOperator:

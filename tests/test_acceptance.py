@@ -346,6 +346,20 @@ def test_criterion_5_edmd_exactness_at_401():
     )
 
 
+def test_criterion_5_edmd_exactness_at_1009():
+    """Criterion 5 at p = 1009, smallest generator (m = 11): the unique fit at
+    q = 504 is the companion matrix entry by entry with residual 0; the
+    minimum-norm fit at q = 1007 has residual 0 and exact predictions over
+    two periods (entrywise equality recorded, not asserted). Both fits come
+    from the data's certified register, with no elimination."""
+    entrywise = check_edmd_exactness(1009)
+    print(
+        "PASS criterion 5 at p=1009: exact unique operator at q=504; minimum-norm fit at "
+        f"q=1007 with residual 0 and predictions exact over two periods, entrywise equality "
+        f"{'observed' if entrywise else 'not observed'} (recorded)"
+    )
+
+
 def test_criterion_6_rank_law_at_401():
     """Criterion 6 at p = 401, smallest generator (m = 3): rank(Z) = 201
     exactly at every eighth q from 200 and at q = 399 under the
@@ -358,8 +372,10 @@ def test_criterion_6_rank_law_at_401():
 def test_criterion_6_rank_law_at_1009():
     """Criterion 6 at p = 1009, smallest generator (m = 11): rank(Z) = 505
     exactly at q = 504, 630, 756, 882 and 1007 under the data-richness
-    condition, and rank(Z) <= 505 below it. Each snapshot rank is one reduced
-    echelon form of up to 505 windows of 1008 values, past one column panel."""
+    condition, and rank(Z) <= 505 below it. Each rank at q >= 504 is the length
+    of the data's certified register; below it no register of the first
+    2(q+1) values holds for all of them, and each rank is one reduced echelon
+    form of the windows."""
     qs = (504, 630, 756, 882, 1007)
     cases = check_rank_law(1009, qs)
     print(f"PASS criterion 6 at p=1009: exact rank law on {cases} (p, q) cases, q in {qs}")

@@ -11,16 +11,21 @@ from echelon_oracle import IntegerEchelon, window_profile
 from edmd_oracle import (
     a_hat,
     echelon_fit,
+    elimination_dataset,
+    elimination_fit,
     normal_equations_fit,
     prediction_prefix,
     snapshot_matrices,
     state_errors,
 )
 from field_oracle import frobenius_sq, matmul, pinv, rref
+from koopman_dh import complexity
+from koopman_dh import edmd as edmd_module
 from koopman_dh.dynamics import DhParams, all_primitive_roots, full_period_trajectory
 from koopman_dh.edmd import (
     EdmdDataset,
     FittedOperator,
+    _register_fit,
     _sliding_gram,
     check_assumption,
     compare_on_values,
@@ -354,6 +359,133 @@ class TestEchelonOracle:
         fit = check_against_echelon(ds)
         assert fit.fit_kind == ("minimum-norm" if ds.rank_z <= q else "unique")
         assert period > 2 or fit.fit_kind == "minimum-norm"
+
+
+def check_against_elimination(values, q, n):
+    """The dataset and fit equal the elimination oracle's in every field:
+    pivot_rows, kernel, den, rows, residual_sq and fit_kind. Returns the dataset."""
+    ds = dataset_from_values(values, q, n)
+    assert (ds.pivot_rows, ds.kernel) == elimination_dataset(ds.values, q)
+    fit, want = edmd_fit(ds), elimination_fit(ds)
+    assert (fit.den, fit.rows, fit.residual_sq, fit.fit_kind) == (
+        want.den,
+        want.rows,
+        want.residual_sq,
+        want.fit_kind,
+    )
+    return ds
+
+
+def register_values(connection, seed, count):
+    """count terms of s_k = sum_i connection_i s_(k-i) from the rational seed,
+    scaled by the lcm of their denominators."""
+    s = [F(v) for v in seed]
+    while len(s) < count:
+        s.append(sum(c * v for c, v in zip(connection, reversed(s))))
+    d = lcm(*[v.denominator for v in s[:count]])
+    return [int(v * d) for v in s[:count]]
+
+
+ORBIT_M = (-1, 1, 0, 0, 0, -1, 1)  # (x - 1)(x^5 + 1), the register of every orbit at p = 11
+
+
+class TestRegisterPath:
+    """The register path against the elimination oracle, and the conditions
+    that send a dataset or a fit back to elimination."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_elimination_oracle(self, data):
+        mode = data.draw(st.sampled_from(["orbit", "register", "altered", "zeros", "random"]))
+        q, n = data.draw(st.integers(0, 9)), data.draw(st.integers(1, 12))
+        count = n + q + 1
+        if mode == "orbit":
+            p = data.draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23]))
+            q = data.draw(st.integers(0, p - 2))
+            n = data.draw(st.integers(1, 2 * (p - 1)))
+            m = data.draw(st.sampled_from(all_primitive_roots(p)))
+            values = orbit(full_period_trajectory(DhParams(p, m)), n + q + 1)
+        elif mode in ("register", "altered"):
+            r = data.draw(st.integers(1, 4))
+            small = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+            connection = data.draw(st.lists(small, min_size=r, max_size=r))
+            seed = data.draw(st.lists(small, min_size=r, max_size=r))
+            values = register_values(connection, seed, count)
+            if mode == "altered":
+                values[data.draw(st.integers(0, count - 1))] += 1
+        elif mode == "zeros":
+            values = [0] * count
+        else:
+            values = data.draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count))
+        check_against_elimination(values, q, n)
+
+    ORBIT_11 = orbit(full_period_trajectory(DhParams(11, 2)), 30)
+
+    @pytest.mark.parametrize(
+        "values, q, n, register, eliminations",
+        [
+            # certified, k = 0: the fit is the companion matrix
+            (ORBIT_11, 5, 6, ORBIT_M, 0),
+            # certified, k = 4, autocorrelation (4, -2, 0, 0): closed form
+            (ORBIT_11, 9, 6, ORBIT_M, 0),
+            # M = x - 1, autocorrelation (2, -1, 0): closed form
+            ([3] * 8, 3, 4, (-1, 1), 0),
+            # M = x - 2 at k = 1: the one lag, 5, is always closed
+            ([2**i for i in range(6)], 1, 4, (-2, 1), 0),
+            # M = x - 2 at k = 2: autocorrelation (5, -2) sends the fit to elimination
+            ([2**i for i in range(7)], 2, 4, (-2, 1), 1),
+            # M = 1, L = 0: closed at k = 1, elimination at k = 3 (autocorrelation (1, 0, 0))
+            ([0] * 4, 0, 3, (1,), 0),
+            ([0] * 6, 2, 3, (1,), 1),
+            # a connection of 200 has no reconstruction below 127: no register
+            ([200**i for i in range(6)], 1, 4, None, 2),
+            # L = 4 on the four values read: 2L > 4, no register
+            ([0, 0, 0, 1, 0, 0], 1, 4, None, 2),
+            # L = 6 > n = 3
+            (ORBIT_11[:13], 9, 3, None, 2),
+            # the register of the first 6 values fails on the 13 values
+            (ORBIT_11[:13], 2, 10, None, 2),
+        ],
+    )
+    def test_each_condition(self, monkeypatch, values, q, n, register, eliminations):
+        calls = []
+        real = edmd_module.reduced_echelon
+        monkeypatch.setattr(
+            edmd_module, "reduced_echelon", lambda *args: calls.append(1) or real(*args)
+        )
+        ds = dataset_from_values(values, q, n)
+        fit = edmd_fit(ds)
+        assert ds.register == register
+        assert len(calls) == eliminations
+        monkeypatch.undo()
+        check_against_elimination(values, q, n)
+        if register is not None:
+            assert ds.pivot_rows == tuple(range(len(register) - 1))
+            assert fit.residual_sq == 0
+
+    @pytest.mark.parametrize("kind", ["orbit", "no register"])
+    def test_attempt_reads_two_orders_and_never_the_fraction_free_loop(self, monkeypatch, kind):
+        read = []
+        real = edmd_module._modular_register
+        monkeypatch.setattr(
+            edmd_module, "_modular_register", lambda s: read.append(len(s)) or real(s)
+        )
+
+        def fraction_free(*args):
+            raise AssertionError("the fraction-free loop ran")
+
+        monkeypatch.setattr(complexity, "_fraction_free", fraction_free)
+        values = self.ORBIT_11 * 10 if kind == "orbit" else [200**i for i in range(300)]
+        cases = [(3, 200), (9, 6), (9, 200), (20, 3)]
+        for q, n in cases:
+            dataset_from_values(values, q, n)
+        assert read == [min(n + q + 1, 2 * (q + 1)) for q, n in cases]
+
+    def test_python_int_numerators_match_int64(self):
+        # scaling M by 2^40 leaves C P unchanged and puts |m|_1^3 (k+1)^2 past 2^62
+        fit = _register_fit(ORBIT_M, 9)
+        assert _register_fit(tuple(2**40 * a for a in ORBIT_M), 9) == fit
+        assert fit == elimination_fit(dataset_from_values(self.ORBIT_11, 9, 6))
 
 
 class TestCompare:
